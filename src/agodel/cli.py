@@ -37,7 +37,7 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: command, inputs, limits, seed."""
+    """One resolved invocation: command, inputs, limits."""
 
     command: str
     formula: Optional[str] = None
@@ -53,7 +53,6 @@ class RunConfig:
     budget: int = 600
     branch_budget: int = 20000
     n: int = 10
-    seed: int = 0
     check: bool = False
     out: Optional[Path] = None
 
@@ -282,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, **flags):
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         return p

@@ -5,9 +5,11 @@ finite nonempty universe and every predicate symbol by a total table of
 truth values.  Finiteness makes every structure safe: quantifier values
 are finite minima and maxima, so evaluation is exact and total.
 
-Derived connectives are evaluated by their case tables directly;
-``syntax.expand_derived`` provides the definitional route, and the test
-suite checks the two agree everywhere.
+Every connective, core or derived, has one truth function in ``TRUTH``,
+written against a small algebra interface.  The evaluator runs it on
+``TruthValue``s and the solver runs the same function on symbolic values.
+``syntax.expand_derived`` provides the definitional route for derived
+connectives, and the test suite checks the two agree everywhere.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .errors import UsageError
 from .syntax import (
-    And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists, Forall, Formula, Iff,
-    Imp, Inv, LukImp, Not, One, Or, Power, Signature, Tensor, Term, Top, Var,
-    free_vars, is_sentence,
+    CHILDREN, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, DArrow, DDArrow,
+    Delta, Forall, Formula, Iff, Imp, Inv, LukImp, Not, One, Or, Power,
+    Signature, Tensor, Term, Top, Var, children, free_vars, is_sentence,
 )
 from .values import (
-    INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
-    format_truth_value, one, parse_truth_value, tv_compare, tv_dmin, tv_inv,
-    tv_max, tv_min, tv_mul, tv_power, tv_resid,
+    INF, K_ELEM, K_INF, K_ZERO, ZERO, GroupBackend, TruthValue,
+    backend_by_name, format_truth_value, one, parse_truth_value, tv_compare,
+    tv_inv, tv_max, tv_mul, tv_power,
 )
 
 Assignment = Dict[str, str]
@@ -87,12 +89,70 @@ class Structure:
 
     def atomic_values(self) -> List[TruthValue]:
         """All truth values realized in predicate tables, deduplicated."""
-        seen: List[TruthValue] = []
-        for table in self.preds.values():
-            for tv in table.values():
-                if tv not in seen:
-                    seen.append(tv)
-        return seen
+        return list(dict.fromkeys(tv for table in self.preds.values() for tv in table.values()))
+
+
+# ---------------------------------------------------------------------------
+# Truth functions
+
+# The truth function of every connective, written once.  Each one reads its
+# operands only through an algebra V -- the constants ZERO, ONE and INF, the
+# stratum tests is_zero and is_inf, and mul, inv and power -- and through
+# rel, the sign (-1, 0 or 1) of the comparison between the two operands of
+# an ORDERED connective (0 for the others).  The evaluator runs them on
+# TruthValues; the solver runs them on symbolic values, once per order case.
+TRUTH = {
+    Bot: lambda V, phi, rel: V.ZERO,
+    One: lambda V, phi, rel: V.ONE,
+    Top: lambda V, phi, rel: V.INF,
+    And: lambda V, phi, rel, a, b: a if rel <= 0 else b,
+    Or: lambda V, phi, rel, a, b: b if rel < 0 else a,
+    Imp: lambda V, phi, rel, a, b: V.INF if rel <= 0 else b,
+    Iff: lambda V, phi, rel, a, b: V.INF if rel == 0 else a if rel < 0 else b,
+    DArrow: lambda V, phi, rel, a, b: V.INF if rel < 0 and not V.is_inf(b) else b,
+    DDArrow: lambda V, phi, rel, a, b: (
+        V.INF if rel < 0 else V.ZERO if rel == 0 and V.is_inf(a) else b),
+    LukImp: lambda V, phi, rel, a, b: V.INF if rel <= 0 else V.mul(b, V.inv(a)),
+    Tensor: lambda V, phi, rel, a, b: V.mul(a, b),
+    Inv: lambda V, phi, rel, a: V.inv(a),
+    Not: lambda V, phi, rel, a: V.INF if V.is_zero(a) else V.ZERO,
+    Delta: lambda V, phi, rel, a: V.INF if V.is_inf(a) else V.ZERO,
+    Power: lambda V, phi, rel, a: V.power(a, phi.n),
+}
+ORDERED = frozenset((And, Or, Imp, Iff, DArrow, DDArrow, LukImp))
+
+
+class TruthValues:
+    """The algebra of concrete truth values over one group backend."""
+
+    ZERO = ZERO
+    INF = INF
+
+    def __init__(self, backend: GroupBackend):
+        self.backend = backend
+
+    @property
+    def ONE(self) -> TruthValue:
+        return one(self.backend)
+
+    @staticmethod
+    def is_zero(a: TruthValue) -> bool:
+        return a.kind == K_ZERO
+
+    @staticmethod
+    def is_inf(a: TruthValue) -> bool:
+        return a.kind == K_INF
+
+    def mul(self, a: TruthValue, b: TruthValue) -> TruthValue:
+        return tv_mul(a, b, self.backend)
+
+    @staticmethod
+    def inv(a: TruthValue) -> TruthValue:
+        return tv_inv(a)
+
+    @staticmethod
+    def power(a: TruthValue, n: int) -> TruthValue:
+        return tv_power(a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -130,90 +190,44 @@ def eval_formula(
     missing = free_vars(phi) - set(env)
     if missing:
         raise UsageError(f"unbound variables {sorted(missing)}")
-    return _eval(phi, struct, env, on_value)
+    return _eval(phi, struct, TruthValues(struct.backend), env, on_value)
 
 
-def _eval(phi, struct, env, sink) -> TruthValue:
-    value = _eval_node(phi, struct, env, sink)
+def _eval(phi, struct, V, env, sink) -> TruthValue:
+    kind = type(phi)
+    if kind is Atom:
+        args = tuple(eval_term(t, struct, env) for t in phi.args)
+        try:
+            value = struct.preds[phi.pred][args]
+        except KeyError:
+            raise UsageError(
+                f"structure has no interpretation for {phi.pred!r} at {args}"
+            ) from None
+    elif kind in QUANTIFIER_CONNECTIVE:
+        value = _quantify(phi, struct, V, env, sink, TRUTH[QUANTIFIER_CONNECTIVE[kind]])
+    elif kind in ORDERED:
+        left, right = CHILDREN[kind](phi)
+        a = _eval(left, struct, V, env, sink)
+        b = _eval(right, struct, V, env, sink)
+        value = TRUTH[kind](V, phi, tv_compare(a, b), a, b)
+    else:
+        args = []
+        for kid in children(phi):
+            args.append(_eval(kid, struct, V, env, sink))
+        value = TRUTH[kind](V, phi, 0, *args)
     if sink is not None:
         sink(value)
     return value
 
 
-def _eval_node(phi, struct, env, sink) -> TruthValue:
-    if isinstance(phi, Atom):
-        args = tuple(eval_term(t, struct, env) for t in phi.args)
-        try:
-            return struct.preds[phi.pred][args]
-        except KeyError:
-            raise UsageError(
-                f"structure has no interpretation for {phi.pred!r} at {args}"
-            ) from None
-    if isinstance(phi, Bot):
-        return ZERO
-    if isinstance(phi, One):
-        return one(struct.backend)
-    if isinstance(phi, Top):
-        return INF
-    if isinstance(phi, And):
-        return tv_min(_eval(phi.left, struct, env, sink), _eval(phi.right, struct, env, sink))
-    if isinstance(phi, Imp):
-        return tv_resid(_eval(phi.left, struct, env, sink), _eval(phi.right, struct, env, sink))
-    if isinstance(phi, Tensor):
-        return tv_mul(
-            _eval(phi.left, struct, env, sink),
-            _eval(phi.right, struct, env, sink),
-            struct.backend,
-        )
-    if isinstance(phi, Inv):
-        return tv_inv(_eval(phi.body, struct, env, sink))
-    if isinstance(phi, Forall):
-        return _quantify(phi, struct, env, sink, tv_min)
-    if isinstance(phi, Exists):
-        return _quantify(phi, struct, env, sink, tv_max)
-    if isinstance(phi, Or):
-        return tv_max(_eval(phi.left, struct, env, sink), _eval(phi.right, struct, env, sink))
-    if isinstance(phi, Not):
-        return tv_resid(_eval(phi.body, struct, env, sink), ZERO)
-    if isinstance(phi, Iff):
-        return tv_dmin(_eval(phi.left, struct, env, sink), _eval(phi.right, struct, env, sink))
-    if isinstance(phi, Power):
-        return tv_power(_eval(phi.body, struct, env, sink), phi.n)
-    if isinstance(phi, DArrow):
-        a = _eval(phi.left, struct, env, sink)
-        b = _eval(phi.right, struct, env, sink)
-        if tv_compare(a, b) < 0 and not b.is_inf:
-            return INF
-        return b
-    if isinstance(phi, DDArrow):
-        a = _eval(phi.left, struct, env, sink)
-        b = _eval(phi.right, struct, env, sink)
-        cmp = tv_compare(a, b)
-        if cmp < 0:
-            return INF
-        if cmp == 0 and a.is_inf:
-            return ZERO
-        return b
-    if isinstance(phi, Delta):
-        a = _eval(phi.body, struct, env, sink)
-        return INF if a.is_inf else ZERO
-    if isinstance(phi, LukImp):
-        a = _eval(phi.left, struct, env, sink)
-        b = _eval(phi.right, struct, env, sink)
-        if tv_compare(a, b) <= 0:
-            return INF
-        return tv_mul(b, tv_inv(a), struct.backend)
-    raise UsageError(f"not a formula: {phi!r}")
-
-
-def _quantify(phi, struct, env, sink, combine) -> TruthValue:
+def _quantify(phi, struct, V, env, sink, combine) -> TruthValue:
     saved = env.get(phi.var)
     had = phi.var in env
     result = None
     for element in struct.universe:
         env[phi.var] = element
-        v = _eval(phi.body, struct, env, sink)
-        result = v if result is None else combine(result, v)
+        v = _eval(phi.body, struct, V, env, sink)
+        result = v if result is None else combine(V, phi, tv_compare(result, v), result, v)
     if had:
         env[phi.var] = saved
     else:

@@ -26,16 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Structure, satisfies
+from .semantics import ORDERED, TRUTH, Structure, satisfies
 from .syntax import (
-    And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists, Forall, Formula, Iff,
-    Imp, Inv, LukImp, Not, One, Or, Power, Signature, Tensor, Term, Top, Var,
-    free_vars, print_formula, substitute,
+    QUANTIFIER_CONNECTIVE, App, Atom, DDArrow, Formula, One, Power, Signature,
+    Term, Top, Var, children, free_vars, print_formula, rebuild,
 )
 from .values import (
     INF, LEX2, RAT, ZERO, TruthValue, lex2, one, rat, tv_compare, tv_inv,
@@ -162,34 +162,26 @@ def ground_sentence(
     named after the element.
     """
     const_map = const_map or {}
+    instances = [App(el, ()) for el in elements]
 
-    def go(node: Formula) -> Formula:
-        if isinstance(node, (Bot, One, Top)):
-            return node
-        if isinstance(node, Atom):
-            return Atom(node.pred, tuple(_ground_term(t, const_map) for t in node.args))
-        if isinstance(node, (And, Imp, Tensor, Or, Iff, DArrow, DDArrow, LukImp)):
-            return type(node)(go(node.left), go(node.right))
-        if isinstance(node, Power):
-            return Power(go(node.body), node.n)
-        if isinstance(node, (Inv, Not, Delta)):
-            return type(node)(go(node.body))
-        if isinstance(node, (Forall, Exists)):
-            combiner = And if isinstance(node, Forall) else Or
-            parts = [go(substitute(node.body, node.var, App(el, ())))
-                     for el in elements]
-            out = parts[0]
-            for p in parts[1:]:
-                out = combiner(out, p)
-            return out
-        raise UsageError(f"not a formula: {node!r}")
+    def go(node: Formula, env: Dict[str, Term]) -> Formula:
+        kind = type(node)
+        if kind is Atom:
+            return Atom(node.pred, tuple(_ground_term(t, const_map, env) for t in node.args))
+        if kind in QUANTIFIER_CONNECTIVE:
+            parts = [go(node.body, {**env, node.var: el}) for el in instances]
+            return reduce(QUANTIFIER_CONNECTIVE[kind], parts)
+        kids = []
+        for kid in children(node):
+            kids.append(go(kid, env))
+        return rebuild(node, kids)
 
-    return go(phi)
+    return go(phi, {})
 
 
-def _ground_term(t: Term, const_map: Dict[str, str]) -> Term:
+def _ground_term(t: Term, const_map: Dict[str, str], env: Dict[str, Term]) -> Term:
     if isinstance(t, Var):
-        return t
+        return env.get(t.name, t)
     if t.args:
         raise UsageError("function symbols of positive arity are unsupported by the solver")
     if t.func in const_map:
@@ -231,109 +223,42 @@ class _Compiler:
             )
         return branches
 
-    # Each compile step returns [(tags, lins, sym_value)].
+    # Each compile step returns [(tags, lins, sym_value)].  A connective's
+    # value is its truth function from semantics.TRUTH, run on the symbolic
+    # algebra once per combination of operand branches and, for an ORDERED
+    # connective, once per case of the order between its two operands.
     def compile(self, phi: Formula):
-        if isinstance(phi, Bot):
-            return [({}, [], _SYM_Z)]
-        if isinstance(phi, Top):
-            return [({}, [], _SYM_I)]
-        if isinstance(phi, One):
-            return [({}, [], _sym_elem({}))]
-        if isinstance(phi, Atom):
+        kind = type(phi)
+        if kind is Atom:
             key = _atom_key(phi)
             return [
                 ({key: TAG_ZERO}, [], _SYM_Z),
                 ({key: TAG_ELEM}, [], _sym_elem({key: 1})),
                 ({key: TAG_INF}, [], _SYM_I),
             ]
-        if isinstance(phi, (Inv, Not, Delta)):
-            out = []
-            for tags, lins, v in self.compile(phi.body):
-                for extra, value in self._unary(phi, v):
-                    out.append((tags, lins + extra, value))
-            return self._guard(out)
-        if isinstance(phi, Power):
-            out = []
-            for tags, lins, v in self.compile(phi.body):
-                out.append((tags, lins, _sym_power(v, phi.n)))
-            return self._guard(out)
-        if isinstance(phi, (And, Imp, Tensor, Or, Iff, DArrow, DDArrow, LukImp)):
-            out = []
-            left = self.compile(phi.left)
-            right = self.compile(phi.right)
-            for tags1, lins1, v1 in left:
-                for tags2, lins2, v2 in right:
-                    tags = _merge_tags(tags1, tags2)
-                    if tags is None:
-                        continue
-                    lins = lins1 + lins2
-                    for extra, value in self._binary(phi, v1, v2):
-                        out.append((tags, lins + extra, value))
-                    if len(out) > self.branch_budget:
-                        raise ResourceLimitError(
-                            f"case-branch count exceeds budget {self.branch_budget}"
-                        )
-            return out
-        if isinstance(phi, (Forall, Exists)):
+        if kind in QUANTIFIER_CONNECTIVE:
             raise UsageError("compile expects a ground sentence; run ground() first")
-        raise UsageError(f"not a formula: {phi!r}")
-
-    def _unary(self, phi, v):
-        if isinstance(phi, Inv):
-            return [([], _sym_inv(v))]
-        if isinstance(phi, Not):
-            # value is INF when the body is 0, else 0
-            if v == _SYM_Z:
-                return [([], _SYM_I)]
-            return [([], _SYM_Z)]
-        if isinstance(phi, Delta):
-            if v == _SYM_I:
-                return [([], _SYM_I)]
-            return [([], _SYM_Z)]
-        raise UsageError(f"unexpected unary node {phi!r}")
-
-    def _binary(self, phi, v1, v2):
-        cases = _sym_cases(v1, v2)
+        parts = []
+        for kid in children(phi):
+            parts.append(self.compile(kid))
+        truth = TRUTH[kind]
+        if not parts:
+            return [({}, [], truth(_Symbolic, phi, 0))]
+        if len(parts) == 1:
+            return self._guard([(tags, lins, truth(_Symbolic, phi, 0, v))
+                                for tags, lins, v in parts[0]])
         out = []
-        if isinstance(phi, And):
-            for extra, rel in cases:
-                out.append((extra, v1 if rel in ("<", "=") else v2))
-        elif isinstance(phi, Or):
-            for extra, rel in cases:
-                out.append((extra, v2 if rel == "<" else v1))
-        elif isinstance(phi, Iff):
-            for extra, rel in cases:
-                if rel == "=":
-                    out.append((extra, _SYM_I))
-                else:
-                    out.append((extra, v1 if rel == "<" else v2))
-        elif isinstance(phi, Imp):
-            for extra, rel in cases:
-                out.append((extra, _SYM_I if rel in ("<", "=") else v2))
-        elif isinstance(phi, DArrow):
-            for extra, rel in cases:
-                if rel == "<" and v2 != _SYM_I:
-                    out.append((extra, _SYM_I))
-                else:
-                    out.append((extra, v2))
-        elif isinstance(phi, DDArrow):
-            for extra, rel in cases:
-                if rel == "<":
-                    out.append((extra, _SYM_I))
-                elif rel == "=" and v1 == _SYM_I and v2 == _SYM_I:
-                    out.append((extra, _SYM_Z))
-                else:
-                    out.append((extra, v2))
-        elif isinstance(phi, Tensor):
-            out.append(([], _sym_mul(v1, v2)))
-        elif isinstance(phi, LukImp):
-            for extra, rel in cases:
-                if rel in ("<", "="):
-                    out.append((extra, _SYM_I))
-                else:
-                    out.append((extra, _sym_mul(v2, _sym_inv(v1))))
-        else:
-            raise UsageError(f"unexpected binary node {phi!r}")
+        left, right = parts
+        ordered = kind in ORDERED
+        for tags1, lins1, v1 in left:
+            for tags2, lins2, v2 in right:
+                tags = _merge_tags(tags1, tags2)
+                if tags is None:
+                    continue
+                lins = lins1 + lins2
+                for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
+                    out.append((tags, lins + extra, truth(_Symbolic, phi, rel, v1, v2)))
+                self._guard(out)
         return out
 
 
@@ -357,57 +282,76 @@ def _merge_tags(a: Dict, b: Dict):
     return merged
 
 
-def _sym_inv(v):
-    if v == _SYM_Z:
+class _Symbolic:
+    """The algebra of symbolic values that the truth functions run on."""
+
+    ZERO = _SYM_Z
+    ONE = _sym_elem({})
+    INF = _SYM_I
+
+    @staticmethod
+    def is_zero(v) -> bool:
+        return v[0] == "Z"
+
+    @staticmethod
+    def is_inf(v) -> bool:
+        return v[0] == "I"
+
+    @staticmethod
+    def mul(a, b):
+        kinds = (a[0], b[0])
+        if kinds == ("E", "E"):
+            form = dict(a[1])
+            for k, c in b[1].items():
+                form[k] = form.get(k, 0) + c
+            return _sym_elem(form)
+        if set(kinds) == {"Z", "I"}:
+            return _sym_elem({})  # inf * 0 = identity
+        if "Z" in kinds:
+            return _SYM_Z
         return _SYM_I
-    if v == _SYM_I:
-        return _SYM_Z
-    return _sym_elem({k: -c for k, c in v[1].items()})
+
+    @staticmethod
+    def inv(v):
+        if v == _SYM_Z:
+            return _SYM_I
+        if v == _SYM_I:
+            return _SYM_Z
+        return _sym_elem({k: -c for k, c in v[1].items()})
+
+    @staticmethod
+    def power(v, n: int):
+        if v[0] != "E":
+            return v
+        return _sym_elem({k: c * n for k, c in v[1].items()})
 
 
-def _sym_mul(a, b):
-    kinds = (a[0], b[0])
-    if kinds == ("E", "E"):
-        form = dict(a[1])
-        for k, c in b[1].items():
-            form[k] = form.get(k, 0) + c
-        return _sym_elem(form)
-    if set(kinds) == {"Z", "I"}:
-        return _sym_elem({})  # inf * 0 = identity
-    if "Z" in kinds:
-        return _SYM_Z
-    return _SYM_I
-
-
-def _sym_power(v, n: int):
-    if v[0] != "E":
-        return v
-    return _sym_elem({k: c * n for k, c in v[1].items()})
+_UNSPLIT = [([], 0)]
 
 
 def _sym_cases(v1, v2):
     """Disjoint exhaustive cases for the order between two symbolic values.
 
-    Returns [(extra_constraints, rel)] with rel in {'<', '=', '>'}.
-    Strata order the kinds outright; two group-element forms split on
-    the sign of their difference.
+    Returns [(extra_constraints, rel)] with rel in {-1, 0, 1}, the sign of
+    v1 - v2.  Strata order the kinds outright; two group-element forms
+    split on the sign of their difference.
     """
     k1, k2 = v1[0], v2[0]
     rank = {"Z": 0, "E": 1, "I": 2}
     if k1 != k2:
-        return [([], "<" if rank[k1] < rank[k2] else ">")]
+        return [([], -1 if rank[k1] < rank[k2] else 1)]
     if k1 != "E":
-        return [([], "=")]
+        return [([], 0)]
     diff = dict(v1[1])
     for k, c in v2[1].items():
         diff[k] = diff.get(k, 0) - c
     diff = {k: c for k, c in diff.items() if c}
     if not diff:
-        return [([], "=")]
+        return [([], 0)]
     lt = Constraint.make(diff, 0, "<")
     eq = Constraint.make(diff, 0, "=")
     gt = Constraint.make({k: -c for k, c in diff.items()}, 0, "<")
-    return [([lt], "<"), ([eq], "="), ([gt], ">")]
+    return [([lt], -1), ([eq], 0), ([gt], 1)]
 
 
 def compile_inf(phi: Formula, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> List[ConstraintSystem]:

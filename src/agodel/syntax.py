@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from functools import partial
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import ArityError, FormulaSyntaxError, ParseError, UnknownSymbolError, UsageError
 
@@ -267,53 +269,115 @@ Formula = Union[
 ]
 
 CORE_NODES = (Bot, One, Atom, And, Imp, Tensor, Inv, Forall, Exists)
-BINARY_NODES = (And, Imp, Tensor, Or, Iff, DArrow, DDArrow, LukImp)
+
+# Precedence levels of the grammar; larger binds tighter.
+_LEVEL_QUANT = 0
+_LEVEL_IFF = 1
+_LEVEL_ARROW = 2
+_LEVEL_OR = 3
+_LEVEL_AND = 4
+_LEVEL_TENSOR = 5
+_LEVEL_NOT = 6
+_LEVEL_POSTFIX = 7
+_RIGHT_ASSOCIATIVE = (_LEVEL_IFF, _LEVEL_ARROW)
+
+# Binary connectives: token and precedence level, read by parser and printer.
+BINARY_SYNTAX = {
+    Iff: ("<->", _LEVEL_IFF), DArrow: ("=>", _LEVEL_IFF), DDArrow: ("==>", _LEVEL_IFF),
+    Imp: ("->", _LEVEL_ARROW), LukImp: ("->l", _LEVEL_ARROW),
+    Or: ("\\/", _LEVEL_OR), And: ("/\\", _LEVEL_AND), Tensor: ("*", _LEVEL_TENSOR),
+}
+_BINARY_TOKENS = {token: (node, level) for node, (token, level) in BINARY_SYNTAX.items()}
+_CONSTANT_KEYWORDS = {Bot: "bot", One: "one", Top: "top"}
+_KEYWORD_CONSTANTS = {kw: node for node, kw in _CONSTANT_KEYWORDS.items()}
+
+# Over a finite domain a quantifier is the finite meet or join of its instances.
+QUANTIFIER_CONNECTIVE = {Forall: And, Exists: Or}
+
+
+# ---------------------------------------------------------------------------
+# Generic traversal: which fields of a node are subformulas
+#
+# The recursive traversals here and in semantics/solver collect children in
+# plain loops: on Python 3.11 a comprehension adds a frame per level, which
+# would halve the nesting depth that fits under the recursion limit.
+
+
+def _no_children(phi):
+    return ()
+
+
+def _body(phi):
+    return (phi.body,)
+
+
+def _unchanged(phi, kids):
+    return phi
+
+
+def _retyped(phi, kids):
+    return type(phi)(*kids)
+
+
+def _rebuild_power(phi, kids):
+    return Power(kids[0], phi.n)
+
+
+def _rebuild_quantifier(phi, kids):
+    return type(phi)(phi.var, kids[0])
+
+
+# node type -> (children, rebuild).  Atoms are leaves: their arguments are terms.
+_SHAPES = {
+    **dict.fromkeys((Bot, One, Top, Atom), (_no_children, _unchanged)),
+    **dict.fromkeys(BINARY_SYNTAX, (attrgetter("left", "right"), _retyped)),
+    **dict.fromkeys((Inv, Not, Delta), (_body, _retyped)),
+    Power: (_body, _rebuild_power),
+    Forall: (_body, _rebuild_quantifier),
+    Exists: (_body, _rebuild_quantifier),
+}
+# ``children`` is the checked form of CHILDREN; an evaluator that has already
+# dispatched on the node type may index CHILDREN directly.
+CHILDREN = {node: shape[0] for node, shape in _SHAPES.items()}
+_REBUILD = {node: shape[1] for node, shape in _SHAPES.items()}
+
+
+def children(phi: Formula) -> Tuple[Formula, ...]:
+    """The immediate subformulas of phi, left to right."""
+    try:
+        return CHILDREN[type(phi)](phi)
+    except KeyError:
+        raise UsageError(f"not a formula: {phi!r}") from None
+
+
+def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
+    """phi with its immediate subformulas replaced by kids, in children order."""
+    return _REBUILD[type(phi)](phi, kids)
 
 
 def is_core(phi: Formula) -> bool:
     """True when no derived node occurs anywhere in the formula."""
-    if isinstance(phi, (Bot, One, Atom)):
-        return True
-    if isinstance(phi, (And, Imp, Tensor)):
-        return is_core(phi.left) and is_core(phi.right)
-    if isinstance(phi, Inv):
-        return is_core(phi.body)
-    if isinstance(phi, (Forall, Exists)):
-        return is_core(phi.body)
-    return False
+    if type(phi) not in CORE_NODES:
+        return False
+    for kid in children(phi):
+        if not is_core(kid):
+            return False
+    return True
 
 
 def subformulas(phi: Formula):
     """Yield phi and all its subformulas, prefix order."""
     yield phi
-    if isinstance(phi, BINARY_NODES):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Inv, Not, Delta, Power)):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (Forall, Exists)):
-        yield from subformulas(phi.body)
+    for kid in children(phi):
+        yield from subformulas(kid)
 
 
 def formula_depth(phi: Formula) -> int:
     """Connective nesting depth; atoms and constants are depth 0."""
-    if isinstance(phi, (Bot, One, Top, Atom)):
-        return 0
-    if isinstance(phi, BINARY_NODES):
-        return 1 + max(formula_depth(phi.left), formula_depth(phi.right))
-    if isinstance(phi, (Inv, Not, Delta, Power, Forall, Exists)):
-        return 1 + formula_depth(phi.body)
-    raise UsageError(f"not a formula: {phi!r}")
-
-
-def quantifier_depth(phi: Formula) -> int:
-    if isinstance(phi, (Bot, One, Top, Atom)):
-        return 0
-    if isinstance(phi, BINARY_NODES):
-        return max(quantifier_depth(phi.left), quantifier_depth(phi.right))
-    if isinstance(phi, (Inv, Not, Delta, Power)):
-        return quantifier_depth(phi.body)
-    return 1 + quantifier_depth(phi.body)
+    depth = 0
+    for kid in children(phi):
+        depth = max(depth, 1 + formula_depth(kid))
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -324,52 +388,35 @@ def expand_derived(phi: Formula) -> Formula:
     """Rewrite every derived node by its definition; the result is core-only.
 
     Expansion is purely syntactic and idempotent; the evaluator uses the
-    case tables directly, and the test suite checks the two agree.
+    truth functions of ``semantics.TRUTH`` directly, and the test suite
+    checks the two agree.
     """
-    if isinstance(phi, (Bot, One)):
-        return phi
-    if isinstance(phi, Atom):
-        return phi
-    if isinstance(phi, And):
-        return And(expand_derived(phi.left), expand_derived(phi.right))
-    if isinstance(phi, Imp):
-        return Imp(expand_derived(phi.left), expand_derived(phi.right))
-    if isinstance(phi, Tensor):
-        return Tensor(expand_derived(phi.left), expand_derived(phi.right))
-    if isinstance(phi, Inv):
-        return Inv(expand_derived(phi.body))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, expand_derived(phi.body))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, expand_derived(phi.body))
-    if isinstance(phi, Top):
-        return expand_derived(Not(Bot()))
-    if isinstance(phi, Not):
-        return expand_derived(Imp(phi.body, Bot()))
-    if isinstance(phi, Or):
-        l, r = phi.left, phi.right
-        return expand_derived(And(Imp(Imp(l, r), r), Imp(Imp(r, l), l)))
-    if isinstance(phi, Iff):
-        l, r = phi.left, phi.right
-        return expand_derived(And(Imp(l, r), Imp(r, l)))
-    if isinstance(phi, Power):
-        if phi.n == 1:
-            return expand_derived(phi.body)
-        return expand_derived(Tensor(Power(phi.body, phi.n - 1), phi.body))
-    if isinstance(phi, DArrow):
-        l, r = phi.left, phi.right
-        return expand_derived(Imp(Imp(r, l), r))
-    if isinstance(phi, DDArrow):
-        l, r = phi.left, phi.right
-        return expand_derived(
-            Or(And(DArrow(l, r), Not(Not(Inv(r)))), And(r, Not(Not(Inv(l)))))
-        )
-    if isinstance(phi, Delta):
-        return expand_derived(Not(DDArrow(phi.body, Top())))
-    if isinstance(phi, LukImp):
-        l, r = phi.left, phi.right
-        return expand_derived(Imp(One(), Tensor(r, Inv(l))))
-    raise UsageError(f"not a formula: {phi!r}")
+    kind = type(phi)
+    if kind in CORE_NODES:
+        kids = []
+        for kid in children(phi):
+            kids.append(expand_derived(kid))
+        return rebuild(phi, kids)
+    if kind not in _DEFINITIONS:
+        raise UsageError(f"not a formula: {phi!r}")
+    return expand_derived(_DEFINITIONS[kind](phi))
+
+
+# One definitional step per derived connective (see the module docstring).
+_DEFINITIONS = {
+    Top: lambda phi: Not(Bot()),
+    Not: lambda phi: Imp(phi.body, Bot()),
+    Or: lambda phi: And(Imp(Imp(phi.left, phi.right), phi.right),
+                        Imp(Imp(phi.right, phi.left), phi.left)),
+    Iff: lambda phi: And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)),
+    Power: lambda phi: (
+        phi.body if phi.n == 1 else Tensor(Power(phi.body, phi.n - 1), phi.body)),
+    DArrow: lambda phi: Imp(Imp(phi.right, phi.left), phi.right),
+    DDArrow: lambda phi: Or(And(DArrow(phi.left, phi.right), Not(Not(Inv(phi.right)))),
+                            And(phi.right, Not(Not(Inv(phi.left))))),
+    Delta: lambda phi: Not(DDArrow(phi.body, Top())),
+    LukImp: lambda phi: Imp(One(), Tensor(phi.right, Inv(phi.left))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +424,17 @@ def expand_derived(phi: Formula) -> Formula:
 
 
 def free_vars(phi: Formula) -> Set[str]:
-    if isinstance(phi, (Bot, One, Top)):
-        return set()
-    if isinstance(phi, Atom):
-        out: Set[str] = set()
+    kind = type(phi)
+    out: Set[str] = set()
+    if kind is Atom:
         for t in phi.args:
             out |= term_vars(t)
         return out
-    if isinstance(phi, BINARY_NODES):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Inv, Not, Delta, Power)):
-        return free_vars(phi.body)
-    if isinstance(phi, (Forall, Exists)):
-        return free_vars(phi.body) - {phi.var}
-    raise UsageError(f"not a formula: {phi!r}")
+    for kid in children(phi):
+        out |= free_vars(kid)
+    if kind in QUANTIFIER_CONNECTIVE:
+        out.discard(phi.var)
+    return out
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -412,26 +456,22 @@ def substitute_term(t: Term, x: str, s: Term) -> Term:
 
 def substitute(phi: Formula, x: str, s: Term) -> Formula:
     """Capture-avoiding substitution of term s for free occurrences of x."""
-    if isinstance(phi, (Bot, One, Top)):
-        return phi
-    if isinstance(phi, Atom):
+    kind = type(phi)
+    if kind is Atom:
         return Atom(phi.pred, tuple(substitute_term(a, x, s) for a in phi.args))
-    if isinstance(phi, BINARY_NODES):
-        return type(phi)(substitute(phi.left, x, s), substitute(phi.right, x, s))
-    if isinstance(phi, Power):
-        return Power(substitute(phi.body, x, s), phi.n)
-    if isinstance(phi, (Inv, Not, Delta)):
-        return type(phi)(substitute(phi.body, x, s))
-    if isinstance(phi, (Forall, Exists)):
+    if kind in QUANTIFIER_CONNECTIVE:
         if phi.var == x:
             return phi
         if phi.var in term_vars(s) and x in free_vars(phi.body):
             taken = free_vars(phi.body) | term_vars(s) | {x}
             fresh = _fresh(phi.var, taken)
             body = substitute(phi.body, phi.var, Var(fresh))
-            return type(phi)(fresh, substitute(body, x, s))
-        return type(phi)(phi.var, substitute(phi.body, x, s))
-    raise UsageError(f"not a formula: {phi!r}")
+            return kind(fresh, substitute(body, x, s))
+        return kind(phi.var, substitute(phi.body, x, s))
+    kids = []
+    for kid in children(phi):
+        kids.append(substitute(kid, x, s))
+    return rebuild(phi, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +556,12 @@ class _Parser:
             self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
 
-    # formula := quantified | iff_level
+    # formula := quantified | binary(_LEVEL_IFF)
     def formula(self) -> Formula:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text in ("forall", "exists"):
             return self.quantified()
-        return self.iff_level()
+        return self.binary(_LEVEL_IFF)
 
     def quantified(self) -> Formula:
         tok = self.advance()
@@ -539,44 +579,18 @@ class _Parser:
         node = Forall if tok.text == "forall" else Exists
         return node(var_tok.text, body)
 
-    def iff_level(self) -> Formula:
-        left = self.arrow_level()
-        tok = self.peek()
-        if tok.text in ("<->", "=>", "==>"):
+    def binary(self, level: int) -> Formula:
+        """Operands joined by the binary connectives of one precedence level."""
+        tighter = partial(self.binary, level + 1) if level < _LEVEL_TENSOR else self.unary
+        node = tighter()
+        while True:
+            op = _BINARY_TOKENS.get(self.peek().text)
+            if op is None or op[1] != level:
+                return node
             self.advance()
-            right = self.iff_level()  # right associative
-            return {"<->": Iff, "=>": DArrow, "==>": DDArrow}[tok.text](left, right)
-        return left
-
-    def arrow_level(self) -> Formula:
-        left = self.or_level()
-        tok = self.peek()
-        if tok.text in ("->", "->l"):
-            self.advance()
-            right = self.arrow_level()  # right associative
-            return (Imp if tok.text == "->" else LukImp)(left, right)
-        return left
-
-    def or_level(self) -> Formula:
-        node = self.and_level()
-        while self.peek().text == "\\/":
-            self.advance()
-            node = Or(node, self.and_level())
-        return node
-
-    def and_level(self) -> Formula:
-        node = self.tensor_level()
-        while self.peek().text == "/\\":
-            self.advance()
-            node = And(node, self.tensor_level())
-        return node
-
-    def tensor_level(self) -> Formula:
-        node = self.unary()
-        while self.peek().text == "*":
-            self.advance()
-            node = Tensor(node, self.unary())
-        return node
+            if level in _RIGHT_ASSOCIATIVE:
+                return op[0](node, self.binary(level))
+            node = op[0](node, tighter())
 
     def unary(self) -> Formula:
         if self.peek().text == "~":
@@ -612,15 +626,9 @@ class _Parser:
             self.expect(")")
             return node
         if tok.kind == "IDENT":
-            if tok.text == "bot":
+            if tok.text in _KEYWORD_CONSTANTS:
                 self.advance()
-                return Bot()
-            if tok.text == "one":
-                self.advance()
-                return One()
-            if tok.text == "top":
-                self.advance()
-                return Top()
+                return _KEYWORD_CONSTANTS[tok.text]()
             if tok.text == "delta":
                 self.advance()
                 self.expect("(")
@@ -705,18 +713,6 @@ def parse_theory(text: str, sig: Signature) -> List[Formula]:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-# Precedence levels used by the printer; larger binds tighter.
-_LEVEL_QUANT = 0
-_LEVEL_IFF = 1
-_LEVEL_ARROW = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_TENSOR = 5
-_LEVEL_NOT = 6
-_LEVEL_POSTFIX = 7
-_LEVEL_PRIMARY = 8
-
-
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -730,48 +726,31 @@ def _wrap(text: str, level: int, context: int) -> str:
 
 
 def _print(phi: Formula, context: int) -> str:
-    if isinstance(phi, Bot):
-        return "bot"
-    if isinstance(phi, One):
-        return "one"
-    if isinstance(phi, Top):
-        return "top"
-    if isinstance(phi, Atom):
+    kind = type(phi)
+    if kind in BINARY_SYNTAX:
+        token, level = BINARY_SYNTAX[kind]
+        right = level in _RIGHT_ASSOCIATIVE  # the tighter side takes level + 1
+        left_text = _print(phi.left, level + right)
+        text = f"{left_text} {token} {_print(phi.right, level + (not right))}"
+        return _wrap(text, level, context)
+    if kind in _CONSTANT_KEYWORDS:
+        return _CONSTANT_KEYWORDS[kind]
+    if kind is Atom:
         if not phi.args:
             return phi.pred
         return f"{phi.pred}({', '.join(print_term(a) for a in phi.args)})"
-    if isinstance(phi, Delta):
+    if kind is Delta:
         return f"delta({_print(phi.body, _LEVEL_QUANT)})"
-    if isinstance(phi, (Forall, Exists)):
-        kw = "forall" if isinstance(phi, Forall) else "exists"
+    if kind in QUANTIFIER_CONNECTIVE:
+        kw = "forall" if kind is Forall else "exists"
         text = f"{kw} {phi.var}. {_print(phi.body, _LEVEL_QUANT)}"
         return _wrap(text, _LEVEL_QUANT, context)
-    if isinstance(phi, (Iff, DArrow, DDArrow)):
-        op = {Iff: "<->", DArrow: "=>", DDArrow: "==>"}[type(phi)]
-        text = f"{_print(phi.left, _LEVEL_IFF + 1)} {op} {_print(phi.right, _LEVEL_IFF)}"
-        return _wrap(text, _LEVEL_IFF, context)
-    if isinstance(phi, (Imp, LukImp)):
-        op = "->" if isinstance(phi, Imp) else "->l"
-        text = f"{_print(phi.left, _LEVEL_ARROW + 1)} {op} {_print(phi.right, _LEVEL_ARROW)}"
-        return _wrap(text, _LEVEL_ARROW, context)
-    if isinstance(phi, Or):
-        text = f"{_print(phi.left, _LEVEL_OR)} \\/ {_print(phi.right, _LEVEL_OR + 1)}"
-        return _wrap(text, _LEVEL_OR, context)
-    if isinstance(phi, And):
-        text = f"{_print(phi.left, _LEVEL_AND)} /\\ {_print(phi.right, _LEVEL_AND + 1)}"
-        return _wrap(text, _LEVEL_AND, context)
-    if isinstance(phi, Tensor):
-        text = f"{_print(phi.left, _LEVEL_TENSOR)} * {_print(phi.right, _LEVEL_TENSOR + 1)}"
-        return _wrap(text, _LEVEL_TENSOR, context)
-    if isinstance(phi, Not):
-        text = f"~{_print(phi.body, _LEVEL_NOT)}"
-        return _wrap(text, _LEVEL_NOT, context)
-    if isinstance(phi, Inv):
-        text = f"{_print(phi.body, _LEVEL_POSTFIX)}^-1"
-        return _wrap(text, _LEVEL_POSTFIX, context)
-    if isinstance(phi, Power):
-        text = f"{_print(phi.body, _LEVEL_POSTFIX)}^{phi.n}"
-        return _wrap(text, _LEVEL_POSTFIX, context)
+    if kind is Not:
+        return _wrap(f"~{_print(phi.body, _LEVEL_NOT)}", _LEVEL_NOT, context)
+    if kind is Inv:
+        return _wrap(f"{_print(phi.body, _LEVEL_POSTFIX)}^-1", _LEVEL_POSTFIX, context)
+    if kind is Power:
+        return _wrap(f"{_print(phi.body, _LEVEL_POSTFIX)}^{phi.n}", _LEVEL_POSTFIX, context)
     raise UsageError(f"not a formula: {phi!r}")
 
 

@@ -244,7 +244,7 @@ class TestHarness:
         runs = []
         for _ in range(2):
             code, out, _ = run(capsys, "solve", "--theory", theory,
-                               "--sig", sig, "--max-domain", "2", "--seed", "0")
+                               "--sig", sig, "--max-domain", "2")
             runs.append((code, out))
         assert runs[0] == runs[1]
 

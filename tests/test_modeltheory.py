@@ -94,12 +94,17 @@ class TestGeneratedSubgroup:
 
     def test_structure_generators_are_atomic_values(self):
         sig = Signature(predicates={"P": 1, "Q": 0})
-        struct = Structure(sig, RAT, ("m1", "m2"), {}, {
-            "P": {("m1",): rat(2), ("m2",): INF},
-            "Q": {(): rat(3)},
-        })
-        group = generated_subgroup(struct)
-        assert set(group.generators) == {Fraction(2), Fraction(3)}
+        for universe, p_table, q_value, values in [
+            (("m1", "m2"), {("m1",): rat(2), ("m2",): INF}, rat(3),
+             [rat(2), INF, rat(3)]),
+            # repeated table values are listed once, in first-seen order
+            (("m1", "m2", "m3"), {("m1",): rat(3), ("m2",): rat(2), ("m3",): rat(3)},
+             rat(2), [rat(3), rat(2)]),
+        ]:
+            struct = Structure(sig, RAT, universe, {}, {"P": p_table, "Q": {(): q_value}})
+            assert struct.atomic_values() == values
+            group = generated_subgroup(struct)
+            assert set(group.generators) == {Fraction(2), Fraction(3)}
 
     def test_lex2_unsupported(self):
         sig = Signature(predicates={"P": 0})

@@ -10,8 +10,9 @@ from agodel import (
     Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
     dump_structure, entails_over, eval_formula, eval_term, expand_derived,
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
-    tv_compare, tv_inv, tv_max, tv_min,
+    tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
 )
+from agodel.semantics import ORDERED, TRUTH, TruthValues
 from agodel.syntax import App
 from conftest import RAT_POOL, make_rng, random_formula, random_structure, similarity_closure
 
@@ -83,6 +84,32 @@ class TestEval:
     def test_unbound_variable_rejected(self):
         with pytest.raises(UsageError):
             eval_formula(Atom("P", (Var("x"),)), random_structure(make_rng(1), SIG1))
+
+
+class TestTruthTable:
+    LEX2_POOL = [ZERO, lex2(1, 2), lex2(1, 1), lex2(2, Fraction(1, 3)), INF]
+
+    @pytest.mark.parametrize("pool", [RAT_POOL, LEX2_POOL], ids=["rat", "lex2"])
+    def test_grid_against_value_functions(self, pool):
+        backend = next(v.backend for v in pool if v.is_elem)
+        algebra = TruthValues(backend)
+        spelled_out = {
+            And: tv_min,
+            Or: tv_max,
+            Imp: tv_resid,
+            Iff: tv_dmin,
+            Tensor: lambda a, b: tv_mul(a, b, backend),
+            LukImp: lambda a, b: (
+                INF if tv_compare(a, b) <= 0 else tv_mul(b, tv_inv(a), backend)),
+        }
+        for a in pool:
+            assert TRUTH[Inv](algebra, Inv(Atom("P")), 0, a) == tv_inv(a)
+            assert TRUTH[Not](algebra, Not(Atom("P")), 0, a) == tv_resid(a, ZERO)
+            for b in pool:
+                for node, reference in spelled_out.items():
+                    rel = tv_compare(a, b) if node in ORDERED else 0
+                    got = TRUTH[node](algebra, node(Atom("P"), Atom("Q")), rel, a, b)
+                    assert got == reference(a, b), (node, a, b)
 
 
 class TestDerivedTablesAgreeWithExpansion:

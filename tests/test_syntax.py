@@ -9,7 +9,7 @@ from agodel import (
     expand_derived, free_vars, is_core, parse, parse_signature, parse_theory,
     print_formula, substitute,
 )
-from agodel.syntax import format_signature
+from agodel.syntax import children, format_signature, rebuild, subformulas
 from conftest import make_rng, random_formula
 
 SIG = Signature(
@@ -110,6 +110,23 @@ class TestPrintRoundTrip:
         for _ in range(10000):
             phi = random_formula(rng, SIG, depth=rng.randint(0, 8))
             assert parse(print_formula(phi), SIG) == phi
+
+
+class TestTraversal:
+    def test_rebuild_from_children_round_trip(self):
+        rng = make_rng(103)
+        seen = set()
+        for _ in range(3000):
+            for sub in subformulas(random_formula(rng, SIG, depth=rng.randint(0, 6))):
+                seen.add(type(sub))
+                assert rebuild(sub, children(sub)) == sub
+        assert len(seen) == 18
+
+    def test_rebuild_keeps_exponent_and_bound_variable(self):
+        p, q = Atom("rho"), Atom("eps")
+        assert rebuild(Power(p, 3), [q]) == Power(q, 3)
+        assert rebuild(Forall("x", p), [q]) == Forall("x", q)
+        assert rebuild(LukImp(p, q), [q, p]) == LukImp(q, p)
 
 
 class TestExpand:
