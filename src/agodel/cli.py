@@ -22,9 +22,8 @@ from .semantics import (
     entails_over, eval_formula, load_structure, satisfies,
 )
 from .solver import find_model, remark_lab
-from .syntax import Signature, parse, parse_signature, parse_theory, print_formula
+from .syntax import Signature, expand_derived, parse, parse_signature, parse_theory, print_formula
 from .translation import check_translation, holds_sentence, print_classical, translate
-from .syntax import expand_derived
 from .values import format_truth_value
 
 FORMAT_VERSION = 1
@@ -355,6 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run(_to_config(ns))
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("resource limit: formula nesting exceeds the recursion limit", file=sys.stderr)
         return EXIT_RESOURCE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

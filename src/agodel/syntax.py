@@ -32,7 +32,9 @@ from functools import partial
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import ArityError, FormulaSyntaxError, ParseError, UnknownSymbolError, UsageError
+from .errors import (
+    ArityError, FormulaSyntaxError, ParseError, ResourceLimitError, UnknownSymbolError, UsageError,
+)
 
 # ---------------------------------------------------------------------------
 # Signatures
@@ -384,22 +386,44 @@ def formula_depth(phi: Formula) -> int:
 # Derived-connective expansion
 
 
-def expand_derived(phi: Formula) -> Formula:
+# Expansion grows exponentially with the nesting of derived connectives (each
+# ==> repeats its operands several times), so expand_derived refuses results
+# larger than this: over ten times the largest in the test suite (70,985 nodes).
+MAX_EXPANDED_NODES = 750_000
+
+
+def expand_derived(phi: Formula, _done: Optional[Dict[int, tuple]] = None) -> Formula:
     """Rewrite every derived node by its definition; the result is core-only.
 
     Expansion is purely syntactic and idempotent; the evaluator uses the
     truth functions of ``semantics.TRUTH`` directly, and the test suite
-    checks the two agree.
+    checks the two agree.  The definitions repeat operands; the result
+    shares the expansion of each repeated operand, so it is built in time
+    linear in phi.  A result of more than MAX_EXPANDED_NODES nodes, counted
+    as a tree, raises ResourceLimitError.  The recursive calls share
+    ``_done``: (formula, expansion, tree size) by id of the formula, which
+    the entry keeps alive so that the id is not reused.
     """
-    kind = type(phi)
-    if kind in CORE_NODES:
-        kids = []
-        for kid in children(phi):
-            kids.append(expand_derived(kid))
-        return rebuild(phi, kids)
-    if kind not in _DEFINITIONS:
-        raise UsageError(f"not a formula: {phi!r}")
-    return expand_derived(_DEFINITIONS[kind](phi))
+    done = {} if _done is None else _done
+    got = done.get(id(phi))
+    if got is None:
+        kind = type(phi)
+        if kind in CORE_NODES:
+            kids, size = [], 1
+            for kid in children(phi):
+                kids.append(expand_derived(kid, done))
+                size += done[id(kid)][2]
+            got = (phi, rebuild(phi, kids), size)
+        elif kind in _DEFINITIONS:
+            step = _DEFINITIONS[kind](phi)
+            got = (phi, expand_derived(step, done), done[id(step)][2])
+        else:
+            raise UsageError(f"not a formula: {phi!r}")
+        done[id(phi)] = got
+    if _done is None and got[2] > MAX_EXPANDED_NODES:
+        raise ResourceLimitError(
+            f"derived-connective expansion exceeds {MAX_EXPANDED_NODES} nodes")
+    return got[1]
 
 
 # One definitional step per derived connective (see the module docstring).

@@ -23,13 +23,18 @@ returning an unsound verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
+from functools import reduce
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple, Union, get_args,
+)
 
 from .errors import ClosureExhausted, ResourceLimitError, UsageError
-from .semantics import Structure, eval_formula
+from .semantics import Structure, eval_formula, eval_term
 from .syntax import (
-    And, App, Atom, Bot, Exists, Forall, Formula, Imp, Inv, One, Tensor, Term,
-    Top, Var, expand_derived, free_vars, is_core, is_sentence,
+    QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv, One,
+    Tensor, Term, Var, children, expand_derived, free_vars, is_core, is_sentence,
+    print_term, term_vars,
 )
 from .values import INF, ZERO, TruthValue, one, tv_compare, tv_inv, tv_mul
 
@@ -85,19 +90,7 @@ class CEqV:
 
 
 @dataclass(frozen=True)
-class CEqO:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class CAnd:
-    left: "ClassicalFormula"
-    right: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class COr:
     left: "ClassicalFormula"
     right: "ClassicalFormula"
 
@@ -138,16 +131,57 @@ class CExistsVal:
 
 
 ClassicalFormula = Union[
-    CRel, CLe, CEqV, CEqO, CAnd, COr, CImp, CNot,
-    CForallObj, CExistsObj, CForallVal, CExistsVal,
+    CRel, CLe, CEqV, CAnd, CImp, CNot, CForallObj, CExistsObj, CForallVal, CExistsVal,
 ]
 
 
-def _conj(parts: Sequence[ClassicalFormula]) -> ClassicalFormula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = CAnd(out, p)
-    return out
+class _Shape(NamedTuple):
+    """How one classical node type is printed, traversed and evaluated."""
+
+    keyword: str                 # print keyword; empty for a leaf, printed as its label
+    parts: Callable              # node -> its subformulas and terms, in print order
+    case: str                    # the _ClassicalEvaluator method that evaluates it
+    param: object = None         # that method's parameter
+    label: Optional[str] = None  # field holding a name, printed before the parts
+
+
+def _no_parts(node):
+    return ()
+
+
+def _body(node):
+    return (node.body,)
+
+
+_pair = attrgetter("left", "right")
+
+# One row per classical node type.  The parameter of a quantifier is its
+# domain (a ClassicalStructure field) and whether every instance must hold; of
+# CAnd and CImp, the verdict when the left side is false; of the other inner
+# nodes, the function of the companion and the values of the parts.
+_SHAPES = {
+    CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
+    CLe: _Shape("le", _pair, "_apply", lambda c, s, t: tv_compare(s, t) <= 0),
+    CEqV: _Shape("eqv", _pair, "_apply", lambda c, s, t: s == t),
+    CAnd: _Shape("and", _pair, "_connective", False),
+    CImp: _Shape("imp", _pair, "_connective", True),
+    CNot: _Shape("not", _body, "_not"),
+    CForallObj: _Shape("forall-obj", _body, "_quantifier", ("objects", True), "var"),
+    CExistsObj: _Shape("exists-obj", _body, "_quantifier", ("objects", False), "var"),
+    CForallVal: _Shape("forall-val", _body, "_quantifier", ("values", True), "var"),
+    CExistsVal: _Shape("exists-val", _body, "_quantifier", ("values", False), "var"),
+    VVar: _Shape("", _no_parts, "_var", label="name"),
+    VConst: _Shape("", _no_parts, "_const", label="which"),
+    VMul: _Shape("mul", _pair, "_apply", lambda c, s, t: tv_mul(s, t, c.backend)),
+    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", lambda c, s: tv_inv(s)),
+}
+
+
+def _shape(node) -> _Shape:
+    try:
+        return _SHAPES[type(node)]
+    except KeyError:
+        raise UsageError(f"not a classical formula: {node!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +194,18 @@ class Translation:
 
     formula: ClassicalFormula
     value_var: str
+
+
+_CONSTANT_VALUES = {Bot: "0", One: "1"}
+
+# The clauses that pin g, the value of a connective, to a, b, its operands' values.
+_SIDE_CLAUSES = {
+    And: lambda g, a, b: (CImp(CLe(a, b), CEqV(g, a)), CImp(CLe(b, a), CEqV(g, b))),
+    Imp: lambda g, a, b: (CImp(CLe(a, b), CEqV(g, VConst("inf"))),
+                          CImp(CNot(CLe(a, b)), CEqV(g, b))),
+    Tensor: lambda g, a, b: (CEqV(g, VMul(a, b)),),
+    Inv: lambda g, a: (CEqV(g, VInv(a)),),
+}
 
 
 def translate(phi: Formula) -> Translation:
@@ -179,61 +225,32 @@ def translate(phi: Formula) -> Translation:
         return f"g{counter[0]}"
 
     def go(node: Formula, g: str) -> ClassicalFormula:
-        if isinstance(node, Bot):
-            return CEqV(VVar(g), VConst("0"))
-        if isinstance(node, Top):
-            return CEqV(VVar(g), VConst("inf"))
-        if isinstance(node, One):
-            return CEqV(VVar(g), VConst("1"))
-        if isinstance(node, Atom):
+        kind = type(node)
+        if kind in _CONSTANT_VALUES:
+            return CEqV(VVar(g), VConst(_CONSTANT_VALUES[kind]))
+        if kind is Atom:
             return CRel(node.pred, node.args, VVar(g))
-        if isinstance(node, And):
+        if kind in QUANTIFIER_CONNECTIVE:
+            # g is the greatest lower bound (forall) or the least upper bound
+            # (exists) of the instance values g1; only the order flips.
+            order = CLe if kind is Forall else (lambda s, t: CLe(t, s))
             g1, g2 = fresh(), fresh()
-            inner = _conj([
-                go(node.left, g1),
-                go(node.right, g2),
-                CImp(CLe(VVar(g1), VVar(g2)), CEqV(VVar(g), VVar(g1))),
-                CImp(CLe(VVar(g2), VVar(g1)), CEqV(VVar(g), VVar(g2))),
-            ])
-            return CExistsVal(g1, CExistsVal(g2, inner))
-        if isinstance(node, Imp):
-            g1, g2 = fresh(), fresh()
-            inner = _conj([
-                go(node.left, g1),
-                go(node.right, g2),
-                CImp(CLe(VVar(g1), VVar(g2)), CEqV(VVar(g), VConst("inf"))),
-                CImp(CNot(CLe(VVar(g1), VVar(g2))), CEqV(VVar(g), VVar(g2))),
-            ])
-            return CExistsVal(g1, CExistsVal(g2, inner))
-        if isinstance(node, Tensor):
-            g1, g2 = fresh(), fresh()
-            inner = _conj([
-                go(node.left, g1),
-                go(node.right, g2),
-                CEqV(VVar(g), VMul(VVar(g1), VVar(g2))),
-            ])
-            return CExistsVal(g1, CExistsVal(g2, inner))
-        if isinstance(node, Inv):
-            g1 = fresh()
-            return CExistsVal(g1, CAnd(go(node.body, g1), CEqV(VVar(g), VInv(VVar(g1)))))
-        if isinstance(node, (Forall, Exists)):
-            g1, g2 = fresh(), fresh()
-            a = node.var
+            v, v1, v2 = VVar(g), VVar(g1), VVar(g2)
             body = go(node.body, g1)  # shared by both clauses below
-            if isinstance(node, Forall):
-                bound = CForallObj(a, CForallVal(g1, CImp(body, CLe(VVar(g), VVar(g1)))))
-                approx = CForallVal(g2, CImp(
-                    CLe(VVar(g), VVar(g2)),
-                    CExistsObj(a, CExistsVal(g1, CAnd(body, CLe(VVar(g1), VVar(g2))))),
-                ))
-            else:
-                bound = CForallObj(a, CForallVal(g1, CImp(body, CLe(VVar(g1), VVar(g)))))
-                approx = CForallVal(g2, CImp(
-                    CLe(VVar(g2), VVar(g)),
-                    CExistsObj(a, CExistsVal(g1, CAnd(body, CLe(VVar(g2), VVar(g1))))),
-                ))
+            bound = CForallObj(node.var, CForallVal(g1, CImp(body, order(v, v1))))
+            approx = CForallVal(g2, CImp(order(v, v2), CExistsObj(
+                node.var, CExistsVal(g1, CAnd(body, order(v1, v2))))))
             return CAnd(bound, approx)
-        raise UsageError(f"not a core formula node: {node!r}")
+        kids = children(node)
+        names = [fresh() for _ in kids]
+        parts = []
+        for kid, name in zip(kids, names):
+            parts.append(go(kid, name))
+        parts.extend(_SIDE_CLAUSES[kind](VVar(g), *map(VVar, names)))
+        out = reduce(CAnd, parts)
+        for name in reversed(names):
+            out = CExistsVal(name, out)
+        return out
 
     g0 = "g"
     return Translation(go(phi, g0), g0)
@@ -341,29 +358,20 @@ class _ClassicalEvaluator:
         self.memo: Dict[Tuple[int, Tuple], bool] = {}
         self.fv_cache: Dict[int, Tuple[str, ...]] = {}
 
-    # free variables (both sorts) of a classical node, cached by identity
+    # free variables (both sorts) of a classical node or value term, cached by identity
     def free(self, node) -> Tuple[str, ...]:
         key = id(node)
         got = self.fv_cache.get(key)
         if got is not None:
             return got
-        if isinstance(node, CRel):
-            names: Set[str] = set()
-            for t in node.args:
-                names |= _obj_term_vars(t)
-            names |= _val_term_vars(node.value)
-        elif isinstance(node, (CLe, CEqV)):
-            names = _val_term_vars(node.left) | _val_term_vars(node.right)
-        elif isinstance(node, CEqO):
-            names = _obj_term_vars(node.left) | _obj_term_vars(node.right)
-        elif isinstance(node, (CAnd, COr, CImp)):
-            names = set(self.free(node.left)) | set(self.free(node.right))
-        elif isinstance(node, CNot):
-            names = set(self.free(node.body))
-        elif isinstance(node, (CForallObj, CExistsObj, CForallVal, CExistsVal)):
-            names = set(self.free(node.body)) - {node.var}
-        else:
-            raise UsageError(f"not a classical formula: {node!r}")
+        shape = _shape(node)
+        names: Set[str] = set()
+        for part in shape.parts(node):
+            names.update(term_vars(part) if isinstance(part, (Var, App)) else self.free(part))
+        if shape.case == "_var":
+            names.add(node.name)
+        elif shape.case == "_quantifier":
+            names.discard(node.var)
         result = tuple(sorted(names))
         self.fv_cache[key] = result
         return result
@@ -373,41 +381,49 @@ class _ClassicalEvaluator:
         got = self.memo.get(key)
         if got is not None:
             return got
-        result = self._eval(node, env)
+        case, shape = _FORMULA_CASES.get(type(node), _NOT_A_FORMULA)
+        result = case(self, node, env, shape)
         self.memo[key] = result
         return result
 
-    def _eval(self, node, env) -> bool:
-        if isinstance(node, CRel):
-            args = tuple(self._obj_term(t, env) for t in node.args)
-            value = self._val_term(node.value, env)
-            table = self.c.relations.get(node.pred)
-            if table is None or args not in table:
-                raise UsageError(f"no graph entry for {node.pred!r} at {args}")
-            return table[args] == value
-        if isinstance(node, CLe):
-            return tv_compare(self._val_term(node.left, env),
-                              self._val_term(node.right, env)) <= 0
-        if isinstance(node, CEqV):
-            return self._val_term(node.left, env) == self._val_term(node.right, env)
-        if isinstance(node, CEqO):
-            return self._obj_term(node.left, env) == self._obj_term(node.right, env)
-        if isinstance(node, CAnd):
-            return self.eval(node.left, env) and self.eval(node.right, env)
-        if isinstance(node, COr):
-            return self.eval(node.left, env) or self.eval(node.right, env)
-        if isinstance(node, CImp):
-            return (not self.eval(node.left, env)) or self.eval(node.right, env)
-        if isinstance(node, CNot):
-            return not self.eval(node.body, env)
-        if isinstance(node, (CForallObj, CExistsObj)):
-            domain: Sequence = self.c.objects
-            want_all = isinstance(node, CForallObj)
-        elif isinstance(node, (CForallVal, CExistsVal)):
-            domain = self.c.values
-            want_all = isinstance(node, CForallVal)
-        else:
-            raise UsageError(f"not a classical formula: {node!r}")
+    # The cases below look up the case of a value-term part themselves, so
+    # that a level of nesting costs as few frames as possible.
+
+    def _ill_sorted(self, node, env, sort: str):
+        raise UsageError(f"not a {sort}: {node!r}")
+
+    def _rel(self, node: CRel, env, shape) -> bool:
+        # the companion's function tables are the structure's, so eval_term
+        # applies; a value-sort item never names an object
+        args = tuple(eval_term(t, self.c, env) for t in node.args)
+        for t, arg in zip(node.args, args):
+            if not isinstance(arg, str):
+                raise UsageError(f"sort violation: {print_term(t)!r} holds a value-sort item")
+        case, value_shape = _TERM_CASES.get(type(node.value), _NOT_A_TERM)
+        value = case(self, node.value, env, value_shape)
+        table = self.c.relations.get(node.pred)
+        if table is None or args not in table:
+            raise UsageError(f"no graph entry for {node.pred!r} at {args}")
+        return table[args] == value
+
+    def _apply(self, node, env, shape):
+        values = []
+        for part in shape.parts(node):
+            case, part_shape = _TERM_CASES.get(type(part), _NOT_A_TERM)
+            values.append(case(self, part, env, part_shape))
+        return shape.param(self.c, *values)
+
+    def _connective(self, node, env, shape) -> bool:
+        if self.eval(node.left, env):
+            return self.eval(node.right, env)
+        return shape.param
+
+    def _not(self, node: CNot, env, shape) -> bool:
+        return not self.eval(node.body, env)
+
+    def _quantifier(self, node, env, shape) -> bool:
+        sort, want_all = shape.param
+        domain = getattr(self.c, sort)
         saved = env.get(node.var)
         had = node.var in env
         try:
@@ -425,59 +441,32 @@ class _ClassicalEvaluator:
             else:
                 env.pop(node.var, None)
 
-    def _obj_term(self, t: Term, env) -> str:
-        if isinstance(t, Var):
-            try:
-                v = env[t.name]
-            except KeyError:
-                raise UsageError(f"unbound object variable {t.name!r}") from None
-            if not isinstance(v, str):
-                raise UsageError(f"sort violation: {t.name!r} holds a value-sort item")
-            return v
-        if isinstance(t, App):
-            args = tuple(self._obj_term(a, env) for a in t.args)
-            try:
-                return self.c.funcs[t.func][args]
-            except KeyError:
-                raise UsageError(f"no interpretation for {t.func!r} at {args}") from None
-        raise UsageError(f"not an object term: {t!r}")
+    def _var(self, t: VVar, env, shape) -> TruthValue:
+        try:
+            v = env[t.name]
+        except KeyError:
+            raise UsageError(f"unbound value variable {t.name!r}") from None
+        if not isinstance(v, TruthValue):
+            raise UsageError(f"sort violation: {t.name!r} holds an object-sort item")
+        return v
 
-    def _val_term(self, t: ValueTerm, env) -> TruthValue:
-        if isinstance(t, VVar):
-            try:
-                v = env[t.name]
-            except KeyError:
-                raise UsageError(f"unbound value variable {t.name!r}") from None
-            if not isinstance(v, TruthValue):
-                raise UsageError(f"sort violation: {t.name!r} holds an object-sort item")
-            return v
-        if isinstance(t, VConst):
-            return self.c.constant(t.which)
-        if isinstance(t, VMul):
-            return tv_mul(self._val_term(t.left, env), self._val_term(t.right, env),
-                          self.c.backend)
-        if isinstance(t, VInv):
-            return tv_inv(self._val_term(t.arg, env))
-        raise UsageError(f"not a value term: {t!r}")
+    def _const(self, t: VConst, env, shape) -> TruthValue:
+        return self.c.constant(t.which)
 
 
-def _obj_term_vars(t: Term) -> Set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: Set[str] = set()
-    for a in t.args:
-        out |= _obj_term_vars(a)
-    return out
+# The cases are looked up as plain functions: an evaluator holding its own
+# bound methods would be a reference cycle, keeping its memo alive after the
+# call until the cyclic garbage collector runs.
+def _cases(sort) -> Dict[type, Tuple[Callable, _Shape]]:
+    """node type -> (evaluation case, shape) for the node types of one sort."""
+    return {kind: (getattr(_ClassicalEvaluator, _SHAPES[kind].case), _SHAPES[kind])
+            for kind in get_args(sort)}
 
 
-def _val_term_vars(t: ValueTerm) -> Set[str]:
-    if isinstance(t, VVar):
-        return {t.name}
-    if isinstance(t, VConst):
-        return set()
-    if isinstance(t, VMul):
-        return _val_term_vars(t.left) | _val_term_vars(t.right)
-    return _val_term_vars(t.arg)
+_FORMULA_CASES = _cases(ClassicalFormula)
+_TERM_CASES = _cases(ValueTerm)
+_NOT_A_FORMULA = (_ClassicalEvaluator._ill_sorted, "classical formula")
+_NOT_A_TERM = (_ClassicalEvaluator._ill_sorted, "value term")
 
 
 def eval_classical(
@@ -514,7 +503,7 @@ def check_translation(
     """
     if not is_sentence(phi):
         raise UsageError(f"not a sentence (free: {sorted(free_vars(phi))})")
-    core = _ensure_core(phi)
+    core = phi if is_core(phi) else expand_derived(phi)
     needed: Set[TruthValue] = set()
     value = eval_formula(core, struct, on_value=needed.add)
     direct = value.is_inf
@@ -536,22 +525,8 @@ def check_translation(
     return direct == classical
 
 
-def _ensure_core(phi: Formula) -> Formula:
-    return phi if is_core(phi) else expand_derived(phi)
-
-
 # ---------------------------------------------------------------------------
 # Text form (parenthesized prefix, emitted by the CLI)
-
-
-def print_value_term(t: ValueTerm) -> str:
-    if isinstance(t, VVar):
-        return t.name
-    if isinstance(t, VConst):
-        return t.which
-    if isinstance(t, VMul):
-        return f"(mul {print_value_term(t.left)} {print_value_term(t.right)})"
-    return f"(inv {print_value_term(t.arg)})"
 
 
 def _print_obj_term(t: Term) -> str:
@@ -565,36 +540,18 @@ def _print_obj_term(t: Term) -> str:
 def print_classical(psi: ClassicalFormula) -> str:
     """Parenthesized prefix form, one token per operator.
 
-    Grammar: (rel P a... g) | (le s t) | (eqv s t) | (eqo s t)
-           | (and A B) | (or A B) | (imp A B) | (not A)
+    Grammar: (rel P a... g) | (le s t) | (eqv s t)
+           | (and A B) | (imp A B) | (not A)
            | (forall-obj x A) | (exists-obj x A)
            | (forall-val g A) | (exists-val g A)
-    with value terms  g | 0 | 1 | inf | (mul s t) | (inv s).
+    with value terms  g | 0 | 1 | inf | (mul s t) | (inv s),
+    which print_classical prints too.
     """
-    if isinstance(psi, CRel):
-        parts = [psi.pred] + [_print_obj_term(t) for t in psi.args]
-        parts.append(print_value_term(psi.value))
-        return "(rel " + " ".join(parts) + ")"
-    if isinstance(psi, CLe):
-        return f"(le {print_value_term(psi.left)} {print_value_term(psi.right)})"
-    if isinstance(psi, CEqV):
-        return f"(eqv {print_value_term(psi.left)} {print_value_term(psi.right)})"
-    if isinstance(psi, CEqO):
-        return f"(eqo {_print_obj_term(psi.left)} {_print_obj_term(psi.right)})"
-    if isinstance(psi, CAnd):
-        return f"(and {print_classical(psi.left)} {print_classical(psi.right)})"
-    if isinstance(psi, COr):
-        return f"(or {print_classical(psi.left)} {print_classical(psi.right)})"
-    if isinstance(psi, CImp):
-        return f"(imp {print_classical(psi.left)} {print_classical(psi.right)})"
-    if isinstance(psi, CNot):
-        return f"(not {print_classical(psi.body)})"
-    if isinstance(psi, CForallObj):
-        return f"(forall-obj {psi.var} {print_classical(psi.body)})"
-    if isinstance(psi, CExistsObj):
-        return f"(exists-obj {psi.var} {print_classical(psi.body)})"
-    if isinstance(psi, CForallVal):
-        return f"(forall-val {psi.var} {print_classical(psi.body)})"
-    if isinstance(psi, CExistsVal):
-        return f"(exists-val {psi.var} {print_classical(psi.body)})"
-    raise UsageError(f"not a classical formula: {psi!r}")
+    shape = _shape(psi)
+    words = [] if shape.label is None else [getattr(psi, shape.label)]
+    for part in shape.parts(psi):
+        words.append(_print_obj_term(part) if isinstance(part, (Var, App))
+                     else print_classical(part))
+    if not shape.keyword:
+        return words[0]
+    return f"({shape.keyword} {' '.join(words)})"

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import time
+
 import pytest
 
 from agodel.cli import main
@@ -8,6 +10,7 @@ SIG0 = "pred P/0\npred Q/0\n"
 SIGRE = "pred rho/0\npred eps/0\n"
 STRUCT_P2 = "backend rat\nuniverse m1\npred P = 2\npred Q = 3\n"
 STRUCT_PINF = "backend rat\nuniverse m1\npred P = inf\npred Q = 3\n"
+STRUCT_PS = "backend rat\nuniverse m1\npred P = 2\npred S = 3\n"
 SIM_OK = (
     "backend rat\nuniverse a b\n"
     "pred e a a = inf\npred e b b = inf\n"
@@ -143,6 +146,29 @@ class TestTranslate:
                            "delta(P)", "--structure", struct)
         assert code == 0
         assert out.strip() == "translation-agrees"
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize("formula", [
+        "(" * 120 + "S" + ")" * 120,
+        " * ".join(["P"] * 3000),
+    ], ids=["nested-parentheses", "long-product"])
+    def test_deep_nesting_exits_3(self, files, capsys, formula):
+        struct = files("m.struct", STRUCT_PS)
+        code, _, err = run(capsys, "eval", "--formula", formula,
+                           "--structure", struct)
+        assert code == 3
+        assert "nesting exceeds the recursion limit" in err
+        assert "Traceback" not in err
+
+    def test_oversize_derived_expansion_exits_3(self, files, capsys):
+        struct = files("m.struct", STRUCT_PS)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check-translation", "--formula",
+                           "P" + " ==> S" * 5, "--structure", struct)
+        assert code == 3
+        assert "expansion exceeds" in err
+        assert time.perf_counter() - start < 5
 
 
 class TestEntails:

@@ -5,7 +5,7 @@ import pytest
 from agodel import (
     INF, RAT, ZERO, Atom, Bot, ClosureExhausted, Exists, Forall, Imp,
     Inv, One, Signature, Structure, Tensor, Top, UsageError, Var,
-    check_translation, eval_classical, expand_derived, parse,
+    check_translation, eval_classical, expand_derived, holds_sentence, parse,
     print_classical, rat, to_classical, translate,
 )
 from agodel.translation import (
@@ -18,6 +18,25 @@ from conftest import make_rng, random_core_sentence, random_structure
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIGX = Signature(predicates={"P": 1, "Q": 2})
+
+
+# `agodel translate` output for a sentence that uses every translation clause:
+# bot, one, an atom with a variable, /\, ->, *, ^-1, forall and exists.
+PINNED_FORMULA = "(forall x. P(x) /\\ one) -> (exists y. P(y)^-1) * bot"
+PINNED_COMPANION = (
+    "(exists-val g (and (exists-val g1 (exists-val g2 (and (and (and (and "
+    "(forall-obj x (forall-val g3 (imp (exists-val g5 (exists-val g6 (and (and "
+    "(and (rel P x g5) (eqv g6 1)) (imp (le g5 g6) (eqv g3 g5))) (imp (le g6 g5) "
+    "(eqv g3 g6))))) (le g1 g3)))) (forall-val g4 (imp (le g1 g4) (exists-obj x "
+    "(exists-val g3 (and (exists-val g5 (exists-val g6 (and (and (and (rel P x "
+    "g5) (eqv g6 1)) (imp (le g5 g6) (eqv g3 g5))) (imp (le g6 g5) (eqv g3 "
+    "g6))))) (le g3 g4))))))) (exists-val g7 (exists-val g8 (and (and (and "
+    "(forall-obj y (forall-val g9 (imp (exists-val g11 (and (rel P y g11) (eqv "
+    "g9 (inv g11)))) (le g9 g7)))) (forall-val g10 (imp (le g10 g7) (exists-obj "
+    "y (exists-val g9 (and (exists-val g11 (and (rel P y g11) (eqv g9 (inv "
+    "g11)))) (le g10 g9))))))) (eqv g8 0)) (eqv g2 (mul g7 g8)))))) (imp (le g1 "
+    "g2) (eqv g inf))) (imp (not (le g1 g2)) (eqv g g2))))) (eqv g inf)))"
+)
 
 
 def nullary(p, q=None):
@@ -82,6 +101,10 @@ class TestTranslateClauses:
         import re
         bound = re.findall(r"exists-val (g\d+)", text)
         assert len(bound) == len(set(bound))
+
+    def test_companion_text_is_pinned(self):
+        phi = parse(PINNED_FORMULA, SIGX)
+        assert print_classical(holds_sentence(translate(phi))) == PINNED_COMPANION
 
     def test_output_linear_in_input_as_a_dag(self):
         # quantifier clauses reference the child translation twice, but as
@@ -169,6 +192,9 @@ class TestEvalClassical:
         companion = to_classical(nullary(rat(2)))
         with pytest.raises(UsageError):
             eval_classical(CEqV(VVar("g"), VConst("0")), companion, {"g": "m1"})
+        with pytest.raises(UsageError):
+            eval_classical(CRel("P", (Var("x"),), VVar("g")), companion,
+                           {"x": INF, "g": INF})
 
     def test_unbound_variable(self):
         companion = to_classical(nullary(rat(2)))
