@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
 from .semantics import Structure, eval_formula, satisfies
@@ -168,11 +168,7 @@ _UNARY_OPS = (Inv, Not, Delta)
 _BINARY_OPS = (And, Imp, Tensor)
 
 
-def enumerate_formulas(
-    sig: Signature,
-    budget: int = DEFAULT_FAMILY_BUDGET,
-    variables: Sequence[str] = _FAMILY_VARS,
-) -> List[Formula]:
+def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
     """The canonical enumeration: size-major, deterministic within a size.
 
     Terms are variables and constants (no nested function applications;
@@ -182,7 +178,7 @@ def enumerate_formulas(
     order never depends on a depth bound, which keeps depth-filtered
     families monotone.
     """
-    terms: List = [Var(v) for v in variables]
+    terms: List = [Var(v) for v in _FAMILY_VARS]
     terms += [App(c, ()) for c in sig.constants()]
     size1: List[Formula] = [Bot(), One()]
     for pred in sorted(sig.predicates):
@@ -204,7 +200,7 @@ def enumerate_formulas(
                         layer.append(op(left, right))
         for body in layers[size - 2]:
             fv = free_vars(body)
-            for var in variables:
+            for var in _FAMILY_VARS:
                 if var in fv:
                     layer.append(Forall(var, body))
                     layer.append(Exists(var, body))
@@ -215,26 +211,18 @@ def enumerate_formulas(
     return out[:budget]
 
 
-def formula_family(
-    sig: Signature,
-    depth: int,
-    budget: int = DEFAULT_FAMILY_BUDGET,
-    variables: Sequence[str] = _FAMILY_VARS,
-) -> List[Formula]:
+def formula_family(sig: Signature, depth: int,
+                   budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
     """Formulas of connective depth <= depth from the canonical enumeration."""
     if depth > MAX_FAMILY_DEPTH:
         raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
-    return [phi for phi in enumerate_formulas(sig, budget, variables)
+    return [phi for phi in enumerate_formulas(sig, budget)
             if formula_depth(phi) <= depth]
 
 
-def sentence_family(
-    sig: Signature,
-    depth: int,
-    budget: int = DEFAULT_FAMILY_BUDGET,
-    variables: Sequence[str] = _FAMILY_VARS,
-) -> List[Formula]:
-    return [phi for phi in formula_family(sig, depth, budget, variables)
+def sentence_family(sig: Signature, depth: int,
+                    budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
+    return [phi for phi in formula_family(sig, depth, budget)
             if not free_vars(phi)]
 
 
@@ -403,13 +391,7 @@ def bounded_elementary_equiv(
     budget: int = DEFAULT_FAMILY_BUDGET,
 ) -> bool:
     """Same satisfied sentences over the canonical depth-bounded family."""
-    if a.signature.predicates != b.signature.predicates or \
-            a.signature.functions != b.signature.functions:
-        raise UsageError("equivalence needs a common signature")
-    for phi in sentence_family(a.signature, depth, budget):
-        if satisfies(a, phi) != satisfies(b, phi):
-            return False
-    return True
+    return separating_sentence(a, b, depth, budget) is None
 
 
 def separating_sentence(
@@ -419,6 +401,9 @@ def separating_sentence(
     budget: int = DEFAULT_FAMILY_BUDGET,
 ) -> Optional[Formula]:
     """First family sentence the two structures disagree on, if any."""
+    if a.signature.predicates != b.signature.predicates or \
+            a.signature.functions != b.signature.functions:
+        raise UsageError("equivalence needs a common signature")
     for phi in sentence_family(a.signature, depth, budget):
         if satisfies(a, phi) != satisfies(b, phi):
             return phi

@@ -367,32 +367,14 @@ def compile_inf(phi: Formula, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> Lis
         if key not in seen:
             seen.add(key)
             systems.append(system)
-    # drop branches whose simplified constraints are already contradictory
-    out = []
-    for s in systems:
-        trivial_false = any(
-            not c.coeffs and not _const_holds(c) for c in s.lins
-        )
-        if not trivial_false:
-            out.append(s)
-    out.sort(key=ConstraintSystem.canonical_key)
-    return out
-
-
-def _const_holds(c: Constraint) -> bool:
-    if c.rel == "<":
-        return c.const < 0
-    if c.rel == "<=":
-        return c.const <= 0
-    return c.const == 0
+    systems.sort(key=ConstraintSystem.canonical_key)
+    return systems
 
 
 def _simplify_lins(lins: Iterable[Constraint]) -> List[Constraint]:
     out = []
     seen = set()
     for c in lins:
-        if not c.coeffs and _const_holds(c):
-            continue  # trivially true
         key = (c.coeffs, c.const, c.rel)
         if key not in seen:
             seen.add(key)

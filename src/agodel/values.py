@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 
 RatPayload = Fraction
 Lex2Payload = Tuple[Fraction, Fraction]
@@ -39,6 +39,11 @@ Payload = Union[RatPayload, Lex2Payload]
 K_ZERO = 0
 K_ELEM = 1
 K_INF = 2
+
+# Largest power tv_power computes, as n * backend.bits(payload), a lower
+# bound on the bits of the result: twenty times the largest the test suite
+# builds (10,000 by that bound, the lex witness of remark_lab(10000)).
+MAX_POWER_BITS = 200_000
 
 
 class GroupBackend:
@@ -70,6 +75,11 @@ class GroupBackend:
     def format(self, a: Payload) -> str:
         raise NotImplementedError
 
+    def bits(self, a: Payload) -> int:
+        """Lower bound on log2 of the numerators and denominators, so
+        that ``n * bits(a)`` bounds the size of ``power(a, n)`` from below."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
 
@@ -82,7 +92,14 @@ def _positive_fraction(x) -> Fraction:
 
 
 def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ResourceLimitError("value has too many digits to print") from None
+
+
+def _fraction_bits(f: Fraction) -> int:
+    return f.numerator.bit_length() + f.denominator.bit_length() - 2
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -121,6 +138,9 @@ class RatBackend(GroupBackend):
     def format(self, a):
         return _format_fraction(a)
 
+    def bits(self, a):
+        return _fraction_bits(a)
+
 
 class Lex2Backend(GroupBackend):
     """Pairs of positive rationals, componentwise product, lexicographic order."""
@@ -158,6 +178,9 @@ class Lex2Backend(GroupBackend):
 
     def format(self, a):
         return f"({_format_fraction(a[0])}, {_format_fraction(a[1])})"
+
+    def bits(self, a):
+        return _fraction_bits(a[0]) + _fraction_bits(a[1])
 
 
 RAT = RatBackend()
@@ -291,11 +314,16 @@ def tv_inv(a: TruthValue) -> TruthValue:
 
 
 def tv_power(a: TruthValue, n: int) -> TruthValue:
-    """n-th power, n >= 1.  Equals the n-fold product for every stratum."""
+    """n-th power, n >= 1.  Equals the n-fold product for every stratum.
+
+    Raises ResourceLimitError when the result would exceed MAX_POWER_BITS.
+    """
     if n < 1:
         raise UsageError(f"power exponent must be >= 1, got {n}")
     if a.kind != K_ELEM:
         return a
+    if n * a.backend.bits(a.payload) > MAX_POWER_BITS:
+        raise ResourceLimitError(f"the power ^{n} would exceed {MAX_POWER_BITS} bits")
     return TruthValue(K_ELEM, a.backend.power(a.payload, n), a.backend)
 
 

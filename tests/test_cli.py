@@ -1,10 +1,11 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import time
+from pathlib import Path
 
 import pytest
 
-from agodel.cli import main
+from agodel.cli import COMMANDS, main
 
 SIG0 = "pred P/0\npred Q/0\n"
 SIGRE = "pred rho/0\npred eps/0\n"
@@ -64,6 +65,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--formula", "P",
                            "--structure", "/nonexistent.struct")
         assert code == 2
+
+    def test_small_power(self, files, capsys):
+        struct = files("m.struct", STRUCT_P2)
+        code, out, _ = run(capsys, "eval", "--formula", "P^3", "--structure", struct)
+        assert code == 0
+        assert out == "8\n"
 
 
 class TestCheckModel:
@@ -161,6 +168,16 @@ class TestResourceLimits:
         assert "nesting exceeds the recursion limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("formula", ["P^99999", "P^99999999"])
+    def test_huge_power_exits_3(self, files, capsys, formula):
+        struct = files("m.struct", STRUCT_PS)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--formula", formula, "--structure", struct)
+        assert code == 3
+        assert "resource limit" in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 5
+
     def test_oversize_derived_expansion_exits_3(self, files, capsys):
         struct = files("m.struct", STRUCT_PS)
         start = time.perf_counter()
@@ -242,6 +259,16 @@ class TestModelTheoryCommands:
         assert code2 == 0
         assert "equivalent-at-depth(2)" in out2
 
+    @pytest.mark.parametrize("direction", ["a-to-b", "b-to-a"])
+    def test_equiv_needs_common_signature(self, files, capsys, direction):
+        a = files("a.struct", "backend rat\nuniverse m1\npred P = 2\n")
+        b = files("b.struct", STRUCT_P2)
+        ends = [a, b] if direction == "a-to-b" else [b, a]
+        code, out, err = run(capsys, "equiv", "--from", ends[0], "--to", ends[1])
+        assert code == 2
+        assert out == ""
+        assert "equivalence needs a common signature" in err
+
     def test_ediag_lists_sentences(self, files, capsys):
         a = files("a.struct", "backend rat\nuniverse m1\npred P m1 = inf\n")
         code, out, _ = run(capsys, "ediag", "--structure", a, "--depth", "0")
@@ -276,3 +303,23 @@ class TestHarness:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--theory", "t.txt", "--sig", "s.txt", "--max-domain", "0"],
+        ["solve", "--theory", "t.txt", "--sig", "s.txt", "--branch-budget", "0"],
+        ["embed", "--from", "a.struct", "--to", "b.struct", "--budget", "0"],
+        ["remark-lab", "--n", "0"],
+        ["ediag", "--structure", "a.struct", "--depth", "-1"],
+    ], ids=["max-domain", "branch-budget", "budget", "n", "depth"])
+    def test_out_of_range_value_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert argv[-2] in err  # refused for the value, before any file is read
+        assert "Traceback" not in err
+
+    def test_readme_lists_every_command(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        listed = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("agodel ") and not line.startswith("agodel --")]
+        assert listed == list(COMMANDS)
