@@ -91,7 +91,10 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     if ns.out is None:
         sys.stdout.write(text)
     else:
-        ns.out.write_text(text)
+        try:
+            ns.out.write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {ns.out}: {exc}") from None
     return EXIT_OK
 
 

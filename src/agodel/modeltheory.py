@@ -274,6 +274,14 @@ class EmbeddingCandidate:
         return TruthValue(K_ELEM, value, RAT)
 
 
+def _require_common(source: Structure, target: Structure) -> None:
+    if source.backend is not target.backend:
+        raise UsageError("embedding checks need a common backend")
+    if source.signature.predicates != target.signature.predicates or \
+            source.signature.functions != target.signature.functions:
+        raise UsageError("embedding checks need a common signature")
+
+
 def check_embedding(
     source: Structure,
     target: Structure,
@@ -283,11 +291,7 @@ def check_embedding(
 ) -> bool:
     """Verify function commutation exactly and value transport over the
     depth-bounded canonical family (surrogate for all formulas)."""
-    if source.backend is not target.backend:
-        raise UsageError("embedding checks need a common backend")
-    if source.signature.predicates != target.signature.predicates or \
-            source.signature.functions != target.signature.functions:
-        raise UsageError("embedding checks need a common signature")
+    _require_common(source, target)
     if source.backend is not RAT and candidate.exponent != 1:
         raise UsageError("non-identity transports are supported for rat only")
     h = candidate.h
@@ -363,6 +367,7 @@ def search_embeddings(
     each injection is pinned by the atomic value pairs.  A source
     universe larger than the target yields no candidates.
     """
+    _require_common(source, target)
     if len(source.universe) > len(target.universe):
         return []
     found = []

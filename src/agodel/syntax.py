@@ -9,7 +9,7 @@ Derived (first-class AST nodes, expandable to core on demand):
 top, \\/ , ~ (negation), <->, ^n (n-th power), => , ==> , delta(.),
 ->l (shifted implication).  The definitions are:
 
-    phi^1        = phi                 phi^n = phi^(n-1) * phi
+    phi^1        = phi                 phi^n = phi^(n - n//2) * phi^(n//2)
     phi \\/ psi  = ((phi->psi)->psi) /\\ ((psi->phi)->phi)
     ~phi         = phi -> bot
     phi <-> psi  = (phi->psi) /\\ (psi->phi)
@@ -426,6 +426,23 @@ def expand_derived(phi: Formula, _done: Optional[Dict[int, tuple]] = None) -> Fo
     return got[1]
 
 
+def _balanced_power(body: Formula, n: int) -> Formula:
+    """body^n as Tensor(body^(n - n//2), body^(n//2)), down to body^1 = body.
+
+    All operands are equal, so the bracketing cannot change the value even at
+    the bounds, where * is not associative.  The tree is ceil(log2 n) deep
+    and equal exponents are one shared node, so it is built in O(log n) steps.
+    """
+    powers = {1: body}
+
+    def power(k: int) -> Formula:
+        if k not in powers:
+            powers[k] = Tensor(power(k - k // 2), power(k // 2))
+        return powers[k]
+
+    return power(n)
+
+
 # One definitional step per derived connective (see the module docstring).
 _DEFINITIONS = {
     Top: lambda phi: Not(Bot()),
@@ -433,8 +450,7 @@ _DEFINITIONS = {
     Or: lambda phi: And(Imp(Imp(phi.left, phi.right), phi.right),
                         Imp(Imp(phi.right, phi.left), phi.left)),
     Iff: lambda phi: And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)),
-    Power: lambda phi: (
-        phi.body if phi.n == 1 else Tensor(Power(phi.body, phi.n - 1), phi.body)),
+    Power: lambda phi: _balanced_power(phi.body, phi.n),
     DArrow: lambda phi: Imp(Imp(phi.right, phi.left), phi.right),
     DDArrow: lambda phi: Or(And(DArrow(phi.left, phi.right), Not(Not(Inv(phi.right)))),
                             And(phi.right, Not(Not(Inv(phi.left))))),

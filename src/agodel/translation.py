@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple, Union, get_args,
 )
@@ -155,14 +155,37 @@ def _body(node):
 
 _pair = attrgetter("left", "right")
 
+# The companion's order, product and inverse on the classical evaluator's
+# values: an index into the sorted value sort, or a TruthValue outside it.
+def _le(ev, s, t) -> bool:
+    if type(s) is int and type(t) is int:
+        return s <= t
+    return tv_compare(ev.decode(s), ev.decode(t)) <= 0
+
+
+def _mul(ev, s, t):
+    key = (s, t)
+    got = ev.products.get(key)
+    if got is None:
+        got = ev.products[key] = ev.encode(tv_mul(ev.decode(s), ev.decode(t), ev.c.backend))
+    return got
+
+
+def _inv(ev, s):
+    got = ev.inverses.get(s)
+    if got is None:
+        got = ev.inverses[s] = ev.encode(tv_inv(ev.decode(s)))
+    return got
+
+
 # One row per classical node type.  The parameter of a quantifier is its
-# domain (a ClassicalStructure field) and whether every instance must hold; of
-# CAnd and CImp, the verdict when the left side is false; of the other inner
-# nodes, the function of the companion and the values of the parts.
+# domain (a _ClassicalEvaluator attribute) and whether every instance must
+# hold; of CAnd and CImp, the verdict when the left side is false; of the other
+# inner nodes, the operation on the evaluator and the values of the parts.
 _SHAPES = {
     CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
-    CLe: _Shape("le", _pair, "_apply", lambda c, s, t: tv_compare(s, t) <= 0),
-    CEqV: _Shape("eqv", _pair, "_apply", lambda c, s, t: s == t),
+    CLe: _Shape("le", _pair, "_apply", _le),
+    CEqV: _Shape("eqv", _pair, "_apply", lambda ev, s, t: s == t),
     CAnd: _Shape("and", _pair, "_connective", False),
     CImp: _Shape("imp", _pair, "_connective", True),
     CNot: _Shape("not", _body, "_not"),
@@ -172,8 +195,8 @@ _SHAPES = {
     CExistsVal: _Shape("exists-val", _body, "_quantifier", ("values", False), "var"),
     VVar: _Shape("", _no_parts, "_var", label="name"),
     VConst: _Shape("", _no_parts, "_const", label="which"),
-    VMul: _Shape("mul", _pair, "_apply", lambda c, s, t: tv_mul(s, t, c.backend)),
-    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", lambda c, s: tv_inv(s)),
+    VMul: _Shape("mul", _pair, "_apply", _mul),
+    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", _inv),
 }
 
 
@@ -343,6 +366,15 @@ def _sort_key(tv: TruthValue):
 # ---------------------------------------------------------------------------
 # Classical evaluation (two-valued Tarskian semantics)
 
+# The memo grows with the formula and the value sort, so eval_classical refuses
+# to build more entries than this: over ten times the largest in the test suite
+# and the benchmark's translate corpus (119,694 entries).
+MAX_CLASSICAL_MEMO = 2_000_000
+
+
+def _no_names(env):
+    return ()
+
 
 class _ClassicalEvaluator:
     """Evaluator with per-call memoization keyed on (node, free-var values).
@@ -351,12 +383,34 @@ class _ClassicalEvaluator:
     the projection of the assignment onto the node's free variables
     turns the naive exponential evaluation into one pass per node and
     assignment.
+
+    Inside one call a value of the sort is its index in the sorted
+    ``values`` tuple, so index order is value order and memo keys hold
+    small ints; a product or inverse outside the sort stays a TruthValue.
+    Objects are their names.
     """
 
     def __init__(self, companion: ClassicalStructure):
         self.c = companion
-        self.memo: Dict[Tuple[int, Tuple], bool] = {}
+        self.index = {v: i for i, v in enumerate(companion.values)}
+        # the quantifier domains, by sort
+        self.objects = companion.objects
+        self.values = range(len(companion.values))
+        self.graphs = {name: {args: self.encode(v) for args, v in table.items()}
+                       for name, table in companion.relations.items()}
+        self.constants: Dict[str, object] = {}
+        self.products: Dict[Tuple, object] = {}
+        self.inverses: Dict[object, object] = {}
+        self.memo: Dict[Tuple[int, object], bool] = {}
         self.fv_cache: Dict[int, Tuple[str, ...]] = {}
+        # id of a formula node -> the projection of an assignment onto its free variables
+        self.projections: Dict[int, Callable] = {}
+
+    def encode(self, v: TruthValue):
+        return self.index.get(v, v)
+
+    def decode(self, v) -> TruthValue:
+        return self.c.values[v] if type(v) is int else v
 
     # free variables (both sorts) of a classical node or value term, cached by identity
     def free(self, node) -> Tuple[str, ...]:
@@ -377,12 +431,20 @@ class _ClassicalEvaluator:
         return result
 
     def eval(self, node, env: Dict[str, object]) -> bool:
-        key = (id(node), tuple(env[v] for v in self.free(node)))
+        node_id = id(node)
+        project = self.projections.get(node_id)
+        if project is None:
+            names = self.free(node)
+            project = self.projections[node_id] = itemgetter(*names) if names else _no_names
+        key = (node_id, project(env))
         got = self.memo.get(key)
         if got is not None:
             return got
         case, shape = _FORMULA_CASES.get(type(node), _NOT_A_FORMULA)
         result = case(self, node, env, shape)
+        if len(self.memo) >= MAX_CLASSICAL_MEMO:
+            raise ResourceLimitError(
+                f"classical evaluation exceeds {MAX_CLASSICAL_MEMO} memo entries")
         self.memo[key] = result
         return result
 
@@ -401,7 +463,7 @@ class _ClassicalEvaluator:
                 raise UsageError(f"sort violation: {print_term(t)!r} holds a value-sort item")
         case, value_shape = _TERM_CASES.get(type(node.value), _NOT_A_TERM)
         value = case(self, node.value, env, value_shape)
-        table = self.c.relations.get(node.pred)
+        table = self.graphs.get(node.pred)
         if table is None or args not in table:
             raise UsageError(f"no graph entry for {node.pred!r} at {args}")
         return table[args] == value
@@ -411,7 +473,7 @@ class _ClassicalEvaluator:
         for part in shape.parts(node):
             case, part_shape = _TERM_CASES.get(type(part), _NOT_A_TERM)
             values.append(case(self, part, env, part_shape))
-        return shape.param(self.c, *values)
+        return shape.param(self, *values)
 
     def _connective(self, node, env, shape) -> bool:
         if self.eval(node.left, env):
@@ -423,7 +485,7 @@ class _ClassicalEvaluator:
 
     def _quantifier(self, node, env, shape) -> bool:
         sort, want_all = shape.param
-        domain = getattr(self.c, sort)
+        domain = getattr(self, sort)
         saved = env.get(node.var)
         had = node.var in env
         try:
@@ -441,17 +503,20 @@ class _ClassicalEvaluator:
             else:
                 env.pop(node.var, None)
 
-    def _var(self, t: VVar, env, shape) -> TruthValue:
+    def _var(self, t: VVar, env, shape):
         try:
             v = env[t.name]
         except KeyError:
             raise UsageError(f"unbound value variable {t.name!r}") from None
-        if not isinstance(v, TruthValue):
+        if isinstance(v, str):
             raise UsageError(f"sort violation: {t.name!r} holds an object-sort item")
         return v
 
-    def _const(self, t: VConst, env, shape) -> TruthValue:
-        return self.c.constant(t.which)
+    def _const(self, t: VConst, env, shape):
+        got = self.constants.get(t.which)
+        if got is None:
+            got = self.constants[t.which] = self.encode(self.c.constant(t.which))
+        return got
 
 
 # The cases are looked up as plain functions: an evaluator holding its own
@@ -474,12 +539,23 @@ def eval_classical(
     companion: ClassicalStructure,
     env: Optional[Dict[str, object]] = None,
 ) -> bool:
-    """Two-valued satisfaction; value quantifiers range over the finite sort."""
+    """Two-valued satisfaction; value quantifiers range over the finite sort.
+
+    Raises ResourceLimitError when the evaluation needs more than
+    MAX_CLASSICAL_MEMO memo entries.
+    """
     evaluator = _ClassicalEvaluator(companion)
     scope = dict(env) if env else {}
-    missing = set(evaluator.free(psi)) - set(scope)
+    names = evaluator.free(psi)
+    missing = set(names) - set(scope)
     if missing:
         raise UsageError(f"unbound variables {sorted(missing)}")
+    for name in names:
+        item = scope[name]
+        if isinstance(item, TruthValue):
+            scope[name] = evaluator.encode(item)
+        elif not isinstance(item, str):
+            raise UsageError(f"sort violation: {name!r} holds neither an object nor a truth value")
     return evaluator.eval(psi, scope)
 
 

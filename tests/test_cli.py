@@ -123,6 +123,17 @@ class TestSolve:
         assert code == 3
         assert "resource" in err
 
+    def test_unwritable_out_exits_2(self, files, capsys, tmp_path):
+        theory = files("t.txt", "P\n")
+        sig = files("s.txt", "pred P/0\n")
+        out_path = str(tmp_path / "missing" / "m.struct")
+        code, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                             "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+        assert "Traceback" not in err
+
     def test_lex2_backend_rejected(self, files, capsys):
         theory = files("t.txt", "P\n")
         sig = files("s.txt", "pred P/0\n")
@@ -177,6 +188,19 @@ class TestResourceLimits:
         assert "resource limit" in err
         assert "Traceback" not in err
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("formula", ["P^250", "P^1000"])
+    def test_large_power_translates(self, files, capsys, formula):
+        # P^n expands to a balanced product, ceil(log2 n) deep
+        struct = files("m.struct", STRUCT_PINF)
+        code, out, _ = run(capsys, "translate", "--formula", formula,
+                           "--structure", struct)
+        assert code == 0
+        assert out.startswith("(exists-val g ")
+        code, out, _ = run(capsys, "check-translation", "--formula", formula,
+                           "--structure", struct)
+        assert code == 0
+        assert out.strip() == "translation-agrees"
 
     def test_oversize_derived_expansion_exits_3(self, files, capsys):
         struct = files("m.struct", STRUCT_PS)
@@ -268,6 +292,16 @@ class TestModelTheoryCommands:
         assert code == 2
         assert out == ""
         assert "equivalence needs a common signature" in err
+
+    @pytest.mark.parametrize("direction", ["a-to-b", "b-to-a"])
+    def test_embed_needs_common_signature(self, files, capsys, direction):
+        a = files("a.struct", "backend rat\nuniverse m1\npred P = 2\n")
+        b = files("b.struct", STRUCT_P2)
+        ends = [a, b] if direction == "a-to-b" else [b, a]
+        code, out, err = run(capsys, "embed", "--from", ends[0], "--to", ends[1])
+        assert code == 2
+        assert out == ""
+        assert "embedding checks need a common signature" in err
 
     def test_ediag_lists_sentences(self, files, capsys):
         a = files("a.struct", "backend rat\nuniverse m1\npred P m1 = inf\n")

@@ -123,7 +123,8 @@ class TestDerivedTablesAgreeWithExpansion:
                     assert eval_formula(phi, struct) == \
                         eval_formula(expand_derived(phi), struct), (node, a, b)
                 for phi in (Not(Not(Atom("P"))), Delta(Atom("P")),
-                            Power(Atom("P"), 3), Top()):
+                            Power(Atom("P"), 3), Power(Atom("P"), 6),
+                            Power(Atom("P"), 7), Top()):
                     assert eval_formula(phi, struct) == \
                         eval_formula(expand_derived(phi), struct), (phi, a)
 

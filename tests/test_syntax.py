@@ -5,11 +5,11 @@ import pytest
 from agodel import (
     And, App, ArityError, Atom, Bot, DDArrow, Delta, Forall,
     FormulaSyntaxError, Imp, Inv, LukImp, Not, One, Or, ParseError, Power,
-    Signature, Tensor, Top, UnknownSymbolError, UsageError, Var,
+    ResourceLimitError, Signature, Tensor, Top, UnknownSymbolError, UsageError, Var,
     expand_derived, free_vars, is_core, parse, parse_signature, parse_theory,
     print_formula, substitute,
 )
-from agodel.syntax import children, format_signature, rebuild, subformulas
+from agodel.syntax import children, format_signature, formula_depth, rebuild, subformulas
 from conftest import make_rng, random_formula
 
 SIG = Signature(
@@ -140,6 +140,15 @@ class TestExpand:
     def test_power_unrolls_left_nested(self):
         p = Atom("rho")
         assert expand_derived(Power(p, 3)) == Tensor(Tensor(p, p), p)
+
+    def test_power_expands_balanced(self):
+        p = Atom("rho")
+        assert expand_derived(Power(p, 4)) == Tensor(Tensor(p, p), Tensor(p, p))
+        big = expand_derived(Power(p, 1000))
+        assert formula_depth(big) == 10
+        assert sum(1 for _ in subformulas(big)) == 1999
+        with pytest.raises(ResourceLimitError):
+            expand_derived(Power(p, 10 ** 8))
 
     def test_top(self):
         assert expand_derived(Top()) == Imp(Bot(), Bot())

@@ -1,20 +1,24 @@
 """Classical companion: translation clauses, evaluation, the equivalence check."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, RAT, ZERO, Atom, Bot, ClosureExhausted, Exists, Forall, Imp,
-    Inv, One, Signature, Structure, Tensor, Top, UsageError, Var,
+    INF, RAT, ZERO, And, Atom, Bot, ClosureExhausted, Exists, Forall, Imp,
+    Inv, One, ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     check_translation, eval_classical, expand_derived, holds_sentence, parse,
     print_classical, rat, to_classical, translate,
 )
+from agodel import translation
 from agodel.translation import (
     CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
     CNot, CRel, VConst, VInv, VMul, VVar,
 )
 from agodel.syntax import subformulas
 from agodel.values import format_truth_value
-from conftest import make_rng, random_core_sentence, random_structure
+from conftest import RAT_POOL, make_rng, random_core_sentence, random_structure
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIGX = Signature(predicates={"P": 1, "Q": 2})
@@ -190,11 +194,45 @@ class TestEvalClassical:
 
     def test_sort_violation(self):
         companion = to_classical(nullary(rat(2)))
-        with pytest.raises(UsageError):
-            eval_classical(CEqV(VVar("g"), VConst("0")), companion, {"g": "m1"})
-        with pytest.raises(UsageError):
-            eval_classical(CRel("P", (Var("x"),), VVar("g")), companion,
-                           {"x": INF, "g": INF})
+        # a plain int is neither sort, even where it could read as an index
+        for item in ("m1", 0, 1, True):
+            with pytest.raises(UsageError):
+                eval_classical(CEqV(VVar("g"), VConst("0")), companion, {"g": item})
+        for item in (INF, 0):
+            with pytest.raises(UsageError):
+                eval_classical(CRel("P", (Var("x"),), VVar("g")), companion,
+                               {"x": item, "g": INF})
+
+    def test_values_outside_the_sort(self):
+        # the depth-0 sort of P = 2 is {0, 1, 2, inf}: 2 * 2 and its inverse are outside
+        companion = to_classical(nullary(rat(2)), closure_depth=0)
+        assert rat(4) not in companion.values
+        g, h = VVar("g"), VVar("h")
+        square = VMul(g, g)
+        cases = [
+            (CEqV(square, VMul(h, h)), {"g": rat(2), "h": rat(2)}, True),
+            (CEqV(square, VMul(h, h)), {"g": rat(2), "h": INF}, False),
+            (CEqV(square, h), {"g": rat(2), "h": rat(4)}, True),
+            (CEqV(square, VConst("inf")), {"g": rat(2)}, False),
+            (CLe(square, h), {"g": rat(2), "h": INF}, True),
+            (CLe(square, h), {"g": rat(2), "h": rat(2)}, False),
+            (CLe(h, square), {"g": rat(2), "h": rat(2)}, True),
+            (CEqV(VInv(square), VMul(VInv(g), VInv(g))), {"g": rat(2)}, True),
+            (CEqV(VInv(VInv(square)), square), {"g": rat(2)}, True),
+            (CLe(VInv(square), VConst("1")), {"g": rat(2)}, True),
+            (CLe(VInv(square), VInv(g)), {"g": rat(2)}, True),
+            (CLe(VConst("0"), VInv(square)), {"g": rat(2)}, True),
+        ]
+        for psi, env, expected in cases:
+            assert eval_classical(psi, companion, env) is expected, print_classical(psi)
+
+    def test_memo_budget(self, monkeypatch):
+        companion = to_classical(nullary(rat(2)))
+        psi = holds_sentence(translate(Tensor(Atom("P", ()), Atom("Q", ()))))
+        assert eval_classical(psi, companion) is False
+        monkeypatch.setattr(translation, "MAX_CLASSICAL_MEMO", 20)
+        with pytest.raises(ResourceLimitError):
+            eval_classical(psi, companion)
 
     def test_unbound_variable(self):
         companion = to_classical(nullary(rat(2)))
@@ -259,3 +297,59 @@ class TestCheckTranslation:
             struct = random_structure(rng, sig)
             phi = random_core_sentence(rng, sig, depth=4, qdepth=2)
             assert check_translation(phi, struct), (phi, struct)
+
+
+# Random small structures and sentences over one nullary, one unary and one
+# binary predicate; every atom argument is a bound variable.
+PROPERTY_SIG = Signature(predicates={"N": 0, "P": 1, "Q": 2})
+
+
+@st.composite
+def small_structures(draw):
+    universe = tuple(f"m{i}" for i in range(1, draw(st.integers(1, 2)) + 1))
+    preds = {name: {args: draw(st.sampled_from(RAT_POOL))
+                    for args in product(universe, repeat=arity)}
+             for name, arity in PROPERTY_SIG.predicates.items()}
+    return Structure(PROPERTY_SIG, RAT, universe, {}, preds)
+
+
+@st.composite
+def core_sentences(draw, depth=3, bound=()):
+    ops = ["atom", "bot", "one"]
+    if depth > 0:
+        ops += ["and", "imp", "tensor", "inv"] + (["forall", "exists"] if len(bound) < 2 else [])
+    op = draw(st.sampled_from(ops))
+    if op == "atom":
+        name = draw(st.sampled_from([p for p, n in PROPERTY_SIG.predicates.items()
+                                     if n == 0 or bound]))
+        arity = PROPERTY_SIG.predicates[name]
+        return Atom(name, tuple(Var(draw(st.sampled_from(bound))) for _ in range(arity)))
+    if op in ("bot", "one"):
+        return Bot() if op == "bot" else One()
+    if op in ("forall", "exists"):
+        var = f"x{len(bound) + 1}"
+        body = draw(core_sentences(depth - 1, bound + (var,)))
+        return (Forall if op == "forall" else Exists)(var, body)
+    if op == "inv":
+        return Inv(draw(core_sentences(depth - 1, bound)))
+    node = {"and": And, "imp": Imp, "tensor": Tensor}[op]
+    return node(draw(core_sentences(depth - 1, bound)), draw(core_sentences(depth - 1, bound)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+
+class TestTranslationProperty:
+    @PROPERTY_SETTINGS
+    @given(phi=core_sentences(), struct=small_structures())
+    def test_holds_with_the_witness_seeded_sort(self, phi, struct):
+        assert check_translation(phi, struct)
+
+    @PROPERTY_SETTINGS
+    @given(phi=core_sentences(), struct=small_structures())
+    def test_holds_or_exhausts_at_closure_depth_1(self, phi, struct):
+        try:
+            assert check_translation(phi, struct, closure_depth=1)
+        except ClosureExhausted:
+            pass
