@@ -33,7 +33,7 @@ from .translation import (
 )
 from .solver import (
     ConstraintSystem, Constraint, FMResult, FindResult, compile_inf,
-    find_model, fm_solve, ground, ground_sentence, remark_lab,
+    find_model, fm_solve, ground_sentence, remark_lab,
     remark_theory_fragment,
 )
 from .modeltheory import (

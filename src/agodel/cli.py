@@ -105,18 +105,19 @@ def _agreement(phi, struct: Structure) -> int:
 
 
 def _cmd_translate(ns: argparse.Namespace) -> int:
-    sig = ns.signature
+    sig, struct = ns.signature, None
     if sig is None:
         if ns.structure is None:
             raise UsageError("translate needs --sig or --structure")
-        sig = _structure(ns, ns.structure).signature
+        struct = _structure(ns, ns.structure)
+        sig = struct.signature
     phi = expand_derived(parse(ns.formula, sig))
     print(print_classical(holds_sentence(translate(phi))))
     if not ns.check:
         return EXIT_OK
     if ns.structure is None:
         raise UsageError("--check needs --structure")
-    return _agreement(phi, _structure(ns, ns.structure))
+    return _agreement(phi, struct or _structure(ns, ns.structure))
 
 
 def _cmd_check_translation(ns: argparse.Namespace) -> int:

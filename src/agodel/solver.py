@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, UsageError
 from .semantics import ORDERED, TRUTH, Structure, satisfies
@@ -38,15 +39,15 @@ from .syntax import (
     Term, Top, Var, children, free_vars, print_formula, rebuild,
 )
 from .values import (
-    INF, LEX2, RAT, ZERO, TruthValue, lex2, one, rat, tv_compare, tv_inv,
-    tv_mul, tv_power,
+    K_ELEM, K_INF, K_ZERO, LEX2, RAT, TruthValue, lex2, one, rat, tv_compare,
+    tv_inv, tv_mul, tv_power,
 )
 
 AtomKey = Tuple[str, Tuple[str, ...]]
 
-TAG_ZERO = "zero"
-TAG_ELEM = "elem"
-TAG_INF = "inf"
+# A case tag is the value kind of the atom's stratum, so tags sort in
+# value order (zero < elem < inf).
+TAG_ZERO, TAG_ELEM, TAG_INF = K_ZERO, K_ELEM, K_INF
 
 DEFAULT_BRANCH_BUDGET = 20000
 DEFAULT_CONSTRAINT_BUDGET = 100000
@@ -85,12 +86,11 @@ class Constraint:
         return f"{lhs}{shift} {self.rel} 0"
 
 
-@dataclass
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """One case branch: stratum tags for atoms plus linear comparisons."""
 
-    tags: Dict[AtomKey, str] = field(default_factory=dict)
-    lins: List[Constraint] = field(default_factory=list)
+    tags: Dict[AtomKey, int]
+    lins: List[Constraint]
 
     def canonical_key(self):
         tag_part = tuple(sorted(self.tags.items()))
@@ -103,9 +103,8 @@ class ConstraintSystem:
         Comparisons are evaluated directly in the group: an exponent form
         sum(c_i * x_i) REL 0 holds iff prod(v_i ** c_i) REL identity.
         """
-        kind_tag = {0: TAG_ZERO, 1: TAG_ELEM, 2: TAG_INF}
         for atom, tag in self.tags.items():
-            if kind_tag[valuation[atom].kind] != tag:
+            if valuation[atom].kind != tag:
                 return False
         for cons in self.lins:
             if cons.const != 0:
@@ -189,77 +188,18 @@ def _ground_term(t: Term, const_map: Dict[str, str], env: Dict[str, Term]) -> Te
     return t
 
 
-def ground(
-    theory: Sequence[Formula], n: int, const_map: Optional[Dict[str, str]] = None
-) -> List[Formula]:
-    if n < 1:
-        raise UsageError("domain size must be >= 1")
-    elements = [f"e{i}" for i in range(1, n + 1)]
-    return [ground_sentence(phi, elements, const_map) for phi in theory]
-
-
 # ---------------------------------------------------------------------------
 # Compilation into case branches
 
-# Symbolic values during compilation: ("Z",) | ("I",) | ("E", form) where
-# form maps atom keys to integer exponent coefficients.
+# Symbolic values during compilation: (K_ZERO,) | (K_INF,) | (K_ELEM, form)
+# where form maps atom keys to integer exponent coefficients.
 
-_SYM_Z = ("Z",)
-_SYM_I = ("I",)
+_SYM_Z = (K_ZERO,)
+_SYM_I = (K_INF,)
 
 
 def _sym_elem(form: Dict[AtomKey, int]):
-    return ("E", {k: v for k, v in form.items() if v})
-
-
-class _Compiler:
-    def __init__(self, branch_budget: int):
-        self.branch_budget = branch_budget
-
-    def _guard(self, branches):
-        if len(branches) > self.branch_budget:
-            raise ResourceLimitError(
-                f"case-branch count exceeds budget {self.branch_budget}"
-            )
-        return branches
-
-    # Each compile step returns [(tags, lins, sym_value)].  A connective's
-    # value is its truth function from semantics.TRUTH, run on the symbolic
-    # algebra once per combination of operand branches and, for an ORDERED
-    # connective, once per case of the order between its two operands.
-    def compile(self, phi: Formula):
-        kind = type(phi)
-        if kind is Atom:
-            key = _atom_key(phi)
-            return [
-                ({key: TAG_ZERO}, [], _SYM_Z),
-                ({key: TAG_ELEM}, [], _sym_elem({key: 1})),
-                ({key: TAG_INF}, [], _SYM_I),
-            ]
-        if kind in QUANTIFIER_CONNECTIVE:
-            raise UsageError("compile expects a ground sentence; run ground() first")
-        parts = []
-        for kid in children(phi):
-            parts.append(self.compile(kid))
-        truth = TRUTH[kind]
-        if not parts:
-            return [({}, [], truth(_Symbolic, phi, 0))]
-        if len(parts) == 1:
-            return self._guard([(tags, lins, truth(_Symbolic, phi, 0, v))
-                                for tags, lins, v in parts[0]])
-        out = []
-        left, right = parts
-        ordered = kind in ORDERED
-        for tags1, lins1, v1 in left:
-            for tags2, lins2, v2 in right:
-                tags = _merge_tags(tags1, tags2)
-                if tags is None:
-                    continue
-                lins = lins1 + lins2
-                for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
-                    out.append((tags, lins + extra, truth(_Symbolic, phi, rel, v1, v2)))
-                self._guard(out)
-        return out
+    return (K_ELEM, {k: v for k, v in form.items() if v})
 
 
 def _atom_key(phi: Atom) -> AtomKey:
@@ -272,14 +212,31 @@ def _atom_key(phi: Atom) -> AtomKey:
     return (phi.pred, tuple(names))
 
 
-def _merge_tags(a: Dict, b: Dict):
-    if len(a) < len(b):
-        a, b = b, a
-    merged = dict(a)
-    for k, v in b.items():
-        if merged.setdefault(k, v) != v:
-            return None  # contradictory strata; branch infeasible
-    return merged
+def _join(left, right):
+    """Yield (tags, a, b) for each pair of branches a in left, b in right
+    whose tags agree on their shared atoms; tags is the union of both.
+
+    A branch is a tuple (tags, lins, ...).  Every branch of one side tags
+    the same atoms (those of its subformula or sentences), so the right
+    side is grouped once by its tags on the shared atoms, and each left
+    branch meets only its own group: conflicting pairs are never visited.
+    Pairs come out left-major, each group in the order of ``right``.
+    """
+    if not left or not right:
+        return
+    shared = left[0][0].keys() & right[0][0].keys()
+    if not shared:
+        for a in left:
+            for b in right:
+                yield {**a[0], **b[0]}, a, b
+        return
+    strata = itemgetter(*shared)
+    groups: Dict[object, list] = {}
+    for b in right:
+        groups.setdefault(strata(b[0]), []).append(b)
+    for a in left:
+        for b in groups.get(strata(a[0]), ()):
+            yield {**a[0], **b[0]}, a, b
 
 
 class _Symbolic:
@@ -291,23 +248,23 @@ class _Symbolic:
 
     @staticmethod
     def is_zero(v) -> bool:
-        return v[0] == "Z"
+        return v[0] == K_ZERO
 
     @staticmethod
     def is_inf(v) -> bool:
-        return v[0] == "I"
+        return v[0] == K_INF
 
     @staticmethod
     def mul(a, b):
-        kinds = (a[0], b[0])
-        if kinds == ("E", "E"):
+        kinds = {a[0], b[0]}
+        if kinds == {K_ELEM}:
             form = dict(a[1])
             for k, c in b[1].items():
                 form[k] = form.get(k, 0) + c
             return _sym_elem(form)
-        if set(kinds) == {"Z", "I"}:
+        if kinds == {K_ZERO, K_INF}:
             return _sym_elem({})  # inf * 0 = identity
-        if "Z" in kinds:
+        if K_ZERO in kinds:
             return _SYM_Z
         return _SYM_I
 
@@ -321,7 +278,7 @@ class _Symbolic:
 
     @staticmethod
     def power(v, n: int):
-        if v[0] != "E":
+        if v[0] != K_ELEM:
             return v
         return _sym_elem({k: c * n for k, c in v[1].items()})
 
@@ -337,10 +294,9 @@ def _sym_cases(v1, v2):
     split on the sign of their difference.
     """
     k1, k2 = v1[0], v2[0]
-    rank = {"Z": 0, "E": 1, "I": 2}
     if k1 != k2:
-        return [([], -1 if rank[k1] < rank[k2] else 1)]
-    if k1 != "E":
+        return [([], -1 if k1 < k2 else 1)]
+    if k1 != K_ELEM:
         return [([], 0)]
     diff = dict(v1[1])
     for k, c in v2[1].items():
@@ -355,31 +311,54 @@ def _sym_cases(v1, v2):
 
 
 def compile_inf(phi: Formula, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> List[ConstraintSystem]:
-    """Branches whose union of solution sets is exactly {valuations: phi = INF}."""
-    compiler = _Compiler(branch_budget)
-    systems = []
-    seen = set()
-    for tags, lins, v in compiler.compile(phi):
-        if v != _SYM_I:
-            continue
-        system = ConstraintSystem(tags, _simplify_lins(lins))
-        key = system.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            systems.append(system)
-    systems.sort(key=ConstraintSystem.canonical_key)
-    return systems
+    """Branches whose union of solution sets is exactly {valuations: phi = INF}.
 
+    Raises ResourceLimitError when some subformula has more than
+    ``branch_budget`` branches.
+    """
 
-def _simplify_lins(lins: Iterable[Constraint]) -> List[Constraint]:
-    out = []
-    seen = set()
-    for c in lins:
-        key = (c.coeffs, c.const, c.rel)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
+    def guard(branches):
+        if len(branches) > branch_budget:
+            raise ResourceLimitError(f"case-branch count exceeds budget {branch_budget}")
+        return branches
+
+    # Each step returns [(tags, lins, sym_value)].  A connective's value is
+    # its truth function from semantics.TRUTH, run on the symbolic algebra
+    # once per joined pair of operand branches and, for an ORDERED
+    # connective, once per case of the order between its two operands.
+    def go(node: Formula):
+        kind = type(node)
+        if kind is Atom:
+            key = _atom_key(node)
+            return [
+                ({key: K_ZERO}, [], _SYM_Z),
+                ({key: K_ELEM}, [], _sym_elem({key: 1})),
+                ({key: K_INF}, [], _SYM_I),
+            ]
+        if kind in QUANTIFIER_CONNECTIVE:
+            raise UsageError("compile expects a ground sentence; run ground_sentence() first")
+        parts = [go(kid) for kid in children(node)]
+        truth = TRUTH[kind]
+        if not parts:
+            return [({}, [], truth(_Symbolic, node, 0))]
+        if len(parts) == 1:
+            return guard([(tags, lins, truth(_Symbolic, node, 0, v))
+                          for tags, lins, v in parts[0]])
+        out = []
+        ordered = kind in ORDERED
+        for tags, (_, lins1, v1), (_, lins2, v2) in _join(*parts):
+            lins = lins1 + lins2
+            for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
+                out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
+            guard(out)
+        return out
+
+    systems = {}
+    for tags, lins, v in go(phi):
+        if v == _SYM_I:
+            system = ConstraintSystem(tags, list(dict.fromkeys(lins)))
+            systems.setdefault(system.canonical_key(), system)
+    return [systems[key] for key in sorted(systems)]
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +546,14 @@ def find_model(
     theory: Sequence[Formula],
     n_max: int,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
-    constraint_budget: int = DEFAULT_CONSTRAINT_BUDGET,
 ) -> FindResult:
     """Iterative-deepening search for a finite rational-backend model.
 
-    Branches are examined in the canonical order of their case-tag
-    tuples, so the witness is reproducible.  A NONE result is not a
-    proof of unsatisfiability beyond n_max elements.
+    Each sentence is compiled separately; the sentences' branch sets are
+    then joined on their shared atoms, and the combined branches are
+    examined in the canonical order of their case tags, so the witness
+    is reproducible.  A NONE result is not a proof of unsatisfiability
+    beyond n_max elements.
     """
     _check_solver_signature(sig)
     for phi in theory:
@@ -588,22 +568,19 @@ def find_model(
             stats.constant_maps_tried += 1
             const_map = dict(zip(constants, values))
             per_sentence = []
-            empty = False
             for phi in theory:
                 grounded = ground_sentence(phi, elements, const_map)
                 branches = compile_inf(grounded, branch_budget)
                 if not branches:
-                    empty = True
                     break
                 per_sentence.append(branches)
-            if empty:
-                continue
+            if len(per_sentence) < len(theory):
+                continue  # some sentence is never inf under this constant map
             combined = _merge_sentence_branches(per_sentence, branch_budget)
-            combined.sort(key=ConstraintSystem.canonical_key)
-            for system in combined:
+            for system in sorted(combined, key=ConstraintSystem.canonical_key):
                 stats.branches_examined += 1
                 stats.fm_calls += 1
-                result = fm_solve(system.lins, constraint_budget)
+                result = fm_solve(system.lins)
                 if not result.sat:
                     continue
                 struct = _witness_structure(sig, elements, const_map, system, result.witness)
@@ -619,20 +596,14 @@ def find_model(
 def _merge_sentence_branches(per_sentence, branch_budget):
     merged = [ConstraintSystem({}, [])]
     for branches in per_sentence:
-        next_merged = []
-        for base in merged:
-            for branch in branches:
-                tags = _merge_tags(base.tags, branch.tags)
-                if tags is None:
-                    continue
-                next_merged.append(
-                    ConstraintSystem(tags, _simplify_lins(base.lins + branch.lins))
+        joined = []
+        for tags, a, b in _join(merged, branches):
+            joined.append(ConstraintSystem(tags, list(dict.fromkeys(a.lins + b.lins))))
+            if len(joined) > branch_budget:
+                raise ResourceLimitError(
+                    f"combined case-branch count exceeds budget {branch_budget}"
                 )
-                if len(next_merged) > branch_budget:
-                    raise ResourceLimitError(
-                        f"combined case-branch count exceeds budget {branch_budget}"
-                    )
-        merged = next_merged
+        merged = joined
     return merged
 
 
@@ -644,14 +615,11 @@ def _witness_structure(sig, elements, const_map, system, witness) -> Structure:
     exponents = {var: int(v * scale) for var, v in witness.items()}
 
     def atom_value(key: AtomKey) -> TruthValue:
-        tag = system.tags.get(key)
-        if tag == TAG_ZERO:
-            return ZERO
-        if tag == TAG_INF:
-            return INF
-        if tag == TAG_ELEM:
-            return rat(Fraction(2) ** exponents.get(key, 0))
-        return rat(1)  # unconstrained atom: any value works
+        # an atom no sentence mentions is unconstrained: it becomes 2**0 = 1
+        kind = system.tags.get(key, K_ELEM)
+        if kind != K_ELEM:
+            return TruthValue(kind)
+        return rat(Fraction(2) ** exponents.get(key, 0))
 
     preds = {}
     for name, arity in sig.predicates.items():

@@ -318,14 +318,13 @@ def to_classical(
     struct: Structure,
     closure_depth: int = 2,
     extra_values: Iterable[TruthValue] = (),
-    max_values: int = 5000,
 ) -> ClassicalStructure:
     """Materialize the companion of a finite structure.
 
     The value sort is the set of truth values realized in the tables,
     plus 0, 1, inf and ``extra_values``, closed under product and
-    inverse to ``closure_depth`` rounds.  Exceeding ``max_values``
-    raises a resource error rather than silently truncating.
+    inverse to ``closure_depth`` rounds.  Exceeding ``MAX_VALUE_SORT``
+    values raises a resource error rather than silently truncating.
     """
     values: Set[TruthValue] = {ZERO, one(struct.backend), INF}
     values.update(struct.atomic_values())
@@ -342,9 +341,9 @@ def to_classical(
                 p = tv_mul(a, b, struct.backend)
                 if p not in values:
                     new.add(p)
-                if len(values) + len(new) > max_values:
+                if len(values) + len(new) > MAX_VALUE_SORT:
                     raise ResourceLimitError(
-                        f"value-sort closure exceeds {max_values} elements"
+                        f"value-sort closure exceeds {MAX_VALUE_SORT} elements"
                     )
         if not new:
             break
@@ -365,6 +364,9 @@ def _sort_key(tv: TruthValue):
 
 # ---------------------------------------------------------------------------
 # Classical evaluation (two-valued Tarskian semantics)
+
+# to_classical refuses to close the value sort beyond this many values.
+MAX_VALUE_SORT = 5000
 
 # The memo grows with the formula and the value sort, so eval_classical refuses
 # to build more entries than this: over ten times the largest in the test suite
@@ -567,7 +569,6 @@ def check_translation(
     phi: Formula,
     struct: Structure,
     closure_depth: Optional[int] = None,
-    max_values: int = 5000,
 ) -> bool:
     """Machine-check the translation equivalence for one sentence.
 
@@ -585,11 +586,9 @@ def check_translation(
     direct = value.is_inf
 
     if closure_depth is None:
-        companion = to_classical(struct, closure_depth=0, extra_values=needed,
-                                 max_values=max_values)
+        companion = to_classical(struct, closure_depth=0, extra_values=needed)
     else:
-        companion = to_classical(struct, closure_depth=closure_depth,
-                                 max_values=max_values)
+        companion = to_classical(struct, closure_depth=closure_depth)
         missing = needed - set(companion.values)
         if missing:
             shown = sorted(missing, key=_sort_key)[:3]

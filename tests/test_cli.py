@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from agodel import cli
 from agodel.cli import COMMANDS, main
 
 SIG0 = "pred P/0\npred Q/0\n"
@@ -157,6 +158,22 @@ class TestTranslate:
                            "--structure", struct, "--check")
         assert code == 0
         assert "translation-agrees" in out
+
+    def test_check_reads_the_structure_once(self, files, capsys, monkeypatch):
+        calls = []
+        load_structure = cli.load_structure
+
+        def counting_load(*args):
+            calls.append(args)
+            return load_structure(*args)
+
+        monkeypatch.setattr(cli, "load_structure", counting_load)
+        struct = files("m.struct", STRUCT_P2)
+        code, out, _ = run(capsys, "translate", "--formula", "P ==> Q",
+                           "--structure", struct, "--check")
+        assert code == 0
+        assert "translation-agrees" in out
+        assert len(calls) == 1
 
     def test_check_translation_command(self, files, capsys):
         struct = files("m.struct", STRUCT_PINF)

@@ -4,11 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, RAT, ZERO, And, App, Atom, Bot, Constraint, Delta, Exists, Forall,
-    ResourceLimitError, Signature, Structure, UsageError, Var, compile_inf,
-    dump_structure, eval_formula, find_model, fm_solve, free_vars, ground,
+    INF, RAT, ZERO, And, App, Atom, Bot, Constraint, DArrow, DDArrow, Delta,
+    Exists, Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power,
+    ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
+    compile_inf,
+    dump_structure, eval_formula, find_model, fm_solve, free_vars,
     ground_sentence, models_theory, parse, parse_theory, rat, remark_lab,
 )
 from agodel.solver import TAG_ELEM, TAG_INF, TAG_ZERO
@@ -22,15 +25,15 @@ GRID = [ZERO, rat(1, 2), rat(1), rat(2), INF]
 
 class TestGround:
     def test_forall_becomes_conjunction(self):
-        [g] = ground([Forall("x", Atom("P", (Var("x"),)))], 2)
+        g = ground_sentence(Forall("x", Atom("P", (Var("x"),))), ["e1", "e2"])
         assert g == And(Atom("P", (App("e1", ()),)), Atom("P", (App("e2", ()),)))
 
     def test_exists_single_element(self):
-        [g] = ground([Exists("x", Atom("P", (Var("x"),)))], 1)
+        g = ground_sentence(Exists("x", Atom("P", (Var("x"),))), ["e1"])
         assert g == Atom("P", (App("e1", ()),))
 
     def test_nullary_untouched(self):
-        [g] = ground([Atom("P", ())], 3)
+        g = ground_sentence(Atom("P", ()), ["e1", "e2", "e3"])
         assert g == Atom("P", ())
 
     def test_constants_substituted(self):
@@ -43,10 +46,6 @@ class TestGround:
         phi = Atom("P", (App("f", (App("c", ()),)),))
         with pytest.raises(UsageError):
             ground_sentence(phi, ["e1"], {})
-
-    def test_domain_size_positive(self):
-        with pytest.raises(UsageError):
-            ground([Atom("P", ())], 0)
 
 
 def grid_eval(phi, valuation):
@@ -122,6 +121,54 @@ class TestCompile:
         phi = parse(" \\/ ".join(f"(A{i} ==> A{(i+1) % 12})" for i in range(12)), sig)
         with pytest.raises(ResourceLimitError):
             compile_inf(phi, branch_budget=10)
+
+
+# Random nullary formulas over P, Q, R with every connective, for the
+# properties of the branch join: operands of a binary connective, and the
+# sentences of a theory, share atoms.
+SIG3 = Signature(predicates={"P": 0, "Q": 0, "R": 0})
+NULLARY_KEYS = [("P", ()), ("Q", ()), ("R", ())]
+UNARY = {"inv": Inv, "not": Not, "delta": Delta}
+BINARY = {"and": And, "or": Or, "imp": Imp, "iff": Iff, "tensor": Tensor,
+          "darrow": DArrow, "ddarrow": DDArrow, "lukimp": LukImp}
+LEAVES = [Atom("P"), Atom("Q"), Atom("R"), Bot(), One(), Top()]
+
+
+@st.composite
+def nullary_formulas(draw, depth=4):
+    op = draw(st.sampled_from(["leaf", "power", *UNARY, *BINARY] if depth else ["leaf"]))
+    if op == "leaf":
+        return draw(st.sampled_from(LEAVES))
+    if op == "power":
+        return Power(draw(nullary_formulas(depth - 1)), draw(st.integers(1, 3)))
+    if op in UNARY:
+        return UNARY[op](draw(nullary_formulas(depth - 1)))
+    return BINARY[op](draw(nullary_formulas(depth - 1)), draw(nullary_formulas(depth - 1)))
+
+
+JOIN_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestJoinProperty:
+    @JOIN_SETTINGS
+    @given(phi=nullary_formulas())
+    def test_branch_union_is_the_inf_set(self, phi):
+        ok, valuation = branch_union_matches_eval(phi, ["P", "Q", "R"])
+        assert ok, f"{phi} disagrees at {valuation}"
+
+    @JOIN_SETTINGS
+    @given(phi=nullary_formulas(), psi=nullary_formulas())
+    def test_two_sentence_theory_is_sat_when_the_grid_has_a_model(self, phi, psi):
+        theory = [phi, psi]
+        result = find_model(SIG3, theory, 1)
+        if result.sat:
+            assert models_theory(result.structure, theory)
+        grid_model = any(
+            grid_eval(phi, valuation).is_inf and grid_eval(psi, valuation).is_inf
+            for valuation in (dict(zip(NULLARY_KEYS, values))
+                              for values in product(GRID, repeat=3))
+        )
+        assert result.sat or not grid_model
 
 
 def check_witness(constraints, witness):
