@@ -22,7 +22,7 @@ from .semantics import (
     Structure, check_similarity, check_ultrametric, dump_structure,
     entails_over, eval_formula, load_structure, satisfies,
 )
-from .solver import DEFAULT_BRANCH_BUDGET, find_model, remark_lab
+from .solver import find_model, remark_lab
 from .syntax import expand_derived, parse, parse_signature, parse_theory, print_formula
 from .translation import check_translation, holds_sentence, print_classical, translate
 from .values import format_truth_value
@@ -76,8 +76,7 @@ def _cmd_check_model(ns: argparse.Namespace) -> int:
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
     theory = parse_theory(_read(ns.theory), ns.signature)
-    result = find_model(ns.signature, theory, ns.max_domain,
-                        branch_budget=ns.branch_budget)
+    result = find_model(ns.signature, theory, ns.max_domain)
     stats = result.stats
     print(
         f"domains={stats.domains_tried} branches={stats.branches_examined} "
@@ -229,7 +228,6 @@ COMMANDS = {
     "solve": (_cmd_solve, {
         **_THEORY, "--sig": dict(required=True, type=Path),
         "--max-domain": dict(type=_POSITIVE, default=4),
-        "--branch-budget": dict(type=_POSITIVE, default=DEFAULT_BRANCH_BUDGET),
         "--out": dict(type=Path)}),
     "translate": (_cmd_translate, {
         **_FORMULA, **_SIG, "--structure": dict(type=Path),

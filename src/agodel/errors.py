@@ -39,10 +39,11 @@ class ArityError(ParseError):
 
 
 class ResourceLimitError(AgodelError):
-    """A configured budget (branches, constraints, closure size, depth)
-    was exceeded.  Raised instead of ever returning a wrong answer."""
+    """A declared limit (a module's MAX_* constant, the trial-division
+    bound, the digit limit for printing) was exceeded.  Raised instead
+    of ever returning a wrong answer."""
 
 
 class ClosureExhausted(ResourceLimitError):
-    """The materialized value sort of a classical companion structure is
-    too shallow to contain a witness needed by the translation check."""
+    """agodel no longer raises this: a companion's value sort holds every
+    witness the translation check needs.  Kept for callers that catch it."""

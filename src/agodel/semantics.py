@@ -312,22 +312,18 @@ def check_ultrametric(struct: Structure) -> UltrametricReport:
     e = struct.signature.equality
     if e is None:
         raise UsageError("signature declares no equality predicate")
-    table = struct.preds[e]
-
-    def d(a: str, b: str) -> TruthValue:
-        return tv_inv(table[(a, b)])
-
+    d = {pair: tv_inv(v) for pair, v in struct.preds[e].items()}
     identity = []
     symmetry = []
     triangle = []
     for a in struct.universe:
         for b in struct.universe:
-            if (d(a, b).is_zero) != (a == b):
+            if (d[a, b].is_zero) != (a == b):
                 identity.append((a, b))
-            if tv_compare(d(a, b), d(b, a)) != 0:
+            if tv_compare(d[a, b], d[b, a]) != 0:
                 symmetry.append((a, b))
     for a, b, c in product(struct.universe, repeat=3):
-        if tv_compare(d(a, b), tv_max(d(a, c), d(b, c))) > 0:
+        if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0:
             triangle.append((a, b, c))
     return UltrametricReport(identity, symmetry, triangle)
 

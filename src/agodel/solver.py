@@ -49,8 +49,12 @@ AtomKey = Tuple[str, Tuple[str, ...]]
 # value order (zero < elem < inf).
 TAG_ZERO, TAG_ELEM, TAG_INF = K_ZERO, K_ELEM, K_INF
 
-DEFAULT_BRANCH_BUDGET = 20000
-DEFAULT_CONSTRAINT_BUDGET = 100000
+# Case branches multiply with the nesting of connectives and quantifiers, so
+# compile_inf and find_model refuse to build more branches than this, and
+# fm_solve refuses to derive more comparisons than MAX_FM_CONSTRAINTS in one
+# elimination step.
+MAX_BRANCHES = 20000
+MAX_FM_CONSTRAINTS = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +314,16 @@ def _sym_cases(v1, v2):
     return [([lt], -1), ([eq], 0), ([gt], 1)]
 
 
-def compile_inf(phi: Formula, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> List[ConstraintSystem]:
+def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     """Branches whose union of solution sets is exactly {valuations: phi = INF}.
 
     Raises ResourceLimitError when some subformula has more than
-    ``branch_budget`` branches.
+    MAX_BRANCHES branches.
     """
 
     def guard(branches):
-        if len(branches) > branch_budget:
-            raise ResourceLimitError(f"case-branch count exceeds budget {branch_budget}")
+        if len(branches) > MAX_BRANCHES:
+            raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}")
         return branches
 
     # Each step returns [(tags, lins, sym_value)].  A connective's value is
@@ -372,10 +376,7 @@ class FMResult:
     certificate: Optional[str] = None
 
 
-def fm_solve(
-    constraints: Sequence[Constraint],
-    constraint_budget: int = DEFAULT_CONSTRAINT_BUDGET,
-) -> FMResult:
+def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
     """Decide a conjunction of linear comparisons over the rationals.
 
     Equalities are removed by exact substitution, then variables are
@@ -461,9 +462,9 @@ def fm_solve(
                 cst = lo_const - hi_const
                 rel = "<" if "<" in (lo_rel, hi_rel) else "<="
                 new.append((coeffs, cst, rel))
-        if len(new) > constraint_budget:
+        if len(new) > MAX_FM_CONSTRAINTS:
             raise ResourceLimitError(
-                f"Fourier-Motzkin constraint count exceeds budget {constraint_budget}"
+                f"Fourier-Motzkin constraint count exceeds budget {MAX_FM_CONSTRAINTS}"
             )
         inequalities = new
 
@@ -541,12 +542,7 @@ class FindResult:
         return self.structure is not None
 
 
-def find_model(
-    sig: Signature,
-    theory: Sequence[Formula],
-    n_max: int,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
-) -> FindResult:
+def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindResult:
     """Iterative-deepening search for a finite rational-backend model.
 
     Each sentence is compiled separately; the sentences' branch sets are
@@ -570,13 +566,13 @@ def find_model(
             per_sentence = []
             for phi in theory:
                 grounded = ground_sentence(phi, elements, const_map)
-                branches = compile_inf(grounded, branch_budget)
+                branches = compile_inf(grounded)
                 if not branches:
                     break
                 per_sentence.append(branches)
             if len(per_sentence) < len(theory):
                 continue  # some sentence is never inf under this constant map
-            combined = _merge_sentence_branches(per_sentence, branch_budget)
+            combined = _merge_sentence_branches(per_sentence)
             for system in sorted(combined, key=ConstraintSystem.canonical_key):
                 stats.branches_examined += 1
                 stats.fm_calls += 1
@@ -593,15 +589,15 @@ def find_model(
     return FindResult(None, n_max, stats)
 
 
-def _merge_sentence_branches(per_sentence, branch_budget):
+def _merge_sentence_branches(per_sentence):
     merged = [ConstraintSystem({}, [])]
     for branches in per_sentence:
         joined = []
         for tags, a, b in _join(merged, branches):
             joined.append(ConstraintSystem(tags, list(dict.fromkeys(a.lins + b.lins))))
-            if len(joined) > branch_budget:
+            if len(joined) > MAX_BRANCHES:
                 raise ResourceLimitError(
-                    f"combined case-branch count exceeds budget {branch_budget}"
+                    f"combined case-branch count exceeds budget {MAX_BRANCHES}"
                 )
         merged = joined
     return merged

@@ -650,7 +650,10 @@ class _Parser:
                 num = self.peek()
                 if num.kind != "INT":
                     self.error("expected an integer exponent after '^'")
-                n = int(num.text)
+                try:
+                    n = int(num.text)
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    self.error("power exponent has too many digits")
                 if n < 1:
                     self.error("power exponent must be >= 1")
                 self.advance()

@@ -15,9 +15,7 @@ instance.  The companion's value sort must contain every witness the
 equivalence needs, i.e. the value of every subformula of phi under
 every assignment; ``check_translation`` collects that exact set through
 an evaluator hook and seeds the sort with it, so the check never
-reports a wrong answer.  When a caller forces a fixed closure depth
-instead, a missing witness raises ClosureExhausted rather than
-returning an unsound verdict.
+reports a wrong answer.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import (
     Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple, Union, get_args,
 )
 
-from .errors import ClosureExhausted, ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError
 from .semantics import Structure, eval_formula, eval_term
 from .syntax import (
     QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv, One,
@@ -316,38 +314,16 @@ class ClassicalStructure:
 
 def to_classical(
     struct: Structure,
-    closure_depth: int = 2,
     extra_values: Iterable[TruthValue] = (),
 ) -> ClassicalStructure:
     """Materialize the companion of a finite structure.
 
     The value sort is the set of truth values realized in the tables,
-    plus 0, 1, inf and ``extra_values``, closed under product and
-    inverse to ``closure_depth`` rounds.  Exceeding ``MAX_VALUE_SORT``
-    values raises a resource error rather than silently truncating.
+    plus 0, 1, inf and ``extra_values``.
     """
     values: Set[TruthValue] = {ZERO, one(struct.backend), INF}
     values.update(struct.atomic_values())
     values.update(extra_values)
-    for _ in range(closure_depth):
-        new: Set[TruthValue] = set()
-        current = list(values)
-        for a in current:
-            inv = tv_inv(a)
-            if inv not in values:
-                new.add(inv)
-        for a in current:
-            for b in current:
-                p = tv_mul(a, b, struct.backend)
-                if p not in values:
-                    new.add(p)
-                if len(values) + len(new) > MAX_VALUE_SORT:
-                    raise ResourceLimitError(
-                        f"value-sort closure exceeds {MAX_VALUE_SORT} elements"
-                    )
-        if not new:
-            break
-        values |= new
     ordered = tuple(sorted(values, key=_sort_key))
     return ClassicalStructure(
         backend=struct.backend,
@@ -364,9 +340,6 @@ def _sort_key(tv: TruthValue):
 
 # ---------------------------------------------------------------------------
 # Classical evaluation (two-valued Tarskian semantics)
-
-# to_classical refuses to close the value sort beyond this many values.
-MAX_VALUE_SORT = 5000
 
 # The memo grows with the formula and the value sort, so eval_classical refuses
 # to build more entries than this: over ten times the largest in the test suite
@@ -565,39 +538,20 @@ def eval_classical(
 # The equivalence check
 
 
-def check_translation(
-    phi: Formula,
-    struct: Structure,
-    closure_depth: Optional[int] = None,
-) -> bool:
+def check_translation(phi: Formula, struct: Structure) -> bool:
     """Machine-check the translation equivalence for one sentence.
 
     Returns whether direct satisfaction and classical satisfaction of
-    the translated sentence agree.  With the default witness-seeded
-    value sort the verdict is always meaningful; with an explicit
-    ``closure_depth`` a value sort too shallow for the needed witnesses
-    raises ClosureExhausted instead of producing a wrong answer.
+    the translated sentence agree, over a value sort seeded with every
+    value a subformula of phi takes under an assignment.
     """
     if not is_sentence(phi):
         raise UsageError(f"not a sentence (free: {sorted(free_vars(phi))})")
     core = phi if is_core(phi) else expand_derived(phi)
     needed: Set[TruthValue] = set()
-    value = eval_formula(core, struct, on_value=needed.add)
-    direct = value.is_inf
-
-    if closure_depth is None:
-        companion = to_classical(struct, closure_depth=0, extra_values=needed)
-    else:
-        companion = to_classical(struct, closure_depth=closure_depth)
-        missing = needed - set(companion.values)
-        if missing:
-            shown = sorted(missing, key=_sort_key)[:3]
-            raise ClosureExhausted(
-                f"value sort (closure depth {closure_depth}) lacks "
-                f"{len(missing)} needed witness value(s), e.g. {shown}"
-            )
-    classical = eval_classical(holds_sentence(translate(core)), companion)
-    return direct == classical
+    direct = eval_formula(core, struct, on_value=needed.add).is_inf
+    companion = to_classical(struct, needed)
+    return direct == eval_classical(holds_sentence(translate(core)), companion)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ Two exact backends are provided:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -103,8 +104,13 @@ def _fraction_bits(f: Fraction) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    text = text.strip()
+    # Fraction would build 10**exponent for a decimal such as 1e30000000
+    exponent = text.upper().partition("E")[2]
     try:
-        return Fraction(text.strip())
+        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+            raise ValueError("decimal exponent exceeds the int-to-str digit limit")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 

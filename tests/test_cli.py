@@ -4,8 +4,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from agodel import cli
+from agodel import cli, solver
 from agodel.cli import COMMANDS, main
 
 SIG0 = "pred P/0\npred Q/0\n"
@@ -73,6 +74,19 @@ class TestEval:
         assert code == 0
         assert out == "8\n"
 
+    @pytest.mark.parametrize("formula, value", [
+        ("P^" + "9" * 5000, "2"),
+        ("P", "1e30000000"),
+        ("P", "1e-30000000"),
+    ], ids=["exponent-digits", "value-exponent", "value-negative-exponent"])
+    def test_over_long_number_exits_2_at_once(self, files, capsys, formula, value):
+        struct = files("m.struct", f"backend rat\nuniverse m1\npred P = {value}\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--formula", formula, "--structure", struct)
+        assert code == 2
+        assert "digit" in err
+        assert time.perf_counter() - start < 1
+
 
 class TestCheckModel:
     def test_all_pass(self, files, capsys):
@@ -114,13 +128,14 @@ class TestSolve:
         assert code == 1
         assert out.strip().endswith("UNSAT-up-to(3)")
 
-    def test_resource_limit_exits_3(self, files, capsys):
+    def test_resource_limit_exits_3(self, files, capsys, monkeypatch):
         names = [f"A{i}" for i in range(12)]
         sig = files("s.txt", "".join(f"pred {n}/0\n" for n in names))
         big = " \\/ ".join(f"(A{i} ==> A{(i + 1) % 12})" for i in range(12))
         theory = files("t.txt", big + "\n")
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 5)
         code, _, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
-                           "--max-domain", "1", "--branch-budget", "5")
+                           "--max-domain", "1")
         assert code == 3
         assert "resource" in err
 
@@ -357,11 +372,10 @@ class TestHarness:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--theory", "t.txt", "--sig", "s.txt", "--max-domain", "0"],
-        ["solve", "--theory", "t.txt", "--sig", "s.txt", "--branch-budget", "0"],
         ["embed", "--from", "a.struct", "--to", "b.struct", "--budget", "0"],
         ["remark-lab", "--n", "0"],
         ["ediag", "--structure", "a.struct", "--depth", "-1"],
-    ], ids=["max-domain", "branch-budget", "budget", "n", "depth"])
+    ], ids=["max-domain", "budget", "n", "depth"])
     def test_out_of_range_value_exits_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -374,3 +388,57 @@ class TestHarness:
         listed = [line.split()[1] for line in block.splitlines()
                   if line.startswith("agodel ") and not line.startswith("agodel --")]
         assert listed == list(COMMANDS)
+
+
+# Formula text for the exit-code property: mostly well-formed over the
+# structure below, with integer literals of up to 5000 digits as exponents,
+# and some plain token strings of the formula grammar.
+EXIT_CODE_STRUCT = (
+    "backend rat\nuniverse m1 m2\npred P = 2\npred Q = inf\n"
+    "pred R m1 = 1\npred R m2 = 1/2\n"
+)
+INTEGER_LITERALS = st.one_of(
+    st.integers(0, 20).map(str),
+    # lengths on both sides of the interpreter's 4300-digit conversion limit
+    st.builds(lambda digit, n: digit * n, st.sampled_from("0179"),
+              st.sampled_from([2, 50, 4300, 4301, 5000])),
+)
+BINARY_TOKENS = ["==>", "<->", "->l", "->", "=>", "/\\", "\\/", "*"]
+GRAMMAR_TOKENS = BINARY_TOKENS + [
+    "^-1", "~", "(", ")", ".", ",", "^",
+    "bot", "one", "top", "forall", "exists", "delta", "P", "Q", "R", "x",
+]
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from(BINARY_TOKENS), inner),
+        st.builds("~{}".format, inner),
+        st.builds("delta({})".format, inner),
+        st.builds("({})^-1".format, inner),
+        st.builds("({})^{}".format, inner, INTEGER_LITERALS),
+        st.builds("{} x. {}".format, st.sampled_from(["forall", "exists"]), inner),
+    )
+
+
+FORMULA_TEXT = st.one_of(
+    st.recursive(st.sampled_from(["P", "Q", "R(x)", "bot", "one", "top"]),
+                 _compound, max_leaves=3),
+    st.lists(st.one_of(st.sampled_from(GRAMMAR_TOKENS), INTEGER_LITERALS),
+             max_size=8).map(" ".join),
+)
+
+
+@pytest.fixture(scope="module")
+def exit_code_structure(tmp_path_factory):
+    path = tmp_path_factory.mktemp("exit-codes") / "m.struct"
+    path.write_text(EXIT_CODE_STRUCT)
+    return str(path)
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(["eval", "check-translation"]), formula=FORMULA_TEXT)
+    def test_every_formula_exits_0_to_3(self, exit_code_structure, command, formula):
+        code = main([command, "--formula", formula, "--structure", exit_code_structure])
+        assert code in (0, 1, 2, 3)

@@ -14,6 +14,7 @@ from agodel import (
     dump_structure, eval_formula, find_model, fm_solve, free_vars,
     ground_sentence, models_theory, parse, parse_theory, rat, remark_lab,
 )
+from agodel import solver
 from agodel.solver import TAG_ELEM, TAG_INF, TAG_ZERO
 from conftest import make_rng, random_formula
 
@@ -116,11 +117,12 @@ class TestCompile:
             ok, witness = branch_union_matches_eval(phi, ["P", "Q", "R"])
             assert ok, f"{phi} disagrees at {witness}"
 
-    def test_branch_budget(self):
+    def test_branch_budget(self, monkeypatch):
         sig = Signature(predicates={f"A{i}": 0 for i in range(12)})
         phi = parse(" \\/ ".join(f"(A{i} ==> A{(i+1) % 12})" for i in range(12)), sig)
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 10)
         with pytest.raises(ResourceLimitError):
-            compile_inf(phi, branch_budget=10)
+            compile_inf(phi)
 
 
 # Random nullary formulas over P, Q, R with every connective, for the
@@ -217,7 +219,7 @@ class TestFourierMotzkin:
         assert result.sat
         check_witness(constraints, result.witness)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # complete difference system: every variable has n-1 lower and
         # n-1 upper bounds, so the first elimination squares the count
         n = 14
@@ -225,8 +227,9 @@ class TestFourierMotzkin:
             Constraint.make({f"x{i}": 1, f"x{j}": -1}, -1, "<")
             for i in range(n) for j in range(n) if i != j
         ]
+        monkeypatch.setattr(solver, "MAX_FM_CONSTRAINTS", 200)
         with pytest.raises(ResourceLimitError):
-            fm_solve(constraints, constraint_budget=200)
+            fm_solve(constraints)
 
     def test_agrees_with_grid_search(self):
         rng = make_rng(23)

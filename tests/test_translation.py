@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, RAT, ZERO, And, Atom, Bot, ClosureExhausted, Exists, Forall, Imp,
+    INF, RAT, ZERO, And, Atom, Bot, Exists, Forall, Imp,
     Inv, One, ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     check_translation, eval_classical, expand_derived, holds_sentence, parse,
     print_classical, rat, to_classical, translate,
@@ -17,7 +17,6 @@ from agodel.translation import (
     CNot, CRel, VConst, VInv, VMul, VVar,
 )
 from agodel.syntax import subformulas
-from agodel.values import format_truth_value
 from conftest import RAT_POOL, make_rng, random_core_sentence, random_structure
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
@@ -135,13 +134,6 @@ class TestTranslateClauses:
 
 
 class TestToClassical:
-    def test_closure_contains_generated_values(self):
-        sig = Signature(predicates={"P": 0})
-        struct = Structure(sig, RAT, ("m1",), {}, {"P": {(): rat(2)}})
-        companion = to_classical(struct, closure_depth=2)
-        values = {format_truth_value(v) for v in companion.values}
-        assert {"0", "1", "2", "1/2", "4", "inf"} <= values
-
     def test_constants(self):
         struct = nullary(rat(2))
         companion = to_classical(struct)
@@ -204,9 +196,9 @@ class TestEvalClassical:
                                {"x": item, "g": INF})
 
     def test_values_outside_the_sort(self):
-        # the depth-0 sort of P = 2 is {0, 1, 2, inf}: 2 * 2 and its inverse are outside
-        companion = to_classical(nullary(rat(2)), closure_depth=0)
-        assert rat(4) not in companion.values
+        # the sort of P = 2, Q = 3 is {0, 1, 2, 3, inf}: 2 * 2 and its inverse are outside
+        companion = to_classical(nullary(rat(2)))
+        assert companion.values == (ZERO, rat(1), rat(2), rat(3), INF)
         g, h = VVar("g"), VVar("h")
         square = VMul(g, g)
         cases = [
@@ -266,14 +258,12 @@ class TestCheckTranslation:
             check_translation(Atom("P", (Var("x"),)),
                               random_structure(make_rng(6), Signature(predicates={"P": 1})))
 
-    def test_explicit_closure_depth_can_exhaust(self):
-        # evaluating P*P*P*P needs 2^4, outside the depth-0 closure of {2}
+    def test_witnesses_outside_the_atomic_values_are_seeded(self):
+        # evaluating P*P*P*P needs 2^2 and 2^4, which no table of P = 2 holds
         struct = nullary(rat(2))
         phi = Tensor(Tensor(Atom("P", ()), Atom("P", ())),
                      Tensor(Atom("P", ()), Atom("P", ())))
-        with pytest.raises(ClosureExhausted):
-            check_translation(phi, struct, closure_depth=0)
-        assert check_translation(phi, struct, closure_depth=2)
+        assert check_translation(phi, struct)
 
     def test_function_symbols_pass_through(self, rng):
         sig = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1})
@@ -345,11 +335,3 @@ class TestTranslationProperty:
     @given(phi=core_sentences(), struct=small_structures())
     def test_holds_with_the_witness_seeded_sort(self, phi, struct):
         assert check_translation(phi, struct)
-
-    @PROPERTY_SETTINGS
-    @given(phi=core_sentences(), struct=small_structures())
-    def test_holds_or_exhausts_at_closure_depth_1(self, phi, struct):
-        try:
-            assert check_translation(phi, struct, closure_depth=1)
-        except ClosureExhausted:
-            pass
