@@ -7,9 +7,10 @@ are finite minima and maxima, so evaluation is exact and total.
 
 Every connective, core or derived, has one truth function in ``TRUTH``,
 written against a small algebra interface.  The evaluator runs it on
-``TruthValue``s and the solver runs the same function on symbolic values.
-``syntax.expand_derived`` provides the definitional route for derived
-connectives, and the test suite checks the two agree everywhere.
+value ranks (``Ranks``) and the solver runs the same function on
+symbolic values.  ``syntax.expand_derived`` provides the definitional
+route for derived connectives, and the test suite checks the two agree
+everywhere.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .syntax import (
     Signature, Tensor, Term, Top, Var, children, free_vars, is_sentence,
 )
 from .values import (
-    INF, K_ELEM, K_INF, K_ZERO, ZERO, GroupBackend, TruthValue,
-    backend_by_name, format_truth_value, one, parse_truth_value, tv_compare,
-    tv_inv, tv_max, tv_mul, tv_power,
+    INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
+    format_truth_value, one, order_key, parse_truth_value, tv_compare, tv_inv,
+    tv_mul, tv_power,
 )
 
 Assignment = Dict[str, str]
@@ -42,6 +43,7 @@ class Structure:
     universe: Tuple[str, ...]
     funcs: Dict[str, Dict[Tuple[str, ...], str]] = field(default_factory=dict)
     preds: Dict[str, Dict[Tuple[str, ...], TruthValue]] = field(default_factory=dict)
+    _ranks: Optional["Ranks"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.universe = tuple(self.universe)
@@ -99,8 +101,8 @@ class Structure:
 # operands only through an algebra V -- the constants ZERO, ONE and INF, the
 # stratum tests is_zero and is_inf, and mul, inv and power -- and through
 # rel, the sign (-1, 0 or 1) of the comparison between the two operands of
-# an ORDERED connective (0 for the others).  The evaluator runs them on
-# TruthValues; the solver runs them on symbolic values, once per order case.
+# an ORDERED connective (0 for the others).  The evaluator runs them on value
+# ranks; the solver runs them on symbolic values, once per order case.
 TRUTH = {
     Bot: lambda V, phi, rel: V.ZERO,
     One: lambda V, phi, rel: V.ONE,
@@ -122,37 +124,86 @@ TRUTH = {
 ORDERED = frozenset((And, Or, Imp, Iff, DArrow, DDArrow, LukImp))
 
 
-class TruthValues:
-    """The algebra of concrete truth values over one group backend."""
+class Ranks:
+    """The algebra of one structure's truth values as ranks.
 
-    ZERO = ZERO
-    INF = INF
+    The sort is 0 and inf plus the values of the predicate tables, sorted;
+    a value of the sort is its rank there, an int, so rank order is value
+    order and the ordered connectives compare ints.  ``one`` or a product,
+    inverse or power outside the sort stays a TruthValue; 0 and inf are in
+    every sort, so such a value is a group element.  Built by ``ranks_of``,
+    once per structure.
+    """
 
-    def __init__(self, backend: GroupBackend):
-        self.backend = backend
+    __slots__ = ("values", "rank", "INF", "backend", "tables", "_one")
+    ZERO = 0
+
+    def __init__(self, struct: Structure):
+        sort = {ZERO, INF}
+        for table in struct.preds.values():
+            sort.update(table.values())
+        self.values: Tuple[TruthValue, ...] = tuple(sorted(sort, key=order_key))
+        self.rank: Dict[TruthValue, int] = {v: i for i, v in enumerate(self.values)}
+        self.INF = len(self.values) - 1
+        self.backend = struct.backend
+        self.tables = _RankTables(self.rank, struct.preds)
+        self._one = None
+
+    def encode(self, v: TruthValue):
+        return self.rank.get(v, v)
+
+    def decode(self, v) -> TruthValue:
+        return self.values[v] if type(v) is int else v
 
     @property
-    def ONE(self) -> TruthValue:
-        return one(self.backend)
+    def ONE(self):
+        if self._one is None:
+            self._one = self.encode(one(self.backend))
+        return self._one
 
-    @staticmethod
-    def is_zero(a: TruthValue) -> bool:
-        return a.kind == K_ZERO
+    def is_zero(self, a) -> bool:
+        return a == 0
 
-    @staticmethod
-    def is_inf(a: TruthValue) -> bool:
-        return a.kind == K_INF
+    def is_inf(self, a) -> bool:
+        return a == self.INF
 
-    def mul(self, a: TruthValue, b: TruthValue) -> TruthValue:
-        return tv_mul(a, b, self.backend)
+    def compare(self, a, b) -> int:
+        if type(a) is int and type(b) is int:
+            return (a > b) - (a < b)
+        return tv_compare(self.decode(a), self.decode(b))
 
-    @staticmethod
-    def inv(a: TruthValue) -> TruthValue:
-        return tv_inv(a)
+    def mul(self, a, b):
+        return self.encode(tv_mul(self.decode(a), self.decode(b), self.backend))
 
-    @staticmethod
-    def power(a: TruthValue, n: int) -> TruthValue:
-        return tv_power(a, n)
+    def inv(self, a):
+        return self.encode(tv_inv(self.decode(a)))
+
+    def power(self, a, n: int):
+        return self.encode(tv_power(self.decode(a), n))
+
+
+class _RankTables(dict):
+    """Predicate name -> its table with the values as ranks, built on first use."""
+
+    __slots__ = ("rank", "preds")
+
+    def __init__(self, rank: Dict[TruthValue, int], preds):
+        super().__init__()
+        self.rank = rank
+        self.preds = preds
+
+    def __missing__(self, name: str) -> Dict[Tuple[str, ...], int]:
+        rank = self.rank
+        got = self[name] = {args: rank[v] for args, v in self.preds.get(name, {}).items()}
+        return got
+
+
+def ranks_of(struct: Structure) -> Ranks:
+    """The rank algebra of struct, built on first use and kept on it."""
+    got = struct._ranks
+    if got is None:
+        got = struct._ranks = Ranks(struct)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +211,13 @@ class TruthValues:
 
 
 def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         try:
             return env[t.name]
         except KeyError:
             raise UsageError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, App):
+    if kind is App:
         args = tuple(eval_term(a, struct, env) for a in t.args)
         try:
             return struct.funcs[t.func][args]
@@ -190,15 +242,16 @@ def eval_formula(
     missing = free_vars(phi) - set(env)
     if missing:
         raise UsageError(f"unbound variables {sorted(missing)}")
-    return _eval(phi, struct, TruthValues(struct.backend), env, on_value)
+    V = ranks_of(struct)
+    return V.decode(_eval(phi, struct, V, env, on_value))
 
 
-def _eval(phi, struct, V, env, sink) -> TruthValue:
+def _eval(phi, struct, V, env, sink):
     kind = type(phi)
     if kind is Atom:
-        args = tuple(eval_term(t, struct, env) for t in phi.args)
+        args = tuple([eval_term(t, struct, env) for t in phi.args])
         try:
-            value = struct.preds[phi.pred][args]
+            value = V.tables[phi.pred][args]
         except KeyError:
             raise UsageError(
                 f"structure has no interpretation for {phi.pred!r} at {args}"
@@ -209,25 +262,25 @@ def _eval(phi, struct, V, env, sink) -> TruthValue:
         left, right = CHILDREN[kind](phi)
         a = _eval(left, struct, V, env, sink)
         b = _eval(right, struct, V, env, sink)
-        value = TRUTH[kind](V, phi, tv_compare(a, b), a, b)
+        value = TRUTH[kind](V, phi, V.compare(a, b), a, b)
     else:
         args = []
         for kid in children(phi):
             args.append(_eval(kid, struct, V, env, sink))
         value = TRUTH[kind](V, phi, 0, *args)
     if sink is not None:
-        sink(value)
+        sink(V.decode(value))
     return value
 
 
-def _quantify(phi, struct, V, env, sink, combine) -> TruthValue:
+def _quantify(phi, struct, V, env, sink, combine):
     saved = env.get(phi.var)
     had = phi.var in env
     result = None
     for element in struct.universe:
         env[phi.var] = element
         v = _eval(phi.body, struct, V, env, sink)
-        result = v if result is None else combine(V, phi, tv_compare(result, v), result, v)
+        result = v if result is None else combine(V, phi, V.compare(result, v), result, v)
     if had:
         env[phi.var] = saved
     else:
@@ -243,7 +296,8 @@ def satisfies(struct: Structure, phi: Formula) -> bool:
     """True when the sentence evaluates to absolute truth."""
     if not is_sentence(phi):
         raise UsageError(f"not a sentence (free: {sorted(free_vars(phi))})")
-    return eval_formula(phi, struct).is_inf
+    V = ranks_of(struct)
+    return _eval(phi, struct, V, {}, None) == V.INF
 
 
 def models_theory(struct: Structure, theory: Iterable[Formula]) -> bool:
@@ -312,19 +366,29 @@ def check_ultrametric(struct: Structure) -> UltrametricReport:
     e = struct.signature.equality
     if e is None:
         raise UsageError("signature declares no equality predicate")
-    d = {pair: tv_inv(v) for pair, v in struct.preds[e].items()}
+    # d = e^-1 reverses the order, so each clause on d is read off the
+    # ranks r of e: d(a, b) = 0 iff r[a][b] is top, and the strong triangle
+    # d(a, b) <= max(d(a, c), d(b, c)) iff r[a][b] >= min(r[a][c], r[b][c])
+    V = ranks_of(struct)
+    table = V.tables[e]
+    universe = struct.universe
+    r = [[table[a, b] for b in universe] for a in universe]
     identity = []
     symmetry = []
     triangle = []
-    for a in struct.universe:
-        for b in struct.universe:
-            if (d[a, b].is_zero) != (a == b):
+    for i, a in enumerate(universe):
+        for j, b in enumerate(universe):
+            if (r[i][j] == V.INF) != (a == b):
                 identity.append((a, b))
-            if tv_compare(d[a, b], d[b, a]) != 0:
+            if r[i][j] != r[j][i]:
                 symmetry.append((a, b))
-    for a, b, c in product(struct.universe, repeat=3):
-        if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0:
-            triangle.append((a, b, c))
+    for i, a in enumerate(universe):
+        row_a = r[i]
+        for j, b in enumerate(universe):
+            r_ab = row_a[j]
+            for c, r_ac, r_bc in zip(universe, row_a, r[j]):
+                if r_ab < r_ac and r_ab < r_bc:
+                    triangle.append((a, b, c))
     return UltrametricReport(identity, symmetry, triangle)
 
 
@@ -348,6 +412,7 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
     universe: List[str] = []
     fn_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
     pred_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -355,6 +420,10 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind in ("backend", "universe"):
+                if kind in headers:
+                    raise UsageError(f"duplicate {kind!r} line")
+                headers.add(kind)
             if kind == "backend":
                 backend = backend_by_name(parts[1])
             elif kind == "universe":
@@ -399,6 +468,8 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
 
     funcs: Dict[str, Dict[Tuple[str, ...], str]] = {n: {} for n in sig.functions}
     preds: Dict[str, Dict[Tuple[str, ...], TruthValue]] = {n: {} for n in sig.predicates}
+    # a table of n^2 lines holds a few distinct values: parse each text once
+    parsed: Dict[str, TruthValue] = {}
     for lineno, name, args, out in fn_lines:
         if name not in funcs:
             raise UsageError(f"structure line {lineno}: undeclared function {name!r}")
@@ -410,10 +481,13 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
             raise UsageError(f"structure line {lineno}: undeclared predicate {name!r}")
         if args in preds[name]:
             raise UsageError(f"structure line {lineno}: duplicate entry for {name!r} {args}")
-        try:
-            preds[name][args] = parse_truth_value(value_text, backend)
-        except UsageError as exc:
-            raise UsageError(f"structure line {lineno}: {exc}") from None
+        value = parsed.get(value_text)
+        if value is None:
+            try:
+                value = parsed[value_text] = parse_truth_value(value_text, backend)
+            except UsageError as exc:
+                raise UsageError(f"structure line {lineno}: {exc}") from None
+        preds[name][args] = value
     return Structure(sig, backend, tuple(universe), funcs, preds)
 
 

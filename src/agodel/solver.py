@@ -39,8 +39,8 @@ from .syntax import (
     Term, Top, Var, children, free_vars, print_formula, rebuild,
 )
 from .values import (
-    K_ELEM, K_INF, K_ZERO, LEX2, RAT, TruthValue, lex2, one, rat, tv_compare,
-    tv_inv, tv_mul, tv_power,
+    K_ELEM, K_INF, K_ZERO, LEX2, MAX_POWER_BITS, RAT, TruthValue, lex2, one, rat,
+    tv_compare, tv_inv, tv_mul, tv_power,
 )
 
 AtomKey = Tuple[str, Tuple[str, ...]]
@@ -610,12 +610,18 @@ def _witness_structure(sig, elements, const_map, system, witness) -> Structure:
     scale = lcm(*denominators) if denominators else 1
     exponents = {var: int(v * scale) for var, v in witness.items()}
 
+    # equal values share one object, so the witness re-check hashes each once
+    made: Dict[Tuple[int, int], TruthValue] = {}
+
     def atom_value(key: AtomKey) -> TruthValue:
         # an atom no sentence mentions is unconstrained: it becomes 2**0 = 1
         kind = system.tags.get(key, K_ELEM)
-        if kind != K_ELEM:
-            return TruthValue(kind)
-        return rat(Fraction(2) ** exponents.get(key, 0))
+        exponent = exponents.get(key, 0) if kind == K_ELEM else 0
+        got = made.get((kind, exponent))
+        if got is None:
+            got = made[kind, exponent] = (
+                rat(Fraction(2) ** exponent) if kind == K_ELEM else TruthValue(kind))
+        return got
 
     preds = {}
     for name, arity in sig.predicates.items():
@@ -658,9 +664,13 @@ def remark_lab(n: int) -> RemarkLabReport:
     lexicographic-pair structure rho=(1,2), eps=(2,1) satisfies every
     axiom uniformly: (1,2)^k = (1,2^k) stays below (2,1) for all k.
     Every axiom is re-checked through the evaluator, exactly.
+
+    Raises ResourceLimitError when n > MAX_POWER_BITS: rho^n has n bits.
     """
     if n < 1:
         raise UsageError("remark_lab needs n >= 1")
+    if n > MAX_POWER_BITS:
+        raise ResourceLimitError(f"the power rho^n would exceed {MAX_POWER_BITS} bits")
     sig, axioms = remark_theory_fragment(n)
     standard = Structure(sig, RAT, ("m1",), {}, {
         "rho": {(): rat(2)},

@@ -34,7 +34,7 @@ from .syntax import (
     Tensor, Term, Var, children, expand_derived, free_vars, is_core, is_sentence,
     print_term, term_vars,
 )
-from .values import INF, ZERO, TruthValue, one, tv_compare, tv_inv, tv_mul
+from .values import INF, ZERO, TruthValue, one, order_key, tv_compare, tv_inv, tv_mul
 
 # ---------------------------------------------------------------------------
 # Classical (two-sorted) formulas
@@ -324,7 +324,7 @@ def to_classical(
     values: Set[TruthValue] = {ZERO, one(struct.backend), INF}
     values.update(struct.atomic_values())
     values.update(extra_values)
-    ordered = tuple(sorted(values, key=_sort_key))
+    ordered = tuple(sorted(values, key=order_key))
     return ClassicalStructure(
         backend=struct.backend,
         objects=struct.universe,
@@ -332,10 +332,6 @@ def to_classical(
         relations={name: dict(table) for name, table in struct.preds.items()},
         funcs={name: dict(table) for name, table in struct.funcs.items()},
     )
-
-
-def _sort_key(tv: TruthValue):
-    return (tv.kind, tv.payload if tv.kind == 1 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def backend_by_name(name: str) -> GroupBackend:
         raise UsageError(f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthValue:
     """One element of {0} u G u {inf}.
 
@@ -212,6 +212,7 @@ class TruthValue:
     kind: int
     payload: Optional[Payload] = field(default=None)
     backend: Optional[GroupBackend] = field(default=None)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == K_ELEM:
@@ -220,6 +221,15 @@ class TruthValue:
             object.__setattr__(self, "payload", self.backend.validate(self.payload))
         elif self.payload is not None or self.backend is not None:
             raise UsageError("only ELEM truth values carry a payload")
+
+    def __hash__(self) -> int:
+        # kept on first use: rank tables and value sorts hash the same few
+        # values over and over, and a Fraction's hash takes a modular inverse
+        got = self._hash
+        if got is None:
+            got = hash((self.kind, self.payload))
+            object.__setattr__(self, "_hash", got)
+        return got
 
     @property
     def is_zero(self) -> bool:
@@ -279,6 +289,11 @@ def tv_compare(a: TruthValue, b: TruthValue) -> int:
     if a.kind == K_ELEM:
         return a.backend.compare(a.payload, b.payload)
     return 0
+
+
+def order_key(tv: TruthValue):
+    """Sort key giving the order of tv_compare on values of one backend."""
+    return (tv.kind, tv.payload) if tv.kind == K_ELEM else (tv.kind,)
 
 
 def tv_min(a: TruthValue, b: TruthValue) -> TruthValue:

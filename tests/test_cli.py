@@ -68,6 +68,14 @@ class TestEval:
                            "--structure", "/nonexistent.struct")
         assert code == 2
 
+    def test_duplicate_backend_line_exits_2(self, files, capsys):
+        struct = files("m.struct", "backend rat\nbackend lex2\nuniverse m1\npred P = 2\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--formula", "P", "--structure", struct)
+        assert code == 2
+        assert "structure line 2: duplicate 'backend' line" in err
+        assert time.perf_counter() - start < 1
+
     def test_small_power(self, files, capsys):
         struct = files("m.struct", STRUCT_P2)
         code, out, _ = run(capsys, "eval", "--formula", "P^3", "--structure", struct)
@@ -348,6 +356,15 @@ class TestRemarkLab:
         assert code == 0
         assert "standard model (rho=2, eps=2^26): validated" in out
         assert "lex model (rho=(1, 2), eps=(2, 1)): validated" in out
+
+    @pytest.mark.parametrize("n", ["99999999", "9" * 100], ids=["8-digits", "100-digits"])
+    def test_huge_n_exits_3_at_once(self, capsys, n):
+        # rho^n has n bits, past values.MAX_POWER_BITS
+        start = time.perf_counter()
+        code, _, err = run(capsys, "remark-lab", "--n", n)
+        assert code == 3
+        assert "resource limit" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestHarness:

@@ -1,8 +1,11 @@
 """Evaluation, satisfaction, similarity/ultrametric, structure files."""
 
-import pytest
-
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from agodel import (
     INF, LEX2, RAT, ZERO, And, Atom, Bot, DArrow, DDArrow, Delta, Exists,
@@ -10,11 +13,14 @@ from agodel import (
     Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
     dump_structure, entails_over, eval_formula, eval_term, expand_derived,
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
-    tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
+    one, tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
-from agodel.semantics import ORDERED, TRUTH, TruthValues
+from agodel.semantics import ORDERED, TRUTH, ranks_of
 from agodel.syntax import App
-from conftest import RAT_POOL, make_rng, random_formula, random_structure, similarity_closure
+from conftest import (
+    RAT_POOL, make_rng, random_formula, random_structure, random_truth_value,
+    similarity_closure,
+)
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIG1 = Signature(predicates={"P": 1})
@@ -91,8 +97,14 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("pool", [RAT_POOL, LEX2_POOL], ids=["rat", "lex2"])
     def test_grid_against_value_functions(self, pool):
+        # TRUTH run on the rank algebra of a structure whose tables hold
+        # the pool, results decoded; products and inverses leave the sort
         backend = next(v.backend for v in pool if v.is_elem)
-        algebra = TruthValues(backend)
+        sig = Signature(predicates={f"P{i}": 0 for i in range(len(pool))})
+        struct = Structure(sig, backend, ("m1",), {},
+                           {f"P{i}": {(): v} for i, v in enumerate(pool)})
+        algebra = ranks_of(struct)
+        encode, decode = algebra.encode, algebra.decode
         spelled_out = {
             And: tv_min,
             Or: tv_max,
@@ -103,13 +115,17 @@ class TestTruthTable:
                 INF if tv_compare(a, b) <= 0 else tv_mul(b, tv_inv(a), backend)),
         }
         for a in pool:
-            assert TRUTH[Inv](algebra, Inv(Atom("P")), 0, a) == tv_inv(a)
-            assert TRUTH[Not](algebra, Not(Atom("P")), 0, a) == tv_resid(a, ZERO)
+            ra = encode(a)
+            assert decode(TRUTH[Inv](algebra, Inv(Atom("P")), 0, ra)) == tv_inv(a)
+            assert decode(TRUTH[Not](algebra, Not(Atom("P")), 0, ra)) == tv_resid(a, ZERO)
             for b in pool:
+                rb = encode(b)
+                order = algebra.compare(ra, rb)
+                assert order == tv_compare(a, b)
                 for node, reference in spelled_out.items():
-                    rel = tv_compare(a, b) if node in ORDERED else 0
-                    got = TRUTH[node](algebra, node(Atom("P"), Atom("Q")), rel, a, b)
-                    assert got == reference(a, b), (node, a, b)
+                    rel = order if node in ORDERED else 0
+                    got = TRUTH[node](algebra, node(Atom("P"), Atom("Q")), rel, ra, rb)
+                    assert decode(got) == reference(a, b), (node, a, b)
 
 
 class TestDerivedTablesAgreeWithExpansion:
@@ -172,6 +188,83 @@ class TestDerivedTablesAgreeWithExpansion:
                 continue
             assert eval_formula(phi, struct) == \
                 eval_formula(expand_derived(phi), struct)
+
+
+def oracle(phi, struct, env, seen):
+    """Recursive evaluation on TruthValues with the value functions, the
+    quantifiers as min/max over the universe; every value goes to seen."""
+    kind = type(phi)
+    backend = struct.backend
+    if kind is Atom:
+        value = struct.preds[phi.pred][tuple(eval_term(t, struct, env) for t in phi.args)]
+    elif kind in (Forall, Exists):
+        value = reduce(tv_min if kind is Forall else tv_max,
+                       [oracle(phi.body, struct, {**env, phi.var: m}, seen)
+                        for m in struct.universe])
+    elif kind in (Bot, One, Top):
+        value = {Bot: ZERO, One: one(backend), Top: INF}[kind]
+    elif kind in (Inv, Not, Delta, Power):
+        a = oracle(phi.body, struct, env, seen)
+        value = {Inv: lambda: tv_inv(a),
+                 Not: lambda: tv_resid(a, ZERO),
+                 Delta: lambda: INF if a.is_inf else ZERO,
+                 Power: lambda: tv_power(a, phi.n)}[kind]()
+    else:
+        a = oracle(phi.left, struct, env, seen)
+        b = oracle(phi.right, struct, env, seen)
+        order = tv_compare(a, b)
+        value = {
+            And: lambda: tv_min(a, b),
+            Or: lambda: tv_max(a, b),
+            Imp: lambda: tv_resid(a, b),
+            Iff: lambda: tv_dmin(a, b),
+            DArrow: lambda: INF if order < 0 else b,
+            DDArrow: lambda: INF if order < 0 else ZERO if order == 0 and a.is_inf else b,
+            LukImp: lambda: INF if order <= 0 else tv_mul(b, tv_inv(a), backend),
+            Tensor: lambda: tv_mul(a, b, backend),
+        }[kind]()
+    seen.add(value)
+    return value
+
+
+ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0})
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]))
+    def test_eval_formula_matches_oracle(self, seed, backend):
+        # derived connectives, free variables bound by env, and products,
+        # inverses and powers whose values leave the structure's sort
+        rng = make_rng(seed)
+        struct = random_structure(rng, ORACLE_SIG, backend=backend)
+        phi = random_formula(rng, ORACLE_SIG, depth=4, bound=("y", "z"), qdepth=2)
+        env = {v: rng.choice(struct.universe) for v in sorted(free_vars(phi))}
+        expected_seen, seen = set(), set()
+        expected = oracle(phi, struct, env, expected_seen)
+        assert eval_formula(phi, struct, env, on_value=seen.add) == expected
+        assert seen == expected_seen
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           size=st.integers(1, 5))
+    def test_check_ultrametric_matches_oracle(self, seed, backend, size):
+        # any table, not only similarities; a few values so that ties occur
+        rng = make_rng(seed)
+        pool = [random_truth_value(rng, backend) for _ in range(3)] + [INF]
+        universe = tuple(f"m{i}" for i in range(size))
+        table = {pair: rng.choice(pool) for pair in product(universe, repeat=2)}
+        struct = Structure(SIGE, backend, universe, {}, {"e": table})
+        d = {pair: tv_inv(v) for pair, v in table.items()}
+        report = check_ultrametric(struct)
+        assert report.identity_violations == [
+            (a, b) for a, b in product(universe, repeat=2) if d[a, b].is_zero != (a == b)]
+        assert report.symmetry_violations == [
+            (a, b) for a, b in product(universe, repeat=2)
+            if tv_compare(d[a, b], d[b, a]) != 0]
+        assert report.triangle_violations == [
+            (a, b, c) for a, b, c in product(universe, repeat=3)
+            if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0]
 
 
 class TestSatisfaction:
@@ -338,6 +431,8 @@ class TestStructureFiles:
         ("backend rat\nuniverse m1\nfn c -> m9\n", "outside the universe"),
         ("backend rat\nuniverse m1\npred P = nonsense\n", "bad rational"),
         ("backend rat\nuniverse m1 m1\npred P = 1\n", "duplicate universe"),
+        ("backend rat\nuniverse m1\nuniverse m2\npred P = 1\n",
+         "line 3: duplicate 'universe' line"),
     ])
     def test_loader_rejections(self, text, fragment):
         with pytest.raises(UsageError) as err:
