@@ -4,6 +4,9 @@ The textbook notions quantify over all formulas; here they are replaced
 by honest finite surrogates.  A canonical formula family is enumerated
 deterministically (size-ordered, documented budget) so that
 depth-bounded checks are reproducible and monotone in the depth bound.
+The family's formulas use the two variables x and y only, so the checks
+evaluate it bottom-up: one table per member over a structure's (x, y)
+assignments, built from the tables of its immediate subformulas.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -17,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from itertools import islice, permutations, product
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Structure, eval_formula, satisfies
+from .semantics import ORDERED, TRUTH, Structure, eval_term, ranks_of
 from .syntax import (
-    And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Not, One,
-    Signature, Tensor, Var, formula_depth, free_vars,
+    QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Delta, Exists, Forall, Formula,
+    Imp, Inv, Not, One, Signature, Tensor, Var,
 )
 from .values import RAT, K_ELEM, TruthValue
 
@@ -167,6 +171,89 @@ _FAMILY_VARS = ("x", "y")
 _UNARY_OPS = (Inv, Not, Delta)
 _BINARY_OPS = (And, Imp, Tensor)
 
+# Enumerations kept, one per (predicates, constants, budget): a diagram
+# check adds one constant per element, so a session sees a few keys.
+FAMILY_CACHE_SIZE = 16
+
+
+class _Member(NamedTuple):
+    """One family formula with its connective depth, its free variables
+    (a sorted subset of ``_FAMILY_VARS``) and the enumeration indices of
+    its immediate subformulas."""
+
+    formula: Formula
+    depth: int
+    free: Tuple[str, ...]
+    kids: Tuple[int, ...]
+
+
+def _atoms(predicates, constants):
+    terms = [Var(v) for v in _FAMILY_VARS] + [App(c, ()) for c in constants]
+    yield _Member(Bot(), 0, (), ())
+    yield _Member(One(), 0, (), ())
+    for pred, arity in predicates:
+        for args in product(terms, repeat=arity):
+            free = tuple(v for v in _FAMILY_VARS if Var(v) in args)
+            yield _Member(Atom(pred, args), 0, free, ())
+
+
+def _compounds(members: List[_Member], layers: List[range]):
+    """The members one size up from the last layer, in canonical order."""
+    size = len(layers) + 1
+    for op in _UNARY_OPS:
+        for i in layers[size - 2]:
+            m = members[i]
+            yield _Member(op(m.formula), m.depth + 1, m.free, (i,))
+    for op in _BINARY_OPS:
+        for left_size in range(1, size - 1):
+            for i in layers[left_size - 1]:
+                a = members[i]
+                for j in layers[size - 2 - left_size]:
+                    b = members[j]
+                    free = tuple(v for v in _FAMILY_VARS if v in a.free or v in b.free)
+                    yield _Member(op(a.formula, b.formula), 1 + max(a.depth, b.depth),
+                                  free, (i, j))
+    for i in layers[size - 2]:
+        body = members[i]
+        for var in _FAMILY_VARS:
+            if var in body.free:
+                free = tuple(v for v in body.free if v != var)
+                yield _Member(Forall(var, body.formula), body.depth + 1, free, (i,))
+                yield _Member(Exists(var, body.formula), body.depth + 1, free, (i,))
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, ...],
+                 budget: int) -> Tuple[_Member, ...]:
+    members: List[_Member] = []
+    layers: List[range] = []
+    layer = _atoms(predicates, constants)
+    while len(members) < budget:
+        start = len(members)
+        for member in islice(layer, budget - start):
+            members.append(member)
+        if len(members) == start:
+            break
+        layers.append(range(start, len(members)))
+        layer = _compounds(members, layers)
+    return tuple(members)
+
+
+def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[_Member, ...]:
+    """The canonical enumeration over sig, after the checks every family
+    entry point shares; depth None means no depth bound.
+
+    Members deeper than depth stay in, since ``kids`` index the whole
+    enumeration; callers skip them.  A member's kids come before it and
+    are shallower, so a table pass in enumeration order meets them first.
+    """
+    if budget < 1 or (depth is not None and depth < 0):
+        raise UsageError(f"the formula family needs depth >= 0 and budget >= 1, "
+                         f"got depth {depth} and budget {budget}")
+    if depth is not None and depth > MAX_FAMILY_DEPTH:
+        raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
+    return _enumeration(tuple(sorted(sig.predicates.items())), tuple(sig.constants()), budget)
+
 
 def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
     """The canonical enumeration: size-major, deterministic within a size.
@@ -178,52 +265,104 @@ def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> L
     order never depends on a depth bound, which keeps depth-filtered
     families monotone.
     """
-    terms: List = [Var(v) for v in _FAMILY_VARS]
-    terms += [App(c, ()) for c in sig.constants()]
-    size1: List[Formula] = [Bot(), One()]
-    for pred in sorted(sig.predicates):
-        arity = sig.predicates[pred]
-        for args in product(terms, repeat=arity):
-            size1.append(Atom(pred, tuple(args)))
-    layers: List[List[Formula]] = [size1]
-    out: List[Formula] = list(size1[:budget])
-    while len(out) < budget:
-        size = len(layers) + 1
-        layer: List[Formula] = []
-        for op in _UNARY_OPS:
-            layer += [op(phi) for phi in layers[size - 2]]
-        for op in _BINARY_OPS:
-            for left_size in range(1, size - 1):
-                right_size = size - 1 - left_size
-                for left in layers[left_size - 1]:
-                    for right in layers[right_size - 1]:
-                        layer.append(op(left, right))
-        for body in layers[size - 2]:
-            fv = free_vars(body)
-            for var in _FAMILY_VARS:
-                if var in fv:
-                    layer.append(Forall(var, body))
-                    layer.append(Exists(var, body))
-        if not layer:
-            break
-        layers.append(layer)
-        out += layer[: budget - len(out)]
-    return out[:budget]
+    return [m.formula for m in _family(sig, None, budget)]
 
 
 def formula_family(sig: Signature, depth: int,
                    budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
     """Formulas of connective depth <= depth from the canonical enumeration."""
-    if depth > MAX_FAMILY_DEPTH:
-        raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
-    return [phi for phi in enumerate_formulas(sig, budget)
-            if formula_depth(phi) <= depth]
+    return [m.formula for m in _family(sig, depth, budget) if m.depth <= depth]
 
 
 def sentence_family(sig: Signature, depth: int,
                     budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
-    return [phi for phi in formula_family(sig, depth, budget)
-            if not free_vars(phi)]
+    return [m.formula for m in _family(sig, depth, budget)
+            if m.depth <= depth and not m.free]
+
+
+# ---------------------------------------------------------------------------
+# Value tables: the family evaluated bottom-up, once per structure
+
+
+def _tables(struct: Structure, members: Tuple[_Member, ...], depth: int):
+    """Yield (member, table) for every member of depth <= depth, in
+    enumeration order.
+
+    A table lists the member's values, as ranks of ``ranks_of(struct)``,
+    over the n * n assignments: cell i * n + j holds the value at
+    x = universe[i], y = universe[j].  A table is constant along a
+    variable that is not free, so only the cells in ``spots[free]`` are
+    computed, from the kids' tables by the connective's truth function,
+    and then filled out; a quantifier folds its body's column (x) or row
+    (y) in universe order.  Connectives that do not compare their
+    operands (products, inverses, the stratum tests) are memoized for
+    this pass only.
+    """
+    V = ranks_of(struct)
+    universe = struct.universe
+    n = len(universe)
+    cells = range(n * n)
+    # the cells a table varies over, per free variables, as a slice of all
+    spots = {(): slice(0, 1), ("x",): slice(0, n * n, n), ("y",): slice(0, n),
+             ("x", "y"): slice(0, n * n)}
+    memo: Dict[type, dict] = {kind: {} for kind in _MEMOIZED}
+    tables: List[Optional[list]] = []
+    for member in members:
+        if member.depth > depth:
+            tables.append(None)
+            continue
+        phi, _, free, kids = member
+        kind = type(phi)
+        spot = spots[free]
+        if kind in memo:
+            # none of these reads phi, so one memo serves every member of a kind
+            truth, known = TRUTH[kind], memo[kind]
+            values = []
+            for args in zip(*[tables[k][spot] for k in kids]):
+                value = known.get(args)
+                if value is None:
+                    value = known[args] = truth(V, phi, 0, *args)
+                values.append(value)
+        elif kind in ORDERED:
+            truth, compare = TRUTH[kind], V.compare
+            values = [truth(V, phi, compare(a, b), a, b)
+                      for a, b in zip(tables[kids[0]][spot], tables[kids[1]][spot])]
+        elif kind in QUANTIFIER_CONNECTIVE:
+            body = tables[kids[0]]
+            combine = TRUTH[QUANTIFIER_CONNECTIVE[kind]]
+            step = n if phi.var == "x" else 1
+            values = [_fold(V, phi, combine, body[c:c + n * step:step])
+                      for c in cells[spot]]
+        elif kind is Atom:
+            rows = V.tables[phi.pred]
+            values = []
+            for c in cells[spot]:
+                env = {"x": universe[c // n], "y": universe[c % n]}
+                values.append(rows[tuple([eval_term(t, struct, env) for t in phi.args])])
+        else:
+            values = [TRUTH[kind](V, phi, 0)]
+        table = _FILL[free](values, n)
+        tables.append(table)
+        yield member, table
+
+
+# The family's connectives that do not compare their operands.
+_MEMOIZED = (Inv, Not, Delta, Tensor)
+
+# Per free variables: how the values at a table's spots fill all n * n cells.
+_FILL = {
+    (): lambda values, n: values * (n * n),
+    ("x",): lambda values, n: [v for v in values for _ in range(n)],
+    ("y",): lambda values, n: values * n,
+    ("x", "y"): lambda values, n: values,
+}
+
+
+def _fold(V, phi, combine, values):
+    result = values[0]
+    for v in values[1:]:
+        result = combine(V, phi, V.compare(result, v), result, v)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +431,7 @@ def check_embedding(
     """Verify function commutation exactly and value transport over the
     depth-bounded canonical family (surrogate for all formulas)."""
     _require_common(source, target)
+    members = _family(source.signature, depth, budget)
     if source.backend is not RAT and candidate.exponent != 1:
         raise UsageError("non-identity transports are supported for rat only")
     h = candidate.h
@@ -299,21 +439,60 @@ def check_embedding(
         return False
     if not set(h.values()) <= set(target.universe):
         return False
+    if not _commutes(source, target, h):
+        return False
+    return _transports(source, target, candidate, _paired_tables(source, target, members, depth))
+
+
+def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
     for name, table in source.funcs.items():
         for args, out in table.items():
             image = tuple(h[a] for a in args)
             if target.funcs[name][image] != h[out]:
                 return False
-    family = formula_family(source.signature, depth, budget)
-    for phi in family:
-        fv = sorted(free_vars(phi))
-        for values in product(source.universe, repeat=len(fv)):
-            env = dict(zip(fv, values))
-            transported = candidate.transport(eval_formula(phi, source, env))
-            if transported is None:
-                return False
-            image_env = {v: h[e] for v, e in env.items()}
-            if transported != eval_formula(phi, target, image_env):
+    return True
+
+
+def _paired_tables(a: Structure, b: Structure, members: Tuple[_Member, ...], depth: int):
+    """((member, table in a), (member, table in b)) per member, built lazily."""
+    here = _tables(a, members, depth)
+    if b is a:
+        return ((entry, entry) for entry in here)
+    return zip(here, _tables(b, members, depth))
+
+
+def _transports(source: Structure, target: Structure, candidate: EmbeddingCandidate,
+                pairs) -> bool:
+    """True when every source value, transported, equals the target value
+    at the image assignment.
+
+    ``pairs`` yields ((member, source table), (member, target table)) in
+    enumeration order; within a member the assignments of its free
+    variables run in ``product`` order over the source universe, so the
+    first failing comparison is that of a member-by-member check.
+    """
+    n, m = len(source.universe), len(target.universe)
+    at = {e: k for k, e in enumerate(target.universe)}
+    h = candidate.h
+    image = [at[h[e]] for e in source.universe]
+    cells = {  # free variables -> (source cell, target cell) per assignment
+        (): [(0, 0)],
+        ("x",): [(i * n, image[i] * m) for i in range(n)],
+        ("y",): [(j, image[j]) for j in range(n)],
+        ("x", "y"): [(i * n + j, image[i] * m + image[j])
+                     for i in range(n) for j in range(n)],
+    }
+    Vs, Vt = ranks_of(source), ranks_of(target)
+    # a source value -> its transport encoded in the target's ranks, so that
+    # equal values are equal encodings
+    transported: Dict[object, object] = {}
+    for (member, here), (_, there) in pairs:
+        for s, t in cells[member.free]:
+            value = here[s]
+            if value not in transported:
+                moved = candidate.transport(Vs.decode(value))
+                transported[value] = None if moved is None else Vt.encode(moved)
+            if transported[value] != there[t]:  # None, an irrational image, is no cell
                 return False
     return True
 
@@ -368,9 +547,11 @@ def search_embeddings(
     universe larger than the target yields no candidates.
     """
     _require_common(source, target)
+    members = _family(source.signature, depth, budget)
     if len(source.universe) > len(target.universe):
         return []
     found = []
+    pairs = None  # both structures' tables, built for the first candidate
     for image in permutations(sorted(target.universe), len(source.universe)):
         h = dict(zip(sorted(source.universe), image))
         if source.backend is RAT:
@@ -379,8 +560,12 @@ def search_embeddings(
                 continue
         else:
             exponent = Fraction(1)
+        if not _commutes(source, target, h):
+            continue
+        if pairs is None:
+            pairs = list(_paired_tables(source, target, members, depth))
         candidate = EmbeddingCandidate.make(h, exponent)
-        if check_embedding(source, target, candidate, depth, budget):
+        if _transports(source, target, candidate, pairs):
             found.append(candidate)
     return found
 
@@ -409,9 +594,11 @@ def separating_sentence(
     if a.signature.predicates != b.signature.predicates or \
             a.signature.functions != b.signature.functions:
         raise UsageError("equivalence needs a common signature")
-    for phi in sentence_family(a.signature, depth, budget):
-        if satisfies(a, phi) != satisfies(b, phi):
-            return phi
+    members = _family(a.signature, depth, budget)
+    top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
+    for (member, here), (_, there) in _paired_tables(a, b, members, depth):
+        if not member.free and (here[0] == top_a) != (there[0] == top_b):
+            return member.formula
     return None
 
 
@@ -440,5 +627,7 @@ def bounded_ediag(
     for element, cname in names.items():
         funcs[cname] = {(): element}
     expanded = Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
-    return [phi for phi in sentence_family(sig, depth, budget)
-            if satisfies(expanded, phi)]
+    top = ranks_of(expanded).INF
+    return [member.formula
+            for member, table in _tables(expanded, _family(sig, depth, budget), depth)
+            if not member.free and table[0] == top]

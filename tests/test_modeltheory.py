@@ -1,18 +1,23 @@
 """Generated subgroups, canonical families, embeddings, equivalence, diagrams."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agodel import (
     INF, LEX2, RAT, ZERO, Atom, Delta, EmbeddingCandidate, GeneratedSubgroup,
     ResourceLimitError, Signature, Structure, UsageError, bounded_ediag,
-    bounded_elementary_equiv, check_embedding, factor_positive, formula_family,
-    free_vars, generated_subgroup, is_exhaustive, lex2, rat, satisfies,
-    search_embeddings, sentence_family,
+    bounded_elementary_equiv, check_embedding, eval_formula, factor_positive,
+    formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, rat,
+    satisfies, search_embeddings, sentence_family, tv_power,
 )
-from agodel.modeltheory import separating_sentence
+from agodel import modeltheory
+from agodel.modeltheory import (
+    FAMILY_CACHE_SIZE, diagram_signature, enumerate_formulas, separating_sentence,
+)
+from agodel.semantics import ranks_of
 from agodel.syntax import App, formula_depth
 from conftest import make_rng, random_structure
 
@@ -144,6 +149,21 @@ class TestFormulaFamily:
         for phi in formula_family(sig, 2):
             assert formula_depth(phi) <= 2
 
+    @pytest.mark.parametrize("sig", [
+        Signature(predicates={"P": 1, "Q": 0}),
+        Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0}),
+    ], ids=["P-Q", "P-Q-R-c-f"])
+    def test_families_filter_the_enumeration(self, sig):
+        # the enumeration's depths and free variables are those of the formulas
+        for budget in (7, 120, 600):
+            everything = enumerate_formulas(sig, budget)
+            assert len(everything) == budget
+            for depth in range(0, 4):
+                family = [phi for phi in everything if formula_depth(phi) <= depth]
+                assert formula_family(sig, depth, budget) == family
+                assert sentence_family(sig, depth, budget) == \
+                    [phi for phi in family if not free_vars(phi)]
+
     def test_delta_of_nullary_atom_present_at_depth_one(self):
         sig = Signature(predicates={"P": 0})
         assert Delta(Atom("P")) in formula_family(sig, 1)
@@ -160,6 +180,35 @@ class TestFormulaFamily:
     def test_depth_limit_guard(self):
         with pytest.raises(ResourceLimitError):
             formula_family(SIGP, 9)
+
+    @pytest.mark.parametrize("call", [
+        lambda: enumerate_formulas(SIGP, 0),
+        lambda: formula_family(SIGP, 1, 0),
+        lambda: sentence_family(SIGP, 1, -5),
+        lambda: formula_family(SIGP, -1),
+        lambda: sentence_family(SIGP, -1),
+    ], ids=["enumerate-budget", "formula-budget", "sentence-budget",
+            "formula-depth", "sentence-depth"])
+    def test_empty_family_arguments_refused(self, call):
+        with pytest.raises(UsageError):
+            call()
+
+    def test_results_are_copies_of_the_cache(self):
+        sig = Signature(predicates={"P": 1, "Q": 0})
+        for make in (lambda: enumerate_formulas(sig, 50),
+                     lambda: formula_family(sig, 2, 50),
+                     lambda: sentence_family(sig, 2, 50)):
+            first = make()
+            expected = list(first)
+            first.clear()
+            assert make() == expected and expected
+
+    def test_cache_is_bounded(self):
+        for budget in range(1, 2 * FAMILY_CACHE_SIZE + 2):
+            enumerate_formulas(SIGP, budget)
+        info = modeltheory._enumeration.cache_info()
+        assert info.maxsize == FAMILY_CACHE_SIZE
+        assert info.currsize <= FAMILY_CACHE_SIZE
 
 
 class TestEmbeddings:
@@ -224,6 +273,19 @@ class TestEmbeddings:
                 assert check_embedding(source, target, cand, 1)
                 # transport is monotone in depth: lower depths also pass
                 assert check_embedding(source, target, cand, 0)
+
+    def test_first_failing_comparison_decides(self):
+        # P is compared before Q; Q's cofactor is past the trial-division bound
+        big = rat(1000000000039 * 1000000000061)
+        source = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): rat(4)}, "Q": {(): big}})
+        halved = EmbeddingCandidate.make({"m1": "m1"}, Fraction(1, 2))
+        for p, outcome in ((rat(3), False), (rat(2), ResourceLimitError)):
+            target = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): p}, "Q": {(): rat(5)}})
+            if outcome is False:
+                assert not check_embedding(source, target, halved, 0)
+            else:
+                with pytest.raises(ResourceLimitError):
+                    check_embedding(source, target, halved, 0)
 
     def test_lex2_identity_embedding(self):
         sig = Signature(predicates={"P": 0})
@@ -300,3 +362,139 @@ class TestDiagram:
         sig2, names = diagram_signature(struct)
         assert names["m1"] != "c_m1"
         assert names["m1"] in sig2.functions
+
+
+# ---------------------------------------------------------------------------
+# Family guards at every entry point
+
+SIGPQ = Signature(predicates={"P": 0, "Q": 0})
+# P < Q on one side, P > Q on the other: a depth-2 sentence separates them
+LOW = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): rat(2)}, "Q": {(): rat(3)}})
+HIGH = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): rat(3)}, "Q": {(): rat(2)}})
+IDENTITY = EmbeddingCandidate.make({"m1": "m1"})
+
+ENTRY_POINTS = {
+    "check_embedding": lambda depth, budget: check_embedding(LOW, HIGH, IDENTITY, depth, budget),
+    "search_embeddings": lambda depth, budget: search_embeddings(LOW, HIGH, depth, budget),
+    "bounded_elementary_equiv": lambda depth, budget: bounded_elementary_equiv(
+        LOW, HIGH, depth, budget),
+    "separating_sentence": lambda depth, budget: separating_sentence(LOW, HIGH, depth, budget),
+    "bounded_ediag": lambda depth, budget: bounded_ediag(LOW, depth, budget),
+}
+
+
+class TestFamilyGuard:
+    def test_the_pair_is_separated_at_depth_two(self):
+        assert not check_embedding(LOW, HIGH, IDENTITY, 2)
+        assert search_embeddings(LOW, HIGH, 2) == []
+        assert not bounded_elementary_equiv(LOW, HIGH, 2)
+        assert bounded_ediag(LOW, 2)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("depth,budget", [(-1, 600), (2, 0), (2, -3)])
+    def test_empty_family_refused(self, entry, depth, budget):
+        with pytest.raises(UsageError):
+            ENTRY_POINTS[entry](depth, budget)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_depth_limit(self, entry):
+        with pytest.raises(ResourceLimitError):
+            ENTRY_POINTS[entry](9, 600)
+
+
+# ---------------------------------------------------------------------------
+# Value tables against per-assignment evaluation
+
+ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0})
+
+
+def oracle_check_embedding(source, target, candidate, depth, budget):
+    """check_embedding spelled as one evaluation per formula and assignment."""
+    h = candidate.h
+    for name, table in source.funcs.items():
+        for args, out in table.items():
+            if target.funcs[name][tuple(h[a] for a in args)] != h[out]:
+                return False
+    for phi in formula_family(source.signature, depth, budget):
+        fv = sorted(free_vars(phi))
+        for values in product(source.universe, repeat=len(fv)):
+            env = dict(zip(fv, values))
+            transported = candidate.transport(eval_formula(phi, source, env))
+            if transported is None:
+                return False
+            if transported != eval_formula(phi, target, {v: h[e] for v, e in env.items()}):
+                return False
+    return True
+
+
+def oracle_separating_sentence(a, b, depth, budget):
+    for phi in sentence_family(a.signature, depth, budget):
+        if satisfies(a, phi) != satisfies(b, phi):
+            return phi
+    return None
+
+
+def oracle_ediag(struct, depth, budget):
+    sig, names = diagram_signature(struct)
+    funcs = dict(struct.funcs)
+    for element, cname in names.items():
+        funcs[cname] = {(): element}
+    expanded = Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
+    return [phi for phi in sentence_family(sig, depth, budget) if satisfies(expanded, phi)]
+
+
+def squared(struct):
+    """The copy with every group value squared: exponent 2 embeds it."""
+    preds = {name: {args: tv_power(tv, 2) if tv.is_elem else tv for args, tv in table.items()}
+             for name, table in struct.preds.items()}
+    return Structure(struct.signature, struct.backend, struct.universe,
+                     dict(struct.funcs), preds)
+
+
+class TestTablesAgainstOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           size=st.integers(1, 3))
+    def test_every_cell_is_the_evaluated_value(self, seed, backend, size):
+        struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
+        members = modeltheory._family(ORACLE_SIG, 3, 600)
+        V = ranks_of(struct)
+        universe = struct.universe
+        checked = 0
+        for member, table in modeltheory._tables(struct, members, 3):
+            assert len(table) == size * size
+            for (i, a), (j, b) in product(enumerate(universe), repeat=2):
+                env = {"x": a, "y": b}
+                value = eval_formula(member.formula, struct, env)
+                assert V.decode(table[i * size + j]) == value, member.formula
+            checked += 1
+        assert checked == sum(1 for m in members if m.depth <= 3)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           depth=st.integers(0, 3), budget=st.sampled_from([40, 150, 600]))
+    def test_checks_match_per_assignment_loops(self, seed, backend, depth, budget):
+        rng = make_rng(seed)
+        source = random_structure(rng, ORACLE_SIG, size=rng.randint(1, 3), backend=backend)
+        other = random_structure(rng, ORACLE_SIG, size=rng.randint(1, 3), backend=backend)
+        pairs = [(source, source, 1), (source, other, 1)]
+        if backend is RAT:
+            pairs += [(source, squared(source), Fraction(2)),
+                      (squared(source), source, Fraction(1, 2)),
+                      (source, other, Fraction(2))]
+        for a, b, exponent in pairs:
+            for image in permutations(b.universe, len(a.universe)):
+                # failing injections included: every injection is tried
+                candidate = EmbeddingCandidate.make(dict(zip(a.universe, image)), exponent)
+                assert check_embedding(a, b, candidate, depth, budget) == \
+                    oracle_check_embedding(a, b, candidate, depth, budget)
+        search_depth = min(depth, 2)
+        found = search_embeddings(source, squared(source) if backend is RAT else source,
+                                  search_depth, budget)
+        assert found and all(
+            oracle_check_embedding(source, squared(source) if backend is RAT else source,
+                                   c, search_depth, budget) for c in found)
+        assert separating_sentence(source, other, depth, budget) == \
+            oracle_separating_sentence(source, other, depth, budget)
+        assert bounded_ediag(source, min(depth, 2), budget) == \
+            oracle_ediag(source, min(depth, 2), budget)
