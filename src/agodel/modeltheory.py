@@ -4,9 +4,10 @@ The textbook notions quantify over all formulas; here they are replaced
 by honest finite surrogates.  A canonical formula family is enumerated
 deterministically (size-ordered, documented budget) so that
 depth-bounded checks are reproducible and monotone in the depth bound.
-The family's formulas use the two variables x and y only, so the checks
-evaluate it bottom-up: one table per member over a structure's (x, y)
-assignments, built from the tables of its immediate subformulas.
+The checks feed the family, as a node list, to the evaluator's bottom-up
+pass (``semantics.value_tables``): one table per member over the
+assignments of its free variables, x and y at most, built from the
+tables of its immediate subformulas.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -25,10 +26,10 @@ from itertools import islice, permutations, product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import ORDERED, TRUTH, Structure, eval_term, ranks_of
+from .semantics import Structure, ranks_of, value_tables
 from .syntax import (
-    QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Delta, Exists, Forall, Formula,
-    Imp, Inv, Not, One, Signature, Tensor, Var,
+    And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Not, One,
+    Signature, Tensor, Var,
 )
 from .values import RAT, K_ELEM, TruthValue
 
@@ -171,30 +172,29 @@ _FAMILY_VARS = ("x", "y")
 _UNARY_OPS = (Inv, Not, Delta)
 _BINARY_OPS = (And, Imp, Tensor)
 
-# Enumerations kept, one per (predicates, constants, budget): a diagram
+# Enumerations kept, one per (predicates, constants, budget, depth): a diagram
 # check adds one constant per element, so a session sees a few keys.
 FAMILY_CACHE_SIZE = 16
 
 
 class _Member(NamedTuple):
-    """One family formula with its connective depth, its free variables
-    (a sorted subset of ``_FAMILY_VARS``) and the enumeration indices of
-    its immediate subformulas."""
+    """One family formula, as a node of ``semantics.value_tables``: the
+    formula, the family indices of its immediate subformulas, and its free
+    variables (a sorted subset of ``_FAMILY_VARS``), which are its axes."""
 
     formula: Formula
-    depth: int
-    free: Tuple[str, ...]
     kids: Tuple[int, ...]
+    free: Tuple[str, ...]
 
 
 def _atoms(predicates, constants):
     terms = [Var(v) for v in _FAMILY_VARS] + [App(c, ()) for c in constants]
-    yield _Member(Bot(), 0, (), ())
-    yield _Member(One(), 0, (), ())
+    yield _Member(Bot(), (), ())
+    yield _Member(One(), (), ())
     for pred, arity in predicates:
         for args in product(terms, repeat=arity):
             free = tuple(v for v in _FAMILY_VARS if Var(v) in args)
-            yield _Member(Atom(pred, args), 0, free, ())
+            yield _Member(Atom(pred, args), (), free)
 
 
 def _compounds(members: List[_Member], layers: List[range]):
@@ -203,7 +203,7 @@ def _compounds(members: List[_Member], layers: List[range]):
     for op in _UNARY_OPS:
         for i in layers[size - 2]:
             m = members[i]
-            yield _Member(op(m.formula), m.depth + 1, m.free, (i,))
+            yield _Member(op(m.formula), (i,), m.free)
     for op in _BINARY_OPS:
         for left_size in range(1, size - 1):
             for i in layers[left_size - 1]:
@@ -211,48 +211,53 @@ def _compounds(members: List[_Member], layers: List[range]):
                 for j in layers[size - 2 - left_size]:
                     b = members[j]
                     free = tuple(v for v in _FAMILY_VARS if v in a.free or v in b.free)
-                    yield _Member(op(a.formula, b.formula), 1 + max(a.depth, b.depth),
-                                  free, (i, j))
+                    yield _Member(op(a.formula, b.formula), (i, j), free)
     for i in layers[size - 2]:
         body = members[i]
         for var in _FAMILY_VARS:
             if var in body.free:
                 free = tuple(v for v in body.free if v != var)
-                yield _Member(Forall(var, body.formula), body.depth + 1, free, (i,))
-                yield _Member(Exists(var, body.formula), body.depth + 1, free, (i,))
+                yield _Member(Forall(var, body.formula), (i,), free)
+                yield _Member(Exists(var, body.formula), (i,), free)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, ...],
-                 budget: int) -> Tuple[_Member, ...]:
+                 budget: int, depth: Optional[int]) -> Tuple[_Member, ...]:
+    """The canonical enumeration cut to connective depth <= depth (depth
+    None: whole).  A member's kids are shallower and come before it, so
+    they stay in; they index the cut tuple."""
     members: List[_Member] = []
     layers: List[range] = []
     layer = _atoms(predicates, constants)
     while len(members) < budget:
         start = len(members)
-        for member in islice(layer, budget - start):
-            members.append(member)
+        members.extend(islice(layer, budget - start))
         if len(members) == start:
             break
         layers.append(range(start, len(members)))
         layer = _compounds(members, layers)
-    return tuple(members)
+    depths: List[int] = []
+    at: Dict[int, int] = {}  # enumeration index -> index in the cut
+    kept: List[_Member] = []
+    for i, member in enumerate(members):
+        depths.append(max([depths[k] + 1 for k in member.kids], default=0))
+        if depth is None or depths[i] <= depth:
+            at[i] = len(kept)
+            kept.append(member._replace(kids=tuple(at[k] for k in member.kids)))
+    return tuple(kept)
 
 
 def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[_Member, ...]:
-    """The canonical enumeration over sig, after the checks every family
-    entry point shares; depth None means no depth bound.
-
-    Members deeper than depth stay in, since ``kids`` index the whole
-    enumeration; callers skip them.  A member's kids come before it and
-    are shallower, so a table pass in enumeration order meets them first.
-    """
+    """The canonical enumeration over sig, cut to connective depth <= depth
+    (depth None: whole), after the checks every family entry point shares."""
     if budget < 1 or (depth is not None and depth < 0):
         raise UsageError(f"the formula family needs depth >= 0 and budget >= 1, "
                          f"got depth {depth} and budget {budget}")
     if depth is not None and depth > MAX_FAMILY_DEPTH:
         raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
-    return _enumeration(tuple(sorted(sig.predicates.items())), tuple(sig.constants()), budget)
+    return _enumeration(tuple(sorted(sig.predicates.items())), tuple(sig.constants()),
+                        budget, depth)
 
 
 def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
@@ -271,98 +276,24 @@ def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> L
 def formula_family(sig: Signature, depth: int,
                    budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
     """Formulas of connective depth <= depth from the canonical enumeration."""
-    return [m.formula for m in _family(sig, depth, budget) if m.depth <= depth]
+    return [m.formula for m in _family(sig, depth, budget)]
 
 
 def sentence_family(sig: Signature, depth: int,
                     budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
-    return [m.formula for m in _family(sig, depth, budget)
-            if m.depth <= depth and not m.free]
+    return [m.formula for m in _family(sig, depth, budget) if not m.free]
 
 
 # ---------------------------------------------------------------------------
 # Value tables: the family evaluated bottom-up, once per structure
 
 
-def _tables(struct: Structure, members: Tuple[_Member, ...], depth: int):
-    """Yield (member, table) for every member of depth <= depth, in
-    enumeration order.
-
-    A table lists the member's values, as ranks of ``ranks_of(struct)``,
-    over the n * n assignments: cell i * n + j holds the value at
-    x = universe[i], y = universe[j].  A table is constant along a
-    variable that is not free, so only the cells in ``spots[free]`` are
-    computed, from the kids' tables by the connective's truth function,
-    and then filled out; a quantifier folds its body's column (x) or row
-    (y) in universe order.  Connectives that do not compare their
-    operands (products, inverses, the stratum tests) are memoized for
-    this pass only.
-    """
-    V = ranks_of(struct)
-    universe = struct.universe
-    n = len(universe)
-    cells = range(n * n)
-    # the cells a table varies over, per free variables, as a slice of all
-    spots = {(): slice(0, 1), ("x",): slice(0, n * n, n), ("y",): slice(0, n),
-             ("x", "y"): slice(0, n * n)}
-    memo: Dict[type, dict] = {kind: {} for kind in _MEMOIZED}
-    tables: List[Optional[list]] = []
-    for member in members:
-        if member.depth > depth:
-            tables.append(None)
-            continue
-        phi, _, free, kids = member
-        kind = type(phi)
-        spot = spots[free]
-        if kind in memo:
-            # none of these reads phi, so one memo serves every member of a kind
-            truth, known = TRUTH[kind], memo[kind]
-            values = []
-            for args in zip(*[tables[k][spot] for k in kids]):
-                value = known.get(args)
-                if value is None:
-                    value = known[args] = truth(V, phi, 0, *args)
-                values.append(value)
-        elif kind in ORDERED:
-            truth, compare = TRUTH[kind], V.compare
-            values = [truth(V, phi, compare(a, b), a, b)
-                      for a, b in zip(tables[kids[0]][spot], tables[kids[1]][spot])]
-        elif kind in QUANTIFIER_CONNECTIVE:
-            body = tables[kids[0]]
-            combine = TRUTH[QUANTIFIER_CONNECTIVE[kind]]
-            step = n if phi.var == "x" else 1
-            values = [_fold(V, phi, combine, body[c:c + n * step:step])
-                      for c in cells[spot]]
-        elif kind is Atom:
-            rows = V.tables[phi.pred]
-            values = []
-            for c in cells[spot]:
-                env = {"x": universe[c // n], "y": universe[c % n]}
-                values.append(rows[tuple([eval_term(t, struct, env) for t in phi.args])])
-        else:
-            values = [TRUTH[kind](V, phi, 0)]
-        table = _FILL[free](values, n)
-        tables.append(table)
-        yield member, table
-
-
-# The family's connectives that do not compare their operands.
-_MEMOIZED = (Inv, Not, Delta, Tensor)
-
-# Per free variables: how the values at a table's spots fill all n * n cells.
-_FILL = {
-    (): lambda values, n: values * (n * n),
-    ("x",): lambda values, n: [v for v in values for _ in range(n)],
-    ("y",): lambda values, n: values * n,
-    ("x", "y"): lambda values, n: values,
-}
-
-
-def _fold(V, phi, combine, values):
-    result = values[0]
-    for v in values[1:]:
-        result = combine(V, phi, V.compare(result, v), result, v)
-    return result
+def _tables(struct: Structure, members: Tuple[_Member, ...]):
+    """Yield (member, table) per member, in family order: the table lists
+    the member's values, as ranks of ``ranks_of(struct)``, over the
+    assignments of its free variables in ``product`` order over the
+    universe (cell i * n + j holds x = universe[i], y = universe[j])."""
+    return zip(members, value_tables(struct, members, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +372,7 @@ def check_embedding(
         return False
     if not _commutes(source, target, h):
         return False
-    return _transports(source, target, candidate, _paired_tables(source, target, members, depth))
+    return _transports(source, target, candidate, _paired_tables(source, target, members))
 
 
 def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
@@ -453,12 +384,12 @@ def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
     return True
 
 
-def _paired_tables(a: Structure, b: Structure, members: Tuple[_Member, ...], depth: int):
+def _paired_tables(a: Structure, b: Structure, members: Tuple[_Member, ...]):
     """((member, table in a), (member, table in b)) per member, built lazily."""
-    here = _tables(a, members, depth)
+    here = _tables(a, members)
     if b is a:
         return ((entry, entry) for entry in here)
-    return zip(here, _tables(b, members, depth))
+    return zip(here, _tables(b, members))
 
 
 def _transports(source: Structure, target: Structure, candidate: EmbeddingCandidate,
@@ -475,10 +406,11 @@ def _transports(source: Structure, target: Structure, candidate: EmbeddingCandid
     at = {e: k for k, e in enumerate(target.universe)}
     h = candidate.h
     image = [at[h[e]] for e in source.universe]
+    line = list(enumerate(image))
     cells = {  # free variables -> (source cell, target cell) per assignment
         (): [(0, 0)],
-        ("x",): [(i * n, image[i] * m) for i in range(n)],
-        ("y",): [(j, image[j]) for j in range(n)],
+        ("x",): line,
+        ("y",): line,
         ("x", "y"): [(i * n + j, image[i] * m + image[j])
                      for i in range(n) for j in range(n)],
     }
@@ -563,7 +495,7 @@ def search_embeddings(
         if not _commutes(source, target, h):
             continue
         if pairs is None:
-            pairs = list(_paired_tables(source, target, members, depth))
+            pairs = list(_paired_tables(source, target, members))
         candidate = EmbeddingCandidate.make(h, exponent)
         if _transports(source, target, candidate, pairs):
             found.append(candidate)
@@ -596,7 +528,7 @@ def separating_sentence(
         raise UsageError("equivalence needs a common signature")
     members = _family(a.signature, depth, budget)
     top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
-    for (member, here), (_, there) in _paired_tables(a, b, members, depth):
+    for (member, here), (_, there) in _paired_tables(a, b, members):
         if not member.free and (here[0] == top_a) != (there[0] == top_b):
             return member.formula
     return None
@@ -629,5 +561,5 @@ def bounded_ediag(
     expanded = Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
     top = ranks_of(expanded).INF
     return [member.formula
-            for member, table in _tables(expanded, _family(sig, depth, budget), depth)
+            for member, table in _tables(expanded, _family(sig, depth, budget))
             if not member.free and table[0] == top]

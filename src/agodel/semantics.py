@@ -6,11 +6,10 @@ truth values.  Finiteness makes every structure safe: quantifier values
 are finite minima and maxima, so evaluation is exact and total.
 
 Every connective, core or derived, has one truth function in ``TRUTH``,
-written against a small algebra interface.  The evaluator runs it on
-value ranks (``Ranks``) and the solver runs the same function on
-symbolic values.  ``syntax.expand_derived`` provides the definitional
-route for derived connectives, and the test suite checks the two agree
-everywhere.
+written against a small algebra interface.  The one evaluator,
+``value_tables``, runs it bottom-up on value ranks (``Ranks``); the solver
+runs it on symbolic values.  ``syntax.expand_derived`` gives derived
+connectives by definition, and the test suite checks the two agree.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .errors import UsageError
 from .syntax import (
-    CHILDREN, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, DArrow, DDArrow,
-    Delta, Forall, Formula, Iff, Imp, Inv, LukImp, Not, One, Or, Power,
-    Signature, Tensor, Term, Top, Var, children, free_vars, is_sentence,
+    QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, DArrow, DDArrow, Delta,
+    Forall, Formula, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature,
+    Tensor, Term, Top, Var, children, term_vars,
 )
 from .values import (
     INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
@@ -218,12 +217,124 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
         except KeyError:
             raise UsageError(f"unbound variable {t.name!r}") from None
     if kind is App:
-        args = tuple(eval_term(a, struct, env) for a in t.args)
+        args = tuple([eval_term(a, struct, env) for a in t.args])
         try:
             return struct.funcs[t.func][args]
         except KeyError:
             raise UsageError(f"no interpretation for {t.func!r} at {args}") from None
     raise UsageError(f"not a term: {t!r}")
+
+
+def value_tables(struct: Structure, nodes: Sequence[tuple], env: Assignment):
+    """Yield the value table of every node, in order.
+
+    A node is (formula, kids, axes): kids are the positions in ``nodes``
+    of its immediate subformulas, which come before it; axes are its free
+    variables that range over the universe, sorted, and env holds the
+    others.  A table lists the formula's values, as ranks of
+    ``ranks_of(struct)``, over the assignments of the axes, row-major.
+    The truth function reads the kids' tables laid out over the node's
+    axes; a quantifier lays its body out with its variable last and folds
+    each run of n cells.  A pass memoizes the connectives that do not
+    compare their operands, and keeps every table until it ends.
+    """
+    V = ranks_of(struct)
+    universe = struct.universe
+    n = len(universe)
+    compare = V.compare
+    tables: List[Tuple[Tuple[str, ...], list]] = []  # (axes, values) per node so far
+    layouts: Dict[tuple, List[int]] = {}
+    memo: Dict[object, dict] = {}
+    for phi, kids, axes in nodes:
+        kind = type(phi)
+        quantifier = QUANTIFIER_CONNECTIVE.get(kind)
+        order = axes + (phi.var,) if quantifier else axes
+        operands = []
+        for k in kids:
+            at, values = tables[k]
+            if at != order:
+                index = layouts.get((at, order)) or layouts.setdefault(
+                    (at, order), _layout(at, order, n))
+                values = [values[i] for i in index]
+            operands.append(values)
+        truth = TRUTH.get(quantifier or kind)
+        if kind is Atom:
+            rows = V.tables[phi.pred]
+            scope = dict(env)
+            values = []
+            for assignment in product(*[universe] * len(axes)):
+                scope.update(zip(axes, assignment))
+                key = tuple([eval_term(t, struct, scope) for t in phi.args])
+                try:
+                    values.append(rows[key])
+                except KeyError:
+                    raise UsageError(
+                        f"structure has no interpretation for {phi.pred!r} at {key}") from None
+        elif quantifier:
+            body = operands[0]
+            values = []
+            for start in range(0, len(body), n):
+                result = body[start]
+                for v in body[start + 1:start + n]:
+                    result = truth(V, phi, compare(result, v), result, v)
+                values.append(result)
+        elif kind in ORDERED:
+            values = [truth(V, phi, compare(a, b), a, b) for a, b in zip(*operands)]
+        elif kids:
+            # only Power reads phi (its exponent keys its memo): one memo per kind serves all
+            known = memo.setdefault(phi.n if kind is Power else kind, {})
+            values = []
+            for args in zip(*operands):
+                value = known.get(args)
+                if value is None:
+                    value = known[args] = truth(V, phi, 0, *args)
+                values.append(value)
+        else:
+            values = [truth(V, phi, 0)]
+        tables.append((axes, values))
+        yield values
+
+
+def _layout(axes: Tuple[str, ...], order: Tuple[str, ...], n: int) -> List[int]:
+    """For each cell, row-major, of a table over order, the cell with the
+    same assignment in a table over axes, a subset of order."""
+    stride = {v: n ** k for k, v in enumerate(reversed(axes))}
+    index = [0]
+    for v in order:
+        step = stride.get(v, 0)
+        index = [i + k * step for i in index for k in range(n)]
+    return index
+
+
+def _nodes(phi: Formula, env: Assignment, nodes: List[tuple]) -> Tuple[str, ...]:
+    """Append the nodes of phi's subformulas to nodes, in post-order, for
+    ``value_tables`` under env; return phi's axes.  A variable bound by a
+    quantifier is an axis below it, where it shadows env; a variable that
+    is neither bound nor in env is an axis of phi itself."""
+    kind = type(phi)
+    if kind is Atom:
+        names = set()
+        for t in phi.args:
+            names |= term_vars(t)
+        kids: Tuple[int, ...] = ()
+        axes = tuple(sorted(names - env.keys())) if names else ()
+    elif kind in QUANTIFIER_CONNECTIVE:
+        inner = {v: e for v, e in env.items() if v != phi.var} if phi.var in env else env
+        below = _nodes(phi.body, inner, nodes)
+        kids = (len(nodes) - 1,)
+        axes = tuple(v for v in below if v != phi.var)
+    else:
+        kids = ()
+        axes = ()
+        for kid in children(phi):
+            below = _nodes(kid, env, nodes)
+            kids += (len(nodes) - 1,)
+            if not axes:
+                axes = below
+            elif below and below != axes:
+                axes = tuple(sorted(set(axes).union(below)))
+    nodes.append((phi, kids, axes))
+    return axes
 
 
 def eval_formula(
@@ -234,58 +345,24 @@ def eval_formula(
 ) -> TruthValue:
     """Exact truth value of phi in struct under env.
 
-    ``on_value``, when given, is called with the value of every
-    subformula under every assignment reached during evaluation; the
+    ``on_value``, when given, is called with every value some subformula
+    takes under some assignment reached during evaluation; the
     classical-translation check uses it to collect witness values.
     """
-    env = dict(env) if env else {}
-    missing = free_vars(phi) - set(env)
-    if missing:
-        raise UsageError(f"unbound variables {sorted(missing)}")
-    V = ranks_of(struct)
-    return V.decode(_eval(phi, struct, V, env, on_value))
+    return ranks_of(struct).decode(_rank(phi, struct, env or {}, on_value))
 
 
-def _eval(phi, struct, V, env, sink):
-    kind = type(phi)
-    if kind is Atom:
-        args = tuple([eval_term(t, struct, env) for t in phi.args])
-        try:
-            value = V.tables[phi.pred][args]
-        except KeyError:
-            raise UsageError(
-                f"structure has no interpretation for {phi.pred!r} at {args}"
-            ) from None
-    elif kind in QUANTIFIER_CONNECTIVE:
-        value = _quantify(phi, struct, V, env, sink, TRUTH[QUANTIFIER_CONNECTIVE[kind]])
-    elif kind in ORDERED:
-        left, right = CHILDREN[kind](phi)
-        a = _eval(left, struct, V, env, sink)
-        b = _eval(right, struct, V, env, sink)
-        value = TRUTH[kind](V, phi, V.compare(a, b), a, b)
-    else:
-        args = []
-        for kid in children(phi):
-            args.append(_eval(kid, struct, V, env, sink))
-        value = TRUTH[kind](V, phi, 0, *args)
-    if sink is not None:
-        sink(V.decode(value))
-    return value
-
-
-def _quantify(phi, struct, V, env, sink, combine):
-    saved = env.get(phi.var)
-    had = phi.var in env
-    result = None
-    for element in struct.universe:
-        env[phi.var] = element
-        v = _eval(phi.body, struct, V, env, sink)
-        result = v if result is None else combine(V, phi, V.compare(result, v), result, v)
-    if had:
-        env[phi.var] = saved
-    else:
-        del env[phi.var]
-    return result
+def _rank(phi, struct, env, on_value=None):
+    """phi's rank in struct under env, from one ``value_tables`` pass."""
+    nodes: List[tuple] = []
+    unbound = _nodes(phi, env, nodes)
+    if unbound:
+        raise UsageError(f"unbound variables {list(unbound)}")
+    for values in value_tables(struct, nodes, env):
+        if on_value is not None:
+            for value in set(values):
+                on_value(ranks_of(struct).decode(value))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +371,7 @@ def _quantify(phi, struct, V, env, sink, combine):
 
 def satisfies(struct: Structure, phi: Formula) -> bool:
     """True when the sentence evaluates to absolute truth."""
-    if not is_sentence(phi):
-        raise UsageError(f"not a sentence (free: {sorted(free_vars(phi))})")
-    V = ranks_of(struct)
-    return _eval(phi, struct, V, {}, None) == V.INF
+    return _rank(phi, struct, {}) == ranks_of(struct).INF
 
 
 def models_theory(struct: Structure, theory: Iterable[Formula]) -> bool:

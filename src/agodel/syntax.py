@@ -134,10 +134,6 @@ class App:
 Term = Union[Var, App]
 
 
-def const(name: str) -> App:
-    return App(name, ())
-
-
 def term_vars(t: Term) -> Set[str]:
     if isinstance(t, Var):
         return {t.name}
@@ -338,23 +334,19 @@ _SHAPES = {
     Forall: (_body, _rebuild_quantifier),
     Exists: (_body, _rebuild_quantifier),
 }
-# ``children`` is the checked form of CHILDREN; an evaluator that has already
-# dispatched on the node type may index CHILDREN directly.
-CHILDREN = {node: shape[0] for node, shape in _SHAPES.items()}
-_REBUILD = {node: shape[1] for node, shape in _SHAPES.items()}
 
 
 def children(phi: Formula) -> Tuple[Formula, ...]:
     """The immediate subformulas of phi, left to right."""
     try:
-        return CHILDREN[type(phi)](phi)
+        return _SHAPES[type(phi)][0](phi)
     except KeyError:
         raise UsageError(f"not a formula: {phi!r}") from None
 
 
 def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
     """phi with its immediate subformulas replaced by kids, in children order."""
-    return _REBUILD[type(phi)](phi, kids)
+    return _SHAPES[type(phi)][1](phi, kids)
 
 
 def is_core(phi: Formula) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from agodel import (
     INF, RAT, ZERO, And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists,
     Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature, Structure,
-    Tensor, Top, Var, elem, free_vars, lex2, rat,
+    Tensor, Top, Var, elem, eval_term, free_vars, lex2, one, rat, tv_compare,
+    tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
 
 # values used by grid checks and random tables
@@ -127,8 +129,6 @@ def similarity_closure(rng, size, value_pool):
     reflexive INF diagonal, symmetrized, then max-min transitive closure."""
     universe = tuple(f"m{i}" for i in range(1, size + 1))
     sig = Signature(predicates={"e": 2}, equality="e")
-    from agodel import tv_max, tv_min
-
     table = {}
     for i, a in enumerate(universe):
         for j, b in enumerate(universe):
@@ -150,6 +150,43 @@ def similarity_closure(rng, size, value_pool):
                         table[(a, b)] = better
                         changed = True
     return Structure(sig, RAT, universe, {}, {"e": table})
+
+
+def oracle(phi, struct, env, seen):
+    """Recursive evaluation on TruthValues with the value functions, the
+    quantifiers as min/max over the universe; every value goes to seen."""
+    kind = type(phi)
+    backend = struct.backend
+    if kind is Atom:
+        value = struct.preds[phi.pred][tuple(eval_term(t, struct, env) for t in phi.args)]
+    elif kind in (Forall, Exists):
+        value = reduce(tv_min if kind is Forall else tv_max,
+                       [oracle(phi.body, struct, {**env, phi.var: m}, seen)
+                        for m in struct.universe])
+    elif kind in (Bot, One, Top):
+        value = {Bot: ZERO, One: one(backend), Top: INF}[kind]
+    elif kind in (Inv, Not, Delta, Power):
+        a = oracle(phi.body, struct, env, seen)
+        value = {Inv: lambda: tv_inv(a),
+                 Not: lambda: tv_resid(a, ZERO),
+                 Delta: lambda: INF if a.is_inf else ZERO,
+                 Power: lambda: tv_power(a, phi.n)}[kind]()
+    else:
+        a = oracle(phi.left, struct, env, seen)
+        b = oracle(phi.right, struct, env, seen)
+        order = tv_compare(a, b)
+        value = {
+            And: lambda: tv_min(a, b),
+            Or: lambda: tv_max(a, b),
+            Imp: lambda: tv_resid(a, b),
+            Iff: lambda: tv_dmin(a, b),
+            DArrow: lambda: INF if order < 0 else b,
+            DDArrow: lambda: INF if order < 0 else ZERO if order == 0 and a.is_inf else b,
+            LukImp: lambda: INF if order <= 0 else tv_mul(b, tv_inv(a), backend),
+            Tensor: lambda: tv_mul(a, b, backend),
+        }[kind]()
+    seen.add(value)
+    return value
 
 
 @pytest.fixture

@@ -42,6 +42,16 @@ def run(capsys, *argv):
 
 
 class TestEval:
+    def test_unbound_variable_exits_2_before_evaluation(self, files, capsys):
+        # Q^300000 alone exits 3 (power limit); the unbound x is refused first
+        struct = files("m.struct", "backend rat\nuniverse m1\npred P m1 = 2\npred Q = 2\n")
+        code, _, err = run(capsys, "eval", "--formula", "Q^300000 /\\ P(x)",
+                           "--structure", struct)
+        assert code == 2
+        assert "unbound" in err
+        code, _, _ = run(capsys, "eval", "--formula", "Q^300000", "--structure", struct)
+        assert code == 3
+
     def test_crisp_projection_prints_zero(self, files, capsys):
         struct = files("m.struct", STRUCT_P2)
         code, out, _ = run(capsys, "eval", "--formula", "delta(P)",

@@ -19,7 +19,7 @@ from agodel.modeltheory import (
 )
 from agodel.semantics import ranks_of
 from agodel.syntax import App, formula_depth
-from conftest import make_rng, random_structure
+from conftest import make_rng, oracle, random_structure
 
 SIGP = Signature(predicates={"P": 0})
 
@@ -456,19 +456,20 @@ class TestTablesAgainstOracle:
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
            size=st.integers(1, 3))
     def test_every_cell_is_the_evaluated_value(self, seed, backend, size):
+        # the oracle, not eval_formula, which runs the same pass as the tables
         struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
         members = modeltheory._family(ORACLE_SIG, 3, 600)
         V = ranks_of(struct)
-        universe = struct.universe
         checked = 0
-        for member, table in modeltheory._tables(struct, members, 3):
-            assert len(table) == size * size
-            for (i, a), (j, b) in product(enumerate(universe), repeat=2):
-                env = {"x": a, "y": b}
-                value = eval_formula(member.formula, struct, env)
-                assert V.decode(table[i * size + j]) == value, member.formula
+        for member, table in modeltheory._tables(struct, members):
+            cells = list(product(struct.universe, repeat=len(member.free)))
+            assert len(table) == len(cells)
+            for cell, elements in zip(table, cells):
+                env = dict(zip(member.free, elements))
+                assert V.decode(cell) == oracle(member.formula, struct, env, set()), \
+                    member.formula
             checked += 1
-        assert checked == sum(1 for m in members if m.depth <= 3)
+        assert checked == len(members) == len(formula_family(ORACLE_SIG, 3, 600))
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),

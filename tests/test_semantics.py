@@ -1,7 +1,6 @@
 """Evaluation, satisfaction, similarity/ultrametric, structure files."""
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 
 import pytest
@@ -9,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from agodel import (
     INF, LEX2, RAT, ZERO, And, Atom, Bot, DArrow, DDArrow, Delta, Exists,
-    Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature, Structure,
-    Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
+    Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power, ResourceLimitError,
+    Signature, Structure, Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
     dump_structure, entails_over, eval_formula, eval_term, expand_derived,
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
-    one, tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
+    tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
 )
 from agodel.semantics import ORDERED, TRUTH, ranks_of
 from agodel.syntax import App
 from conftest import (
-    RAT_POOL, make_rng, random_formula, random_structure, random_truth_value,
+    RAT_POOL, make_rng, oracle, random_formula, random_structure, random_truth_value,
     similarity_closure,
 )
 
@@ -90,6 +89,19 @@ class TestEval:
     def test_unbound_variable_rejected(self):
         with pytest.raises(UsageError):
             eval_formula(Atom("P", (Var("x"),)), random_structure(make_rng(1), SIG1))
+
+    def test_unbound_variable_refused_before_any_value(self):
+        # Q^300000 alone exceeds the power limit; the unbound x is refused first
+        sig = Signature(predicates={"P": 1, "Q": 0})
+        struct = Structure(sig, RAT, ("m1",), {}, {"P": {("m1",): rat(2)}, "Q": {(): rat(2)}})
+        power = Power(Atom("Q"), 300000)
+        with pytest.raises(ResourceLimitError):
+            eval_formula(power, struct)
+        phi = And(power, Atom("P", (Var("x"),)))
+        with pytest.raises(UsageError):
+            eval_formula(phi, struct)
+        with pytest.raises(UsageError):
+            satisfies(struct, phi)
 
 
 class TestTruthTable:
@@ -190,43 +202,6 @@ class TestDerivedTablesAgreeWithExpansion:
                 eval_formula(expand_derived(phi), struct)
 
 
-def oracle(phi, struct, env, seen):
-    """Recursive evaluation on TruthValues with the value functions, the
-    quantifiers as min/max over the universe; every value goes to seen."""
-    kind = type(phi)
-    backend = struct.backend
-    if kind is Atom:
-        value = struct.preds[phi.pred][tuple(eval_term(t, struct, env) for t in phi.args)]
-    elif kind in (Forall, Exists):
-        value = reduce(tv_min if kind is Forall else tv_max,
-                       [oracle(phi.body, struct, {**env, phi.var: m}, seen)
-                        for m in struct.universe])
-    elif kind in (Bot, One, Top):
-        value = {Bot: ZERO, One: one(backend), Top: INF}[kind]
-    elif kind in (Inv, Not, Delta, Power):
-        a = oracle(phi.body, struct, env, seen)
-        value = {Inv: lambda: tv_inv(a),
-                 Not: lambda: tv_resid(a, ZERO),
-                 Delta: lambda: INF if a.is_inf else ZERO,
-                 Power: lambda: tv_power(a, phi.n)}[kind]()
-    else:
-        a = oracle(phi.left, struct, env, seen)
-        b = oracle(phi.right, struct, env, seen)
-        order = tv_compare(a, b)
-        value = {
-            And: lambda: tv_min(a, b),
-            Or: lambda: tv_max(a, b),
-            Imp: lambda: tv_resid(a, b),
-            Iff: lambda: tv_dmin(a, b),
-            DArrow: lambda: INF if order < 0 else b,
-            DDArrow: lambda: INF if order < 0 else ZERO if order == 0 and a.is_inf else b,
-            LukImp: lambda: INF if order <= 0 else tv_mul(b, tv_inv(a), backend),
-            Tensor: lambda: tv_mul(a, b, backend),
-        }[kind]()
-    seen.add(value)
-    return value
-
-
 ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0})
 
 
@@ -244,6 +219,28 @@ class TestAgainstOracle:
         expected = oracle(phi, struct, env, expected_seen)
         assert eval_formula(phi, struct, env, on_value=seen.add) == expected
         assert seen == expected_seen
+
+    @pytest.mark.parametrize("text", [
+        "P(x) /\\ forall x. Q(x, x)",
+        "forall z. P(x)",
+        "forall x. forall y. forall z. Q(z, x) -> Q(y, z)",
+        "forall x. exists x. P(x)",
+        "exists y. P(f(y)) * Q(f(x), y)^-1",
+        "forall y. Q(y, x) <-> Q(x, y)",
+    ], ids=["shadowed-env", "vacuous", "axis-order", "shadowed-bound", "terms", "swapped"])
+    @pytest.mark.parametrize("backend", [RAT, LEX2], ids=["rat", "lex2"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_axes_match_oracle(self, text, backend, size):
+        # env-bound and quantified variables of one name, vacuous and
+        # nested quantifiers, operands over different axes, function terms
+        for seed in range(3):
+            struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
+            phi = parse(text, ORACLE_SIG)
+            for x in struct.universe:
+                expected_seen, seen = set(), set()
+                expected = oracle(phi, struct, {"x": x}, expected_seen)
+                assert eval_formula(phi, struct, {"x": x}, on_value=seen.add) == expected
+                assert seen == expected_seen
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
