@@ -303,7 +303,8 @@ def _layout(axes: Tuple[str, ...], order: Tuple[str, ...], n: int) -> List[int]:
     for v in order:
         step = stride.get(v, 0)
         index = [i + k * step for i in index for k in range(n)]
-    return index
+    cells = list(range(n ** len(axes)))  # the pass keeps the index: share one int per cell
+    return [cells[i] for i in index]
 
 
 def _nodes(phi: Formula, env: Assignment, nodes: List[tuple]) -> Tuple[str, ...]:
