@@ -8,19 +8,19 @@ desk-scale model-theoretic checks.
 """
 
 from .errors import (
-    AgodelError, ArityError, ClosureExhausted, FormulaSyntaxError, ParseError,
-    ResourceLimitError, UnknownSymbolError, UsageError,
+    AgodelError, ArityError, FormulaSyntaxError, ParseError, ResourceLimitError,
+    UnknownSymbolError, UsageError,
 )
 from .values import (
     INF, LEX2, RAT, ZERO, GroupBackend, TruthValue, backend_by_name, elem,
-    format_truth_value, lex2, one, parse_truth_value, rat, tv_compare,
-    tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
+    format_truth_value, lex2, one, parse_truth_value, rat, tv_compare, tv_inv,
+    tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
 from .syntax import (
     And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists, Forall, Formula, Iff,
     Imp, Inv, LukImp, Not, One, Or, Power, Signature, Tensor, Term, Top, Var,
-    expand_derived, formula_depth, free_vars, is_core, is_sentence, parse,
-    parse_signature, parse_theory, print_formula, substitute,
+    expand_derived, free_vars, is_core, is_sentence, parse, parse_signature,
+    parse_theory, print_formula, substitute,
 )
 from .semantics import (
     Structure, check_similarity, check_ultrametric, dump_structure,

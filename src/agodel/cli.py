@@ -2,7 +2,8 @@
 
 Exit codes: 0 affirmative/success, 1 negative verdict (not a model,
 unsatisfiable-up-to, no embedding, ...), 2 usage or parse error,
-3 resource limit.  Results go to stdout, diagnostics to stderr.
+3 resource limit, 4 internal error (any other exception: a defect).
+Results go to stdout, diagnostics to stderr.
 All file formats are line-oriented plain text, documented in README.md.
 """
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: Path) -> str:
@@ -77,12 +79,10 @@ def _cmd_check_model(ns: argparse.Namespace) -> int:
 def _cmd_solve(ns: argparse.Namespace) -> int:
     theory = parse_theory(_read(ns.theory), ns.signature)
     result = find_model(ns.signature, theory, ns.max_domain)
-    stats = result.stats
-    print(
-        f"domains={stats.domains_tried} branches={stats.branches_examined} "
-        f"fm-calls={stats.fm_calls}",
-        file=sys.stderr,
-    )
+    # each examined branch is one FM call; the search stops at the model's size
+    domains = ns.max_domain if result.structure is None else len(result.structure.universe)
+    branches = result.stats.branches_examined
+    print(f"domains={domains} branches={branches} fm-calls={branches}", file=sys.stderr)
     if result.structure is None:
         print(f"UNSAT-up-to({ns.max_domain})")
         return EXIT_NEGATIVE
@@ -97,8 +97,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _agreement(phi, struct: Structure) -> int:
-    agrees = check_translation(phi, struct)
+def _agreement(agrees: bool) -> int:
     print("translation-agrees" if agrees else "translation-disagrees")
     return _verdict(agrees)
 
@@ -111,17 +110,17 @@ def _cmd_translate(ns: argparse.Namespace) -> int:
         struct = _structure(ns, ns.structure)
         sig = struct.signature
     phi = expand_derived(parse(ns.formula, sig))
+    if ns.check:  # decided before anything is printed, so a refusal prints nothing
+        if ns.structure is None:
+            raise UsageError("--check needs --structure")
+        agrees = check_translation(phi, struct or _structure(ns, ns.structure))
     print(print_classical(holds_sentence(translate(phi))))
-    if not ns.check:
-        return EXIT_OK
-    if ns.structure is None:
-        raise UsageError("--check needs --structure")
-    return _agreement(phi, struct or _structure(ns, ns.structure))
+    return _agreement(agrees) if ns.check else EXIT_OK
 
 
 def _cmd_check_translation(ns: argparse.Namespace) -> int:
     struct = _structure(ns, ns.structure)
-    return _agreement(parse(ns.formula, struct.signature), struct)
+    return _agreement(check_translation(parse(ns.formula, struct.signature), struct))
 
 
 def _cmd_entails(ns: argparse.Namespace) -> int:
@@ -284,6 +283,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all agodel modules.
 
 The CLI maps these onto its exit-code contract: usage and parse problems
-exit with 2, resource limits with 3.  Negative verdicts (unsatisfiable,
-not a model, ...) are ordinary return values, never exceptions.
+exit with 2, resource limits with 3, and any other exception, which is
+a defect of the program, with 4.  Negative verdicts (unsatisfiable, not
+a model, ...) are ordinary return values, never exceptions.
 """
 
 
@@ -42,8 +43,3 @@ class ResourceLimitError(AgodelError):
     """A declared limit (a module's MAX_* constant, the trial-division
     bound, the digit limit for printing) was exceeded.  Raised instead
     of ever returning a wrong answer."""
-
-
-class ClosureExhausted(ResourceLimitError):
-    """agodel no longer raises this: a companion's value sort holds every
-    witness the translation check needs.  Kept for callers that catch it."""

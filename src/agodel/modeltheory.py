@@ -260,8 +260,10 @@ def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[_Member,
                         budget, depth)
 
 
-def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
-    """The canonical enumeration: size-major, deterministic within a size.
+def formula_family(sig: Signature, depth: Optional[int] = None,
+                   budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
+    """Formulas of connective depth <= depth (depth None: all) from the
+    canonical enumeration: size-major, deterministic within a size.
 
     Terms are variables and constants (no nested function applications;
     function-symbol behavior is checked exactly elsewhere).  Quantifiers
@@ -270,12 +272,6 @@ def enumerate_formulas(sig: Signature, budget: int = DEFAULT_FAMILY_BUDGET) -> L
     order never depends on a depth bound, which keeps depth-filtered
     families monotone.
     """
-    return [m.formula for m in _family(sig, None, budget)]
-
-
-def formula_family(sig: Signature, depth: int,
-                   budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
-    """Formulas of connective depth <= depth from the canonical enumeration."""
     return [m.formula for m in _family(sig, depth, budget)]
 
 

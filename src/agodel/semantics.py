@@ -22,7 +22,7 @@ from .errors import UsageError
 from .syntax import (
     QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, DArrow, DDArrow, Delta,
     Forall, Formula, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature,
-    Tensor, Term, Top, Var, children, term_vars,
+    Tensor, Term, Top, Var, children, content_lines, term_vars,
 )
 from .values import (
     INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
@@ -488,10 +488,7 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
     fn_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
     pred_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
     headers = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         kind = parts[0]
         try:

@@ -78,17 +78,6 @@ class Constraint:
         ))
         return Constraint(items, Fraction(const), rel)
 
-    def as_dict(self) -> Dict:
-        return dict(self.coeffs)
-
-    def pretty(self) -> str:
-        if not self.coeffs:
-            lhs = "0"
-        else:
-            lhs = " + ".join(f"{c}*{v}" for v, c in self.coeffs)
-        shift = f" + {self.const}" if self.const else ""
-        return f"{lhs}{shift} {self.rel} 0"
-
 
 class ConstraintSystem(NamedTuple):
     """One case branch: stratum tags for atoms plus linear comparisons."""
@@ -386,7 +375,7 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
     elimination stack backwards); UNSAT is certified by a contradictory
     constant comparison.
     """
-    work = [(c.as_dict(), c.const, c.rel) for c in constraints]
+    work = [(dict(c.coeffs), c.const, c.rel) for c in constraints]
     substitutions: List[Tuple[object, Dict, Fraction]] = []  # var = form + const
     eliminations: List[Tuple[object, List, List]] = []  # var, lowers, uppers
 
@@ -525,10 +514,11 @@ def _pick_in_interval(lo, lo_strict, hi, hi_strict) -> Fraction:
 
 @dataclass
 class SolveStats:
-    domains_tried: int = 0
+    """Search counters.  Each examined branch is one fm_solve call, and the
+    domain sizes tried run up to the model's size, or n_max without one."""
+
     constant_maps_tried: int = 0
     branches_examined: int = 0
-    fm_calls: int = 0
 
 
 @dataclass
@@ -558,7 +548,6 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
     stats = SolveStats()
     constants = sig.constants()
     for n in range(1, n_max + 1):
-        stats.domains_tried += 1
         elements = element_names(sig, n)
         for values in product(elements, repeat=len(constants)):
             stats.constant_maps_tried += 1
@@ -575,7 +564,6 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
             combined = _merge_sentence_branches(per_sentence)
             for system in sorted(combined, key=ConstraintSystem.canonical_key):
                 stats.branches_examined += 1
-                stats.fm_calls += 1
                 result = fm_solve(system.lins)
                 if not result.sat:
                     continue

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
     ArityError, FormulaSyntaxError, ParseError, ResourceLimitError, UnknownSymbolError, UsageError,
@@ -81,15 +81,21 @@ class Signature:
         return Signature(funcs, dict(self.predicates), self.equality)
 
 
+def content_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line of a signature, theory or structure
+    file, with the ``#`` comment stripped; blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_signature(text: str) -> Signature:
     """Line format: ``fn name/arity``, ``pred name/arity``, ``equality name``."""
     functions: Dict[str, int] = {}
     predicates: Dict[str, int] = {}
     equality = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         try:
             if parts[0] in ("fn", "pred") and len(parts) == 2 and "/" in parts[1]:
@@ -106,14 +112,6 @@ def parse_signature(text: str) -> Signature:
         except (ValueError, UsageError) as exc:
             raise UsageError(f"signature line {lineno}: {exc}") from None
     return Signature(functions, predicates, equality)
-
-
-def format_signature(sig: Signature) -> str:
-    lines = [f"fn {n}/{a}" for n, a in sorted(sig.functions.items())]
-    lines += [f"pred {n}/{a}" for n, a in sorted(sig.predicates.items())]
-    if sig.equality:
-        lines.append(f"equality {sig.equality}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +355,6 @@ def is_core(phi: Formula) -> bool:
         if not is_core(kid):
             return False
     return True
-
-
-def subformulas(phi: Formula):
-    """Yield phi and all its subformulas, prefix order."""
-    yield phi
-    for kid in children(phi):
-        yield from subformulas(kid)
-
-
-def formula_depth(phi: Formula) -> int:
-    """Connective nesting depth; atoms and constants are depth 0."""
-    depth = 0
-    for kid in children(phi):
-        depth = max(depth, 1 + formula_depth(kid))
-    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +717,7 @@ def parse(text: str, sig: Signature) -> Formula:
 def parse_theory(text: str, sig: Signature) -> List[Formula]:
     """One sentence per line; blank lines and # comments are skipped."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             out.append(parse(line, sig))
         except ParseError as exc:

@@ -48,38 +48,21 @@ MAX_POWER_BITS = 200_000
 
 
 class GroupBackend:
-    """Operation suite for one totally ordered abelian group."""
+    """Operation suite for one totally ordered abelian group.
+
+    A backend provides ``identity()``, ``mul(a, b)``, ``inv(a)``,
+    ``power(a, n)``, ``validate(a)`` (the canonical payload, or
+    UsageError), ``parse(text)``, ``format(a)`` and ``bits(a)``: a lower
+    bound on log2 of the numerators and denominators, so that
+    ``n * bits(a)`` bounds the size of ``power(a, n)`` from below.
+    ``compare`` is Python's order on payloads, which is the group order of
+    both backends (tuples compare lexicographically).
+    """
 
     name: str = "?"
 
-    def identity(self) -> Payload:
-        raise NotImplementedError
-
-    def mul(self, a: Payload, b: Payload) -> Payload:
-        raise NotImplementedError
-
-    def inv(self, a: Payload) -> Payload:
-        raise NotImplementedError
-
-    def power(self, a: Payload, n: int) -> Payload:
-        raise NotImplementedError
-
     def compare(self, a: Payload, b: Payload) -> int:
-        raise NotImplementedError
-
-    def validate(self, a: Payload) -> Payload:
-        raise NotImplementedError
-
-    def parse(self, text: str) -> Payload:
-        raise NotImplementedError
-
-    def format(self, a: Payload) -> str:
-        raise NotImplementedError
-
-    def bits(self, a: Payload) -> int:
-        """Lower bound on log2 of the numerators and denominators, so
-        that ``n * bits(a)`` bounds the size of ``power(a, n)`` from below."""
-        raise NotImplementedError
+        return (a > b) - (a < b)
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
@@ -132,9 +115,6 @@ class RatBackend(GroupBackend):
     def power(self, a, n):
         return a ** n
 
-    def compare(self, a, b):
-        return (a > b) - (a < b)
-
     def validate(self, a):
         return _positive_fraction(a)
 
@@ -164,9 +144,6 @@ class Lex2Backend(GroupBackend):
 
     def power(self, a, n):
         return (a[0] ** n, a[1] ** n)
-
-    def compare(self, a, b):
-        return (a > b) - (a < b)  # tuple comparison is lexicographic
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
@@ -351,14 +328,6 @@ def tv_power(a: TruthValue, n: int) -> TruthValue:
 def tv_resid(a: TruthValue, b: TruthValue) -> TruthValue:
     """Residuated implication: INF when a <= b, otherwise b."""
     return INF if tv_compare(a, b) <= 0 else b
-
-
-def tv_dmin(a: TruthValue, b: TruthValue) -> TruthValue:
-    """Biconditional value: INF when a = b, otherwise min(a, b)."""
-    c = tv_compare(a, b)
-    if c == 0:
-        return INF
-    return a if c < 0 else b
 
 
 def format_truth_value(tv: TruthValue) -> str:

@@ -11,8 +11,9 @@ from agodel import (
     INF, RAT, ZERO, And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists,
     Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature, Structure,
     Tensor, Top, Var, elem, eval_term, free_vars, lex2, one, rat, tv_compare,
-    tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
+    tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
+from agodel.syntax import children
 
 # values used by grid checks and random tables
 RAT_POOL = [ZERO, rat(1, 2), rat(1), rat(2), INF]
@@ -150,6 +151,29 @@ def similarity_closure(rng, size, value_pool):
                         table[(a, b)] = better
                         changed = True
     return Structure(sig, RAT, universe, {}, {"e": table})
+
+
+def subformulas(phi):
+    """Yield phi and all its subformulas, prefix order."""
+    yield phi
+    for kid in children(phi):
+        yield from subformulas(kid)
+
+
+def formula_depth(phi):
+    """Connective nesting depth; atoms and constants are depth 0."""
+    depth = 0
+    for kid in children(phi):
+        depth = max(depth, 1 + formula_depth(kid))
+    return depth
+
+
+def tv_dmin(a, b):
+    """Biconditional value: INF when a = b, otherwise min(a, b)."""
+    c = tv_compare(a, b)
+    if c == 0:
+        return INF
+    return a if c < 0 else b
 
 
 def oracle(phi, struct, env, seen):

@@ -17,7 +17,7 @@ from agodel import (
     models_theory, rat, remark_lab, satisfies, search_embeddings,
     sentence_family, tv_compare, tv_inv, tv_mul, tv_power,
 )
-from agodel.errors import ClosureExhausted, ResourceLimitError
+from agodel.errors import ResourceLimitError
 from conftest import (
     RAT_POOL, make_rng, random_core_sentence, random_formula,
     random_structure, similarity_closure,
@@ -92,27 +92,22 @@ def test_criterion_2_extension_table():
 
 def test_criterion_3_translation_equivalence():
     """>= 1000 seeded random (sentence, structure) pairs check the
-    classical-translation equivalence: 0 failures, 0 closure-exhausted
-    diagnostics at the default bound. < 60 s."""
+    classical-translation equivalence: 0 failures, and no pair refused
+    on a resource limit. < 60 s."""
     start = time.perf_counter()
     rng = make_rng(33001)
     sig = Signature(predicates={"P": 1, "Q": 2})
     failures = 0
-    exhausted = 0
     samples = 0
     while samples < 1000:
         struct = random_structure(rng, sig, size=rng.randint(1, 3))
         phi = random_core_sentence(rng, sig, depth=4, qdepth=2)
         samples += 1
-        try:
-            if not check_translation(phi, struct):
-                failures += 1
-        except ClosureExhausted:
-            exhausted += 1
+        if not check_translation(phi, struct):
+            failures += 1
     elapsed = time.perf_counter() - start
     assert samples >= 1000
     assert failures == 0
-    assert exhausted == 0
     assert elapsed < 60.0
     report(3, f"translation equivalence on {samples} random pairs", elapsed, 60)
 

@@ -132,7 +132,7 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
                            "--max-domain", "2", "--out", out_path)
         assert code == 0
-        assert "branches=" in err
+        assert err.startswith("domains=1 branches=")  # the model's size, not --max-domain
         code2, out2, _ = run(capsys, "check-model", "--theory", theory,
                              "--structure", out_path, "--sig", sig)
         assert code2 == 0
@@ -141,10 +141,11 @@ class TestSolve:
     def test_unsat_up_to(self, files, capsys):
         theory = files("t.txt", "delta(P)\n~delta(P)\n")
         sig = files("s.txt", SIG0)
-        code, out, _ = run(capsys, "solve", "--theory", theory, "--sig", sig,
-                           "--max-domain", "3")
+        code, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                             "--max-domain", "3")
         assert code == 1
         assert out.strip().endswith("UNSAT-up-to(3)")
+        assert err == "domains=3 branches=0 fm-calls=0\n"
 
     def test_resource_limit_exits_3(self, files, capsys, monkeypatch):
         names = [f"A{i}" for i in range(12)]
@@ -214,6 +215,18 @@ class TestTranslate:
                            "delta(P)", "--structure", struct)
         assert code == 0
         assert out.strip() == "translation-agrees"
+
+    @pytest.mark.parametrize("formula, flag, message", [
+        ("P(c)", "--sig", "--check needs --structure"),
+        ("P(x)", "--structure", "not a sentence"),
+    ], ids=["no-structure", "not-a-sentence"])
+    def test_refused_check_prints_nothing(self, files, capsys, formula, flag, message):
+        path = files("s.sig", "fn c/0\npred P/1\n") if flag == "--sig" else \
+            files("a.struct", "backend rat\nuniverse m1\nfn c -> m1\npred P m1 = 2\n")
+        code, out, err = run(capsys, "translate", "--formula", formula, flag, path, "--check")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestResourceLimits:
@@ -397,6 +410,16 @@ class TestHarness:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        def broken(ns):
+            raise KeyError("m9")
+
+        monkeypatch.setitem(COMMANDS, "remark-lab", (broken, COMMANDS["remark-lab"][1]))
+        code, out, err = run(capsys, "remark-lab", "--n", "1")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: KeyError: 'm9'\n"
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--theory", "t.txt", "--sig", "s.txt", "--max-domain", "0"],
         ["embed", "--from", "a.struct", "--to", "b.struct", "--budget", "0"],
@@ -463,9 +486,94 @@ def exit_code_structure(tmp_path_factory):
     return str(path)
 
 
+# File text for the exit-code property: a valid file with up to three
+# edits (a word replaced, dropped or added; a line dropped or repeated; a
+# line of one word inserted); a few hundred characters at most.
+FUZZ_STRUCTS = [
+    ["backend rat", "universe m1 m2", "fn c -> m1", "pred P m1 = 2", "pred P m2 = inf",
+     "pred Q = 1/2", "pred e m1 m1 = inf", "pred e m1 m2 = 0", "pred e m2 m1 = 0",
+     "pred e m2 m2 = inf  # comment"],
+    ["backend lex2", "universe m1", "fn c -> m1", "pred P m1 = (1, 2)",
+     "pred Q = (2/3, 5)", "pred e m1 m1 = inf"],
+]
+FUZZ_STRUCT_WORDS = [
+    "backend", "universe", "fn", "pred", "rat", "lex2", "m1", "m2", "m3", "c",
+    "f", "P", "Q", "e", "=", "->", "0", "inf", "2", "-1", "1/0", "1e99999",
+    "(1,", "2)", "(1, 2)", "#", "9" * 60,
+]
+FUZZ_SIG = ["fn c/0", "pred P/1", "pred Q/0", "pred e/2", "equality e"]
+FUZZ_SIG_WORDS = [
+    "fn", "pred", "equality", "c/0", "f/1", "P/1", "Q/0", "e/2", "e", "P/-1",
+    "P/", "/1", "delta/1", "c/0/1", "P/99999", "#",
+]
+FUZZ_THEORY = [
+    "forall x. P(x) ==> Q", "exists x. e(x, c)", "P(c) -> Q", "Q * Q^-1",
+    "delta(P(c))", "forall x. exists y. e(x, y) /\\ P(y)",
+]
+FUZZ_THEORY_WORDS = GRAMMAR_TOKENS + ["c", "f(c)", "e(x, c)", "P(x)", "y", "2"]
+
+
+def _edited(line, at, word):
+    words = line.split()
+    at %= len(words) + 1
+    words[at:at + 1] = [word] if word else []
+    return " ".join(words)
+
+
+def _apply(lines, edits):
+    out = list(lines)
+    for kind, row, at, word in edits:
+        row %= len(out) + 1
+        if kind == 0 and row < len(out):
+            out[row] = _edited(out[row], at, word)
+        elif kind == 1 and row < len(out):
+            del out[row]
+        elif kind == 2 and row < len(out):
+            out.insert(row, out[row])
+        else:
+            out.insert(row, word)
+    return "\n".join(out)
+
+
+def _file_text(bases, words):
+    edit = st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 8),
+                     st.sampled_from(words + [""]))
+    return st.builds(_apply, st.sampled_from(bases), st.lists(edit, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
 class TestExitCodeProperty:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(command=st.sampled_from(["eval", "check-translation"]), formula=FORMULA_TEXT)
     def test_every_formula_exits_0_to_3(self, exit_code_structure, command, formula):
         code = main([command, "--formula", formula, "--structure", exit_code_structure])
         assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(["eval", "check-model", "solve"]),
+           structure=_file_text(FUZZ_STRUCTS, FUZZ_STRUCT_WORDS),
+           signature=_file_text([FUZZ_SIG], FUZZ_SIG_WORDS),
+           theory=_file_text([FUZZ_THEORY], FUZZ_THEORY_WORDS),
+           with_sig=st.booleans())
+    def test_every_file_exits_0_to_3(self, fuzz_dir, command, structure, signature,
+                                     theory, with_sig):
+        paths = {}
+        for flag, text in (("--structure", structure), ("--sig", signature),
+                           ("--theory", theory)):
+            paths[flag] = str(fuzz_dir / flag.strip("-"))
+            Path(paths[flag]).write_text(text)
+        argv = {
+            "eval": ["eval", "--formula", "exists x. P(x) /\\ Q", "--structure",
+                     paths["--structure"]],
+            "check-model": ["check-model", "--theory", paths["--theory"],
+                            "--structure", paths["--structure"]],
+            "solve": ["solve", "--theory", paths["--theory"], "--sig", paths["--sig"],
+                      "--max-domain", "1"],
+        }[command]
+        if with_sig and command != "solve":
+            argv += ["--sig", paths["--sig"]]
+        assert main(argv) in (0, 1, 2, 3)

@@ -15,11 +15,11 @@ from agodel import (
 )
 from agodel import modeltheory
 from agodel.modeltheory import (
-    FAMILY_CACHE_SIZE, diagram_signature, enumerate_formulas, separating_sentence,
+    FAMILY_CACHE_SIZE, diagram_signature, separating_sentence,
 )
 from agodel.semantics import ranks_of
-from agodel.syntax import App, formula_depth
-from conftest import make_rng, oracle, random_structure
+from agodel.syntax import App
+from conftest import formula_depth, make_rng, oracle, random_structure
 
 SIGP = Signature(predicates={"P": 0})
 
@@ -156,7 +156,7 @@ class TestFormulaFamily:
     def test_families_filter_the_enumeration(self, sig):
         # the enumeration's depths and free variables are those of the formulas
         for budget in (7, 120, 600):
-            everything = enumerate_formulas(sig, budget)
+            everything = formula_family(sig, None, budget)
             assert len(everything) == budget
             for depth in range(0, 4):
                 family = [phi for phi in everything if formula_depth(phi) <= depth]
@@ -182,7 +182,7 @@ class TestFormulaFamily:
             formula_family(SIGP, 9)
 
     @pytest.mark.parametrize("call", [
-        lambda: enumerate_formulas(SIGP, 0),
+        lambda: formula_family(SIGP, None, 0),
         lambda: formula_family(SIGP, 1, 0),
         lambda: sentence_family(SIGP, 1, -5),
         lambda: formula_family(SIGP, -1),
@@ -195,7 +195,7 @@ class TestFormulaFamily:
 
     def test_results_are_copies_of_the_cache(self):
         sig = Signature(predicates={"P": 1, "Q": 0})
-        for make in (lambda: enumerate_formulas(sig, 50),
+        for make in (lambda: formula_family(sig, None, 50),
                      lambda: formula_family(sig, 2, 50),
                      lambda: sentence_family(sig, 2, 50)):
             first = make()
@@ -205,7 +205,7 @@ class TestFormulaFamily:
 
     def test_cache_is_bounded(self):
         for budget in range(1, 2 * FAMILY_CACHE_SIZE + 2):
-            enumerate_formulas(SIGP, budget)
+            formula_family(SIGP, None, budget)
         info = modeltheory._enumeration.cache_info()
         assert info.maxsize == FAMILY_CACHE_SIZE
         assert info.currsize <= FAMILY_CACHE_SIZE

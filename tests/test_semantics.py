@@ -12,13 +12,13 @@ from agodel import (
     Signature, Structure, Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
     dump_structure, entails_over, eval_formula, eval_term, expand_derived,
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
-    tv_compare, tv_dmin, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
+    tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
 )
 from agodel.semantics import ORDERED, TRUTH, ranks_of
 from agodel.syntax import App
 from conftest import (
     RAT_POOL, make_rng, oracle, random_formula, random_structure, random_truth_value,
-    similarity_closure,
+    similarity_closure, tv_dmin,
 )
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})

@@ -177,11 +177,11 @@ def check_witness(constraints, witness):
     for c in constraints:
         value = c.const + sum(k * witness[v] for v, k in c.coeffs)
         if c.rel == "<":
-            assert value < 0, c.pretty()
+            assert value < 0, c
         elif c.rel == "<=":
-            assert value <= 0, c.pretty()
+            assert value <= 0, c
         else:
-            assert value == 0, c.pretty()
+            assert value == 0, c
 
 
 class TestFourierMotzkin:

@@ -16,8 +16,9 @@ from agodel.translation import (
     CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
     CNot, CRel, VConst, VInv, VMul, VVar,
 )
-from agodel.syntax import subformulas
-from conftest import RAT_POOL, make_rng, random_core_sentence, random_structure
+from conftest import (
+    RAT_POOL, make_rng, random_core_sentence, random_structure, subformulas,
+)
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIGX = Signature(predicates={"P": 1, "Q": 2})

@@ -7,8 +7,8 @@ import pytest
 
 from agodel import (
     INF, LEX2, RAT, ZERO, UsageError, format_truth_value, lex2, one,
-    parse_truth_value, rat, tv_compare, tv_dmin, tv_inv, tv_max, tv_min,
-    tv_mul, tv_power, tv_resid,
+    parse_truth_value, rat, tv_compare, tv_inv, tv_max, tv_min, tv_mul,
+    tv_power, tv_resid,
 )
 from conftest import RAT_ELEMS, make_rng
 
@@ -108,11 +108,6 @@ class TestOrderAndDerivedOps:
         grid = [ZERO, rat(1, 2), rat(1), rat(2), INF]
         for a, b in product(grid, repeat=2):
             assert (tv_resid(a, b) == INF) == (tv_compare(a, b) <= 0)
-
-    def test_dmin(self):
-        assert tv_dmin(rat(2), rat(2)) == INF
-        assert tv_dmin(rat(2), rat(3)) == rat(2)
-        assert tv_dmin(ZERO, INF) == ZERO
 
     def test_min_max(self):
         assert tv_min(rat(2), INF) == rat(2)
