@@ -37,6 +37,10 @@ _FACTOR_LIMIT = 10 ** 6  # trial division bound; beyond this we refuse, never gu
 
 DEFAULT_FAMILY_BUDGET = 600
 MAX_FAMILY_DEPTH = 8
+# An enumeration's memory grows with its budget, and FAMILY_CACHE_SIZE of them
+# are kept, so a family is refused above this: over ten times the largest budget
+# in the test suite and the benchmark (600).
+MAX_FAMILY_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,8 @@ def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[_Member,
                          f"got depth {depth} and budget {budget}")
     if depth is not None and depth > MAX_FAMILY_DEPTH:
         raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
+    if budget > MAX_FAMILY_BUDGET:
+        raise ResourceLimitError(f"formula-family budget {budget} exceeds {MAX_FAMILY_BUDGET}")
     return _enumeration(tuple(sorted(sig.predicates.items())), tuple(sig.constants()),
                         budget, depth)
 

@@ -7,15 +7,17 @@ are finite minima and maxima, so evaluation is exact and total.
 
 Every connective, core or derived, has one truth function in ``TRUTH``,
 written against a small algebra interface.  The one evaluator,
-``value_tables``, runs it bottom-up on value ranks (``Ranks``); the solver
-runs it on symbolic values.  ``syntax.expand_derived`` gives derived
+``value_tables``, runs it bottom-up on value ranks; the solver runs it on
+symbolic values.  ``Ranks`` is the one interned value sort: the direct
+evaluator and the classical companion's evaluator (``translation``) both
+run on it.  ``syntax.expand_derived`` gives derived
 connectives by definition, and the test suite checks the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -90,7 +92,7 @@ class Structure:
 
     def atomic_values(self) -> List[TruthValue]:
         """All truth values realized in predicate tables, deduplicated."""
-        return list(dict.fromkeys(tv for table in self.preds.values() for tv in table.values()))
+        return list(dict.fromkeys(chain.from_iterable(t.values() for t in self.preds.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -124,41 +126,38 @@ ORDERED = frozenset((And, Or, Imp, Iff, DArrow, DDArrow, LukImp))
 
 
 class Ranks:
-    """The algebra of one structure's truth values as ranks.
+    """An algebra of truth values as ranks: the one interned value sort.
 
-    The sort is 0 and inf plus the values of the predicate tables, sorted;
-    a value of the sort is its rank there, an int, so rank order is value
-    order and the ordered connectives compare ints.  ``one`` or a product,
-    inverse or power outside the sort stays a TruthValue; 0 and inf are in
-    every sort, so such a value is a group element.  Built by ``ranks_of``,
-    once per structure.
+    The sort is 0 and inf plus ``values``, deduplicated and sorted; a value
+    of the sort is its rank there, an int, so rank order is value order and
+    the ordered connectives compare ints.  ``ONE`` or a product, inverse or
+    power outside the sort stays a TruthValue; 0 and inf are in every sort,
+    so such a value is a group element.  ``tables`` holds ``preds`` with
+    each value encoded so.  The direct evaluator runs on ``ranks_of(struct)``,
+    built once per structure; the classical evaluator runs on the
+    companion's value sort.
     """
 
-    __slots__ = ("values", "rank", "INF", "backend", "tables", "_one")
+    __slots__ = ("values", "rank", "INF", "ONE", "backend", "tables")
     ZERO = 0
 
-    def __init__(self, struct: Structure):
-        sort = {ZERO, INF}
-        for table in struct.preds.values():
-            sort.update(table.values())
-        self.values: Tuple[TruthValue, ...] = tuple(sorted(sort, key=order_key))
+    def __init__(self, values: Iterable[TruthValue], backend: GroupBackend,
+                 preds: Mapping[str, Mapping[Tuple[str, ...], TruthValue]]):
+        self.values: Tuple[TruthValue, ...] = tuple(sorted({ZERO, INF, *values}, key=order_key))
         self.rank: Dict[TruthValue, int] = {v: i for i, v in enumerate(self.values)}
         self.INF = len(self.values) - 1
-        self.backend = struct.backend
-        self.tables = _RankTables(self.rank, struct.preds)
-        self._one = None
+        self.backend = backend
+        self.ONE = self.encode(one(backend))
+        rank = self.rank
+        self.tables: Dict[str, Dict[Tuple[str, ...], object]] = {
+            name: {args: rank.get(v, v) for args, v in table.items()}
+            for name, table in preds.items()}
 
     def encode(self, v: TruthValue):
         return self.rank.get(v, v)
 
     def decode(self, v) -> TruthValue:
         return self.values[v] if type(v) is int else v
-
-    @property
-    def ONE(self):
-        if self._one is None:
-            self._one = self.encode(one(self.backend))
-        return self._one
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -181,27 +180,11 @@ class Ranks:
         return self.encode(tv_power(self.decode(a), n))
 
 
-class _RankTables(dict):
-    """Predicate name -> its table with the values as ranks, built on first use."""
-
-    __slots__ = ("rank", "preds")
-
-    def __init__(self, rank: Dict[TruthValue, int], preds):
-        super().__init__()
-        self.rank = rank
-        self.preds = preds
-
-    def __missing__(self, name: str) -> Dict[Tuple[str, ...], int]:
-        rank = self.rank
-        got = self[name] = {args: rank[v] for args, v in self.preds.get(name, {}).items()}
-        return got
-
-
 def ranks_of(struct: Structure) -> Ranks:
     """The rank algebra of struct, built on first use and kept on it."""
     got = struct._ranks
     if got is None:
-        got = struct._ranks = Ranks(struct)
+        got = struct._ranks = Ranks(struct.atomic_values(), struct.backend, struct.preds)
     return got
 
 
@@ -259,7 +242,7 @@ def value_tables(struct: Structure, nodes: Sequence[tuple], env: Assignment):
             operands.append(values)
         truth = TRUTH.get(quantifier or kind)
         if kind is Atom:
-            rows = V.tables[phi.pred]
+            rows = V.tables.get(phi.pred, {})
             scope = dict(env)
             values = []
             for assignment in product(*[universe] * len(axes)):

@@ -28,13 +28,13 @@ from typing import (
 )
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Structure, eval_formula, eval_term
+from .semantics import Ranks, Structure, eval_formula, eval_term
 from .syntax import (
     QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv, One,
     Tensor, Term, Var, children, expand_derived, free_vars, is_core, is_sentence,
     print_term, term_vars,
 )
-from .values import INF, ZERO, TruthValue, one, order_key, tv_compare, tv_inv, tv_mul
+from .values import INF, ZERO, TruthValue, one, order_key
 
 # ---------------------------------------------------------------------------
 # Classical (two-sorted) formulas
@@ -153,26 +153,21 @@ def _body(node):
 
 _pair = attrgetter("left", "right")
 
-# The companion's order, product and inverse on the classical evaluator's
-# values: an index into the sorted value sort, or a TruthValue outside it.
-def _le(ev, s, t) -> bool:
-    if type(s) is int and type(t) is int:
-        return s <= t
-    return tv_compare(ev.decode(s), ev.decode(t)) <= 0
-
-
+# The companion's product and inverse on the classical evaluator's values,
+# ranks of its value sort ev.V, memoized per call: the clause g = g1 * g2 is
+# evaluated k^3 times over a sort of k values.
 def _mul(ev, s, t):
     key = (s, t)
     got = ev.products.get(key)
     if got is None:
-        got = ev.products[key] = ev.encode(tv_mul(ev.decode(s), ev.decode(t), ev.c.backend))
+        got = ev.products[key] = ev.V.mul(s, t)
     return got
 
 
 def _inv(ev, s):
     got = ev.inverses.get(s)
     if got is None:
-        got = ev.inverses[s] = ev.encode(tv_inv(ev.decode(s)))
+        got = ev.inverses[s] = ev.V.inv(s)
     return got
 
 
@@ -182,7 +177,7 @@ def _inv(ev, s):
 # inner nodes, the operation on the evaluator and the values of the parts.
 _SHAPES = {
     CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
-    CLe: _Shape("le", _pair, "_apply", _le),
+    CLe: _Shape("le", _pair, "_apply", lambda ev, s, t: ev.V.compare(s, t) <= 0),
     CEqV: _Shape("eqv", _pair, "_apply", lambda ev, s, t: s == t),
     CAnd: _Shape("and", _pair, "_connective", False),
     CImp: _Shape("imp", _pair, "_connective", True),
@@ -291,9 +286,11 @@ def holds_sentence(trans: Translation) -> ClassicalFormula:
 class ClassicalStructure:
     """Finite two-sorted companion: object sort, value sort, graphs.
 
-    ``values`` is sorted ascending and always contains 0, 1 and inf.
-    Graphs are stored functionally (args -> value), which both enforces
-    and witnesses their functionality.
+    ``to_classical`` gives ``values`` sorted ascending with 0, 1 and inf
+    in it; the evaluator sorts the value sort itself and adds 0 and inf,
+    so a hand-built companion needs neither.  Graphs are stored
+    functionally (args -> value), which both enforces and witnesses their
+    functionality.
     """
 
     backend: object
@@ -301,15 +298,6 @@ class ClassicalStructure:
     values: Tuple[TruthValue, ...]
     relations: Dict[str, Dict[Tuple[str, ...], TruthValue]]
     funcs: Dict[str, Dict[Tuple[str, ...], str]]
-
-    def constant(self, which: str) -> TruthValue:
-        if which == "0":
-            return ZERO
-        if which == "inf":
-            return INF
-        if which == "1":
-            return one(self.backend)
-        raise UsageError(f"unknown value constant {which!r}")
 
 
 def to_classical(
@@ -355,33 +343,24 @@ class _ClassicalEvaluator:
     turns the naive exponential evaluation into one pass per node and
     assignment.
 
-    Inside one call a value of the sort is its index in the sorted
-    ``values`` tuple, so index order is value order and memo keys hold
-    small ints; a product or inverse outside the sort stays a TruthValue.
+    Inside one call a value is a rank of ``V``, the companion's value sort
+    interned as ``semantics.Ranks``, so memo keys hold small ints.
     Objects are their names.
     """
 
     def __init__(self, companion: ClassicalStructure):
         self.c = companion
-        self.index = {v: i for i, v in enumerate(companion.values)}
+        V = self.V = Ranks(companion.values, companion.backend, companion.relations)
         # the quantifier domains, by sort
         self.objects = companion.objects
-        self.values = range(len(companion.values))
-        self.graphs = {name: {args: self.encode(v) for args, v in table.items()}
-                       for name, table in companion.relations.items()}
-        self.constants: Dict[str, object] = {}
+        self.values = range(len(V.values))
+        self.constants = {"0": V.ZERO, "1": V.ONE, "inf": V.INF}
         self.products: Dict[Tuple, object] = {}
         self.inverses: Dict[object, object] = {}
         self.memo: Dict[Tuple[int, object], bool] = {}
         self.fv_cache: Dict[int, Tuple[str, ...]] = {}
         # id of a formula node -> the projection of an assignment onto its free variables
         self.projections: Dict[int, Callable] = {}
-
-    def encode(self, v: TruthValue):
-        return self.index.get(v, v)
-
-    def decode(self, v) -> TruthValue:
-        return self.c.values[v] if type(v) is int else v
 
     # free variables (both sorts) of a classical node or value term, cached by identity
     def free(self, node) -> Tuple[str, ...]:
@@ -434,7 +413,7 @@ class _ClassicalEvaluator:
                 raise UsageError(f"sort violation: {print_term(t)!r} holds a value-sort item")
         case, value_shape = _TERM_CASES.get(type(node.value), _NOT_A_TERM)
         value = case(self, node.value, env, value_shape)
-        table = self.graphs.get(node.pred)
+        table = self.V.tables.get(node.pred)
         if table is None or args not in table:
             raise UsageError(f"no graph entry for {node.pred!r} at {args}")
         return table[args] == value
@@ -484,10 +463,10 @@ class _ClassicalEvaluator:
         return v
 
     def _const(self, t: VConst, env, shape):
-        got = self.constants.get(t.which)
-        if got is None:
-            got = self.constants[t.which] = self.encode(self.c.constant(t.which))
-        return got
+        try:
+            return self.constants[t.which]
+        except KeyError:
+            raise UsageError(f"unknown value constant {t.which!r}") from None
 
 
 # The cases are looked up as plain functions: an evaluator holding its own
@@ -524,7 +503,7 @@ def eval_classical(
     for name in names:
         item = scope[name]
         if isinstance(item, TruthValue):
-            scope[name] = evaluator.encode(item)
+            scope[name] = evaluator.V.encode(item)
         elif not isinstance(item, str):
             raise UsageError(f"sort violation: {name!r} holds neither an object nor a truth value")
     return evaluator.eval(psi, scope)

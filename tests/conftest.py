@@ -216,3 +216,14 @@ def oracle(phi, struct, env, seen):
 @pytest.fixture
 def rng():
     return make_rng(20260810)
+
+
+def pytest_configure(config):
+    """One Hypothesis profile for the suite: derandomized, no example
+    database, no deadline; each property sets only its max_examples.
+    Imported here, not at module level: the benchmark imports this module
+    for its generators and should not pay for importing hypothesis."""
+    from hypothesis import settings
+
+    settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+    settings.load_profile("tier1")

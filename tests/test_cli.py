@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agodel import cli, solver
+from agodel import cli, modeltheory, solver
 from agodel.cli import COMMANDS, main
 
 SIG0 = "pred P/0\npred Q/0\n"
@@ -346,6 +346,16 @@ class TestModelTheoryCommands:
         assert code2 == 0
         assert "equivalent-at-depth(2)" in out2
 
+    def test_equiv_budget_above_the_bound_exits_3_at_once(self, files, capsys):
+        a = files("a.struct", "backend rat\nuniverse m1 m2\npred P m1 = 2\npred P m2 = inf\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equiv", "--from", a, "--to", a, "--depth", "1",
+                             "--budget", str(modeltheory.MAX_FAMILY_BUDGET + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
     @pytest.mark.parametrize("direction", ["a-to-b", "b-to-a"])
     def test_equiv_needs_common_signature(self, files, capsys, direction):
         a = files("a.struct", "backend rat\nuniverse m1\npred P = 2\n")
@@ -547,13 +557,13 @@ def fuzz_dir(tmp_path_factory):
 
 
 class TestExitCodeProperty:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(command=st.sampled_from(["eval", "check-translation"]), formula=FORMULA_TEXT)
     def test_every_formula_exits_0_to_3(self, exit_code_structure, command, formula):
         code = main([command, "--formula", formula, "--structure", exit_code_structure])
         assert code in (0, 1, 2, 3)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(command=st.sampled_from(["eval", "check-model", "solve"]),
            structure=_file_text(FUZZ_STRUCTS, FUZZ_STRUCT_WORDS),
            signature=_file_text([FUZZ_SIG], FUZZ_SIG_WORDS),

@@ -15,7 +15,7 @@ from agodel import (
 )
 from agodel import modeltheory
 from agodel.modeltheory import (
-    FAMILY_CACHE_SIZE, diagram_signature, separating_sentence,
+    FAMILY_CACHE_SIZE, MAX_FAMILY_BUDGET, diagram_signature, separating_sentence,
 )
 from agodel.semantics import ranks_of
 from agodel.syntax import App
@@ -401,6 +401,12 @@ class TestFamilyGuard:
         with pytest.raises(ResourceLimitError):
             ENTRY_POINTS[entry](9, 600)
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_budget_limit(self, entry):
+        ENTRY_POINTS[entry](2, MAX_FAMILY_BUDGET)
+        with pytest.raises(ResourceLimitError):
+            ENTRY_POINTS[entry](2, MAX_FAMILY_BUDGET + 1)
+
 
 # ---------------------------------------------------------------------------
 # Value tables against per-assignment evaluation
@@ -452,7 +458,7 @@ def squared(struct):
 
 
 class TestTablesAgainstOracle:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
            size=st.integers(1, 3))
     def test_every_cell_is_the_evaluated_value(self, seed, backend, size):
@@ -471,7 +477,7 @@ class TestTablesAgainstOracle:
             checked += 1
         assert checked == len(members) == len(formula_family(ORACLE_SIG, 3, 600))
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
            depth=st.integers(0, 3), budget=st.sampled_from([40, 150, 600]))
     def test_checks_match_per_assignment_loops(self, seed, backend, depth, budget):

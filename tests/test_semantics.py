@@ -206,7 +206,7 @@ ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "
 
 
 class TestAgainstOracle:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]))
     def test_eval_formula_matches_oracle(self, seed, backend):
         # derived connectives, free variables bound by env, and products,
@@ -242,7 +242,7 @@ class TestAgainstOracle:
                 assert eval_formula(phi, struct, {"x": x}, on_value=seen.add) == expected
                 assert seen == expected_seen
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
            size=st.integers(1, 5))
     def test_check_ultrametric_matches_oracle(self, seed, backend, size):

@@ -148,7 +148,7 @@ def nullary_formulas(draw, depth=4):
     return BINARY[op](draw(nullary_formulas(depth - 1)), draw(nullary_formulas(depth - 1)))
 
 
-JOIN_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+JOIN_SETTINGS = settings(max_examples=150)
 
 
 class TestJoinProperty:
@@ -171,6 +171,20 @@ class TestJoinProperty:
                               for values in product(GRID, repeat=3))
         )
         assert result.sat or not grid_model
+
+
+# Atom values off the fixed GRID: 0, inf, the powers 2^k for k in [-3, 3], and 3/2.
+OFF_GRID = [ZERO, INF, rat(3, 2)] + [rat(Fraction(2) ** k) for k in range(-3, 4)]
+
+
+class TestCompiledBranchesProperty:
+    @settings(max_examples=300)
+    @given(phi=nullary_formulas(depth=3),
+           values=st.tuples(*[st.sampled_from(OFF_GRID)] * len(NULLARY_KEYS)))
+    def test_branch_union_is_the_inf_set_off_the_grid(self, phi, values):
+        valuation = dict(zip(NULLARY_KEYS, values))
+        in_union = any(b.holds_for(valuation) for b in compile_inf(phi))
+        assert in_union == grid_eval(phi, valuation).is_inf, valuation
 
 
 def check_witness(constraints, witness):

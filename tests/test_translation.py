@@ -13,7 +13,7 @@ from agodel import (
 )
 from agodel import translation
 from agodel.translation import (
-    CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
+    ClassicalStructure, CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
     CNot, CRel, VConst, VInv, VMul, VVar,
 )
 from conftest import (
@@ -136,11 +136,13 @@ class TestTranslateClauses:
 
 class TestToClassical:
     def test_constants(self):
-        struct = nullary(rat(2))
-        companion = to_classical(struct)
-        assert companion.constant("0") == ZERO
-        assert companion.constant("1") == rat(1)
-        assert companion.constant("inf") == INF
+        companion = to_classical(nullary(rat(2)))
+        for which, value in (("0", ZERO), ("1", rat(1)), ("inf", INF)):
+            for other in companion.values:
+                holds = eval_classical(CEqV(VVar("g"), VConst(which)), companion, {"g": other})
+                assert holds == (other == value), (which, other)
+        with pytest.raises(UsageError):
+            eval_classical(CEqV(VVar("g"), VConst("2")), companion, {"g": INF})
 
     def test_function_tables_are_shared_verbatim(self):
         sig = Signature(functions={"f": 1}, predicates={"P": 1})
@@ -170,6 +172,13 @@ class TestEvalClassical:
         companion = to_classical(nullary(rat(2)))
         assert eval_classical(CEqV(VVar("g"), VConst("inf")), companion, {"g": INF})
         assert not eval_classical(CEqV(VVar("g"), VConst("0")), companion, {"g": INF})
+
+    def test_hand_built_sort_out_of_order(self):
+        # the evaluator sorts the value sort, so order verdicts read values, not positions
+        companion = ClassicalStructure(RAT, ("m1",), (INF, rat(1), ZERO), {}, {})
+        assert not eval_classical(CLe(VConst("inf"), VConst("0")), companion)
+        assert eval_classical(CLe(VConst("0"), VConst("1")), companion)
+        assert eval_classical(CForallVal("g", CLe(VVar("g"), VConst("inf"))), companion)
 
     def test_unsatisfiable_existential(self):
         companion = to_classical(nullary(rat(2)))
@@ -327,8 +336,7 @@ def core_sentences(draw, depth=3, bound=()):
     return node(draw(core_sentences(depth - 1, bound)), draw(core_sentences(depth - 1, bound)))
 
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
-                             database=None)
+PROPERTY_SETTINGS = settings(max_examples=150)
 
 
 class TestTranslationProperty:
