@@ -172,9 +172,9 @@ def _inv(ev, s):
 
 
 # One row per classical node type.  The parameter of a quantifier is its
-# domain (a _ClassicalEvaluator attribute) and whether every instance must
-# hold; of CAnd and CImp, the verdict when the left side is false; of the other
-# inner nodes, the operation on the evaluator and the values of the parts.
+# sort and whether every instance must hold; of CAnd and CImp, the verdict
+# when the left side is false; of the other inner nodes, the operation on the
+# evaluator and the values of the parts.
 _SHAPES = {
     CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
     CLe: _Shape("le", _pair, "_apply", lambda ev, s, t: ev.V.compare(s, t) <= 0),
@@ -229,18 +229,32 @@ def translate(phi: Formula) -> Translation:
 
     The result has the object free variables of phi plus one free value
     variable naming the truth value of phi.  Value variables are
-    allocated per subformula, so they never collide: the variable of a
-    node is bound strictly inside its parent's clause.
+    allocated per subformula node on its first visit, so they never
+    collide: the variable of a node is bound strictly inside each of its
+    parents' clauses.  A node that recurs in phi (``expand_derived``
+    shares repeated operands) is translated once and its translation
+    recurs, so the companion of a DAG is a DAG of the same order of size.
     """
     if not is_core(phi):
         raise UsageError("translate requires a core-only formula; run expand_derived first")
     counter = [0]
+    names: Dict[int, str] = {id(phi): "g"}  # id of a node -> its value variable
+    done: Dict[int, ClassicalFormula] = {}  # id of a node -> its translation
 
     def fresh() -> str:
         counter[0] += 1
         return f"g{counter[0]}"
 
-    def go(node: Formula, g: str) -> ClassicalFormula:
+    def var_of(node: Formula) -> str:
+        return names.get(id(node)) or names.setdefault(id(node), fresh())
+
+    def go(node: Formula) -> ClassicalFormula:
+        key = id(node)
+        if key not in done:
+            done[key] = clause(node, names[key])
+        return done[key]
+
+    def clause(node: Formula, g: str) -> ClassicalFormula:
         kind = type(node)
         if kind in _CONSTANT_VALUES:
             return CEqV(VVar(g), VConst(_CONSTANT_VALUES[kind]))
@@ -250,26 +264,23 @@ def translate(phi: Formula) -> Translation:
             # g is the greatest lower bound (forall) or the least upper bound
             # (exists) of the instance values g1; only the order flips.
             order = CLe if kind is Forall else (lambda s, t: CLe(t, s))
-            g1, g2 = fresh(), fresh()
+            g1, g2 = var_of(node.body), fresh()
             v, v1, v2 = VVar(g), VVar(g1), VVar(g2)
-            body = go(node.body, g1)  # shared by both clauses below
+            body = go(node.body)  # shared by both clauses below
             bound = CForallObj(node.var, CForallVal(g1, CImp(body, order(v, v1))))
             approx = CForallVal(g2, CImp(order(v, v2), CExistsObj(
                 node.var, CExistsVal(g1, CAnd(body, order(v1, v2))))))
             return CAnd(bound, approx)
         kids = children(node)
-        names = [fresh() for _ in kids]
-        parts = []
-        for kid, name in zip(kids, names):
-            parts.append(go(kid, name))
-        parts.extend(_SIDE_CLAUSES[kind](VVar(g), *map(VVar, names)))
+        kid_vars = [var_of(kid) for kid in kids]
+        parts = [go(kid) for kid in kids]
+        parts.extend(_SIDE_CLAUSES[kind](VVar(g), *map(VVar, kid_vars)))
         out = reduce(CAnd, parts)
-        for name in reversed(names):
+        for name in reversed(dict.fromkeys(kid_vars)):
             out = CExistsVal(name, out)
         return out
 
-    g0 = "g"
-    return Translation(go(phi, g0), g0)
+    return Translation(go(phi), "g")
 
 
 def holds_sentence(trans: Translation) -> ClassicalFormula:
@@ -326,8 +337,8 @@ def to_classical(
 # Classical evaluation (two-valued Tarskian semantics)
 
 # The memo grows with the formula and the value sort, so eval_classical refuses
-# to build more entries than this: over ten times the largest in the test suite
-# and the benchmark's translate corpus (119,694 entries).
+# to build more memo and support entries than this: over 400 times the largest
+# in the test suite and the benchmark's translate corpus (4,539 entries).
 MAX_CLASSICAL_MEMO = 2_000_000
 
 
@@ -346,6 +357,18 @@ class _ClassicalEvaluator:
     Inside one call a value is a rank of ``V``, the companion's value sort
     interned as ``semantics.Ranks``, so memo keys hold small ints.
     Objects are their names.
+
+    A value quantifier loops over the support of its guard, not the whole
+    sort (safe-range evaluation).  Let A be the body of exists-val v, or
+    the antecedent of forall-val v whose body is an implication; strip
+    from A its prefix of object and value existentials.  The guard is the
+    first conjunct of the rest that mentions v, provided neither it nor a
+    conjunct left of it mentions a stripped variable (so a prefix that
+    binds v again leaves no guard).  Where those left conjuncts hold, an
+    instance off the support makes A false, so it can neither witness the
+    exists nor refute the forall.  The support is memoized on the guard's
+    other free variables; a quantifier with no guard loops over the whole
+    sort.
     """
 
     def __init__(self, companion: ClassicalStructure):
@@ -361,6 +384,9 @@ class _ClassicalEvaluator:
         self.fv_cache: Dict[int, Tuple[str, ...]] = {}
         # id of a formula node -> the projection of an assignment onto its free variables
         self.projections: Dict[int, Callable] = {}
+        # id of a value quantifier -> its guard, and (id, projection) -> support
+        self.guards: Dict[int, Optional[Tuple]] = {}
+        self.supports: Dict[Tuple[int, object], Tuple[int, ...]] = {}
 
     # free variables (both sorts) of a classical node or value term, cached by identity
     def free(self, node) -> Tuple[str, ...]:
@@ -392,7 +418,7 @@ class _ClassicalEvaluator:
             return got
         case, shape = _FORMULA_CASES.get(type(node), _NOT_A_FORMULA)
         result = case(self, node, env, shape)
-        if len(self.memo) >= MAX_CLASSICAL_MEMO:
+        if len(self.memo) + len(self.supports) >= MAX_CLASSICAL_MEMO:
             raise ResourceLimitError(
                 f"classical evaluation exceeds {MAX_CLASSICAL_MEMO} memo entries")
         self.memo[key] = result
@@ -435,11 +461,10 @@ class _ClassicalEvaluator:
 
     def _quantifier(self, node, env, shape) -> bool:
         sort, want_all = shape.param
-        domain = getattr(self, sort)
         saved = env.get(node.var)
         had = node.var in env
         try:
-            for item in domain:
+            for item in self.objects if sort == "objects" else self.support(node, env):
                 env[node.var] = item
                 truth = self.eval(node.body, env)
                 if want_all and not truth:
@@ -452,6 +477,57 @@ class _ClassicalEvaluator:
                 env[node.var] = saved
             else:
                 env.pop(node.var, None)
+
+    def guard(self, node):
+        """(the conjuncts left of the guard, the guard, the projection onto its
+        other free variables) of a value quantifier, or None; found once."""
+        key = id(node)
+        if key in self.guards:
+            return self.guards[key]
+        var, part, found = node.var, node.body, None
+        if type(node) is CForallVal:
+            part = part.left if type(part) is CImp else None
+        bound = set()  # the variables of the stripped existential prefix
+        while type(part) in (CExistsVal, CExistsObj):
+            bound.add(part.var)
+            part = part.body
+        lefts, todo = [], [] if part is None else [part]
+        while todo:
+            conjunct = todo.pop()
+            if type(conjunct) is CAnd:
+                todo += (conjunct.right, conjunct.left)
+                continue
+            names = self.free(conjunct)
+            if bound.intersection(names):
+                break
+            if var in names:
+                others = [name for name in names if name != var]
+                found = (lefts, conjunct, itemgetter(*others) if others else _no_names)
+                break
+            lefts.append(conjunct)
+        self.guards[key] = found
+        return found
+
+    def support(self, node, env):
+        """The ranks where the guard of a value quantifier holds, in rank order;
+        the whole sort when it has no guard, none when a conjunct left of it fails."""
+        found = self.guard(node)
+        if found is None:
+            return self.values
+        lefts, guard, project = found
+        for left in lefts:
+            if not self.eval(left, env):
+                return ()
+        key = (id(node), project(env))
+        got = self.supports.get(key)
+        if got is None:
+            got = []
+            for item in self.values:
+                env[node.var] = item
+                if self.eval(guard, env):
+                    got.append(item)
+            got = self.supports[key] = tuple(got)  # eval counts it against the budget
+        return got
 
     def _var(self, t: VVar, env, shape):
         try:
@@ -491,8 +567,13 @@ def eval_classical(
 ) -> bool:
     """Two-valued satisfaction; value quantifiers range over the finite sort.
 
+    A value quantifier with a guard (see _ClassicalEvaluator) evaluates the
+    guard at every value of the sort before it tries an instance, so a
+    hand-built formula whose guard raises UsageError at some value raises
+    it even where a witness at an earlier value would have decided the
+    quantifier; no companion that ``translate`` builds raises there.
     Raises ResourceLimitError when the evaluation needs more than
-    MAX_CLASSICAL_MEMO memo entries.
+    MAX_CLASSICAL_MEMO memo and support entries.
     """
     evaluator = _ClassicalEvaluator(companion)
     scope = dict(env) if env else {}

@@ -265,6 +265,26 @@ class TestResourceLimits:
         assert code == 0
         assert out.strip() == "translation-agrees"
 
+    @pytest.mark.parametrize("formula", ["P^250", "P^1000"])
+    def test_large_power_checks_at_a_finite_value(self, files, capsys, formula):
+        # at P = 2 the value sort holds every power 2^k the balanced product needs
+        struct = files("m.struct", STRUCT_PS)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check-translation", "--formula", formula,
+                           "--structure", struct)
+        assert code == 0
+        assert out.strip() == "translation-agrees"
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("arrows", [3, 4])
+    def test_nested_derived_arrows_check(self, files, capsys, arrows):
+        # the expansion shares its repeated operands, and so does the companion
+        struct = files("m.struct", STRUCT_PS)
+        code, out, _ = run(capsys, "check-translation", "--formula",
+                           "P" + " ==> S" * arrows, "--structure", struct)
+        assert code == 0
+        assert out.strip() == "translation-agrees"
+
     def test_oversize_derived_expansion_exits_3(self, files, capsys):
         struct = files("m.struct", STRUCT_PS)
         start = time.perf_counter()

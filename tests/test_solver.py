@@ -109,6 +109,11 @@ class TestCompile:
         ok, witness = branch_union_matches_eval(phi, ["P", "Q"])
         assert ok, f"{text} disagrees at {witness}"
 
+    def test_branch_union_equals_eval_three_atom_difference(self):
+        # ==> compares P * Q with R strictly: the compared forms differ in three atoms
+        ok, witness = branch_union_matches_eval(parse("P * Q ==> R", SIG3), ["P", "Q", "R"])
+        assert ok, f"P * Q ==> R disagrees at {witness}"
+
     def test_branch_union_equals_eval_random(self):
         rng = make_rng(17)
         sig3 = Signature(predicates={"P": 0, "Q": 0, "R": 0})

@@ -1,5 +1,6 @@
 """Classical companion: translation clauses, evaluation, the equivalence check."""
 
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from agodel import (
     check_translation, eval_classical, expand_derived, holds_sentence, parse,
     print_classical, rat, to_classical, translate,
 )
+from agodel.values import order_key, tv_compare, tv_inv, tv_mul
 from agodel import translation
 from agodel.translation import (
     ClassicalStructure, CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
@@ -167,6 +169,21 @@ class TestToClassical:
         assert companion.values[-1] == INF
 
 
+def guard_and_support(psi, companion, env):
+    """The guard the evaluator finds for a value quantifier, and its support as values."""
+    evaluator = translation._ClassicalEvaluator(companion)
+    scope = {name: evaluator.V.encode(item) for name, item in env.items()}
+    found = evaluator.guard(psi)
+    support = evaluator.support(psi, scope)
+    return found, [evaluator.V.values[rank] for rank in support]
+
+
+# Hand-built value quantifiers over the companion of P = 2, Q = 3, whose
+# value sort is {0, 1, 2, 3, inf}
+G, H = VVar("g"), VVar("h")
+P_G, Q_H = CRel("P", (), G), CRel("Q", (), H)
+
+
 class TestEvalClassical:
     def test_equality_with_constant(self):
         companion = to_classical(nullary(rat(2)))
@@ -240,6 +257,159 @@ class TestEvalClassical:
         companion = to_classical(nullary(rat(2)))
         with pytest.raises(UsageError):
             eval_classical(CEqV(VVar("g"), VConst("0")), companion)
+
+    def test_guard_after_a_conjunct_without_the_variable(self):
+        companion = to_classical(nullary(rat(2)))
+        psi = CExistsVal("g", CAnd(CAnd(Q_H, P_G), CLe(G, H)))
+        found, support = guard_and_support(psi, companion, {"h": rat(3)})
+        assert found[0] == [Q_H] and found[1] is P_G
+        assert support == [rat(2)]
+        assert eval_classical(psi, companion, {"h": rat(3)})
+        assert not eval_classical(psi, companion, {"h": rat(1)})  # Q(1) fails
+        below = CExistsVal("g", CAnd(CAnd(Q_H, P_G), CLe(H, G)))
+        assert not eval_classical(below, companion, {"h": rat(3)})
+
+    def test_false_left_conjunct_empties_the_support(self):
+        # R has no graph, so evaluating the guard would raise; the false
+        # conjunct left of it means it is never evaluated, as without guards
+        companion = to_classical(nullary(rat(2)))
+        psi = CExistsVal("g", CAnd(CEqV(H, VConst("0")), CRel("R", (), G)))
+        found, support = guard_and_support(psi, companion, {"h": INF})
+        assert found[1] == CRel("R", (), G) and support == []
+        assert eval_classical(psi, companion, {"h": INF}) is False
+        with pytest.raises(UsageError):
+            eval_classical(psi, companion, {"h": ZERO})
+
+    def test_guard_mentioning_a_prefix_variable_falls_back_to_the_sort(self):
+        companion = to_classical(nullary(rat(2)))
+        k = VVar("k")
+        psi = CExistsVal("g", CExistsVal("k", CAnd(CLe(G, k), CRel("P", (), k))))
+        found, support = guard_and_support(psi, companion, {})
+        assert found is None and support == list(companion.values)
+        assert eval_classical(psi, companion)
+        stripped = CExistsVal("g", CExistsVal("k", CAnd(P_G, CRel("P", (), k))))
+        found, support = guard_and_support(stripped, companion, {})
+        assert found[1] is P_G and support == [rat(2)]
+        assert eval_classical(stripped, companion)
+
+    def test_support_follows_the_guards_other_variables(self):
+        # the support of exists g (g = h) is {h}, a different one for each h
+        companion = to_classical(nullary(rat(2)))
+        assert eval_classical(CForallVal("h", CExistsVal("g", CEqV(G, H))), companion)
+
+    def test_forall_guards(self):
+        companion = to_classical(nullary(rat(2)))
+        bounded = CForallVal("g", CImp(P_G, CLe(G, H)))
+        found, support = guard_and_support(bounded, companion, {"h": rat(3)})
+        assert found[1] is P_G and support == [rat(2)]
+        assert eval_classical(bounded, companion, {"h": rat(3)})
+        assert not eval_classical(bounded, companion, {"h": rat(1)})
+        for body, expected in ((CLe(G, VConst("inf")), True), (CAnd(P_G, P_G), False)):
+            psi = CForallVal("g", body)
+            found, support = guard_and_support(psi, companion, {})
+            assert found is None and support == list(companion.values)
+            assert eval_classical(psi, companion) is expected
+
+
+# Random classical formulas over one unary and one nullary graph, object
+# variables x, y and value variables g, h, k, all assigned at the top; a
+# value-term leaf is a variable twice as often as a constant.
+OBJ_VARS, VAL_VARS = ("x", "y"), ("g", "h", "k")
+value_terms = st.recursive(
+    st.sampled_from([VVar(name) for name in VAL_VARS * 2] + [VConst(c) for c in ("0", "1", "inf")]),
+    lambda inner: st.one_of(st.builds(VMul, inner, inner), st.builds(VInv, inner)),
+    max_leaves=3)
+classical_atoms = st.one_of(
+    st.builds(CRel, st.just("P"), st.tuples(st.sampled_from([Var(x) for x in OBJ_VARS])),
+              value_terms),
+    st.builds(CRel, st.just("N"), st.just(()), value_terms),
+    st.builds(CLe, value_terms, value_terms),
+    st.builds(CEqV, value_terms, value_terms),
+)
+
+
+@st.composite
+def guard_shapes(draw, inner):
+    """Q.. exists-val v (R.. (A and B..)) or Q.. forall-val v (R.. (A and B..) -> C)
+    under random quantifier prefixes Q.. and R..: the shapes the guard rule reads."""
+    def prefix(body, kinds):
+        for kind in draw(st.lists(st.sampled_from(kinds), max_size=len(kinds) - 1)):
+            body = kind(draw(st.sampled_from(OBJ_VARS if kind is CExistsObj else VAL_VARS)), body)
+        return body
+
+    body = prefix(reduce(CAnd, draw(st.lists(inner, min_size=2, max_size=3))),
+                  [CExistsVal, CExistsObj, CForallVal])
+    var = draw(st.sampled_from(VAL_VARS))
+    if draw(st.booleans()):
+        return prefix(CExistsVal(var, body), [CExistsVal, CForallVal])
+    return prefix(CForallVal(var, CImp(body, draw(inner))), [CExistsVal, CForallVal])
+
+
+classical_formulas = st.recursive(classical_atoms, lambda inner: st.one_of(
+    st.builds(CAnd, inner, inner), st.builds(CImp, inner, inner), st.builds(CNot, inner),
+    st.builds(CExistsVal, st.sampled_from(VAL_VARS), inner),
+    st.builds(CForallVal, st.sampled_from(VAL_VARS), inner),
+    st.builds(CExistsObj, st.sampled_from(OBJ_VARS), inner),
+    st.builds(CForallObj, st.sampled_from(OBJ_VARS), inner),
+), max_leaves=4)
+
+
+@st.composite
+def small_companions(draw):
+    objects = ("m1", "m2")[:draw(st.integers(1, 2))]
+    inner = draw(st.lists(st.sampled_from([rat(1, 2), rat(1), rat(2)]),
+                          min_size=1, max_size=3, unique=True))
+    values = tuple(sorted({ZERO, INF, *inner}, key=order_key))
+    relations = {"N": {(): draw(st.sampled_from(values))},
+                 "P": {(m,): draw(st.sampled_from(values)) for m in objects}}
+    return ClassicalStructure(RAT, objects, values, relations, {})
+
+
+def naive_eval(psi, companion, env):
+    """Reference semantics: every quantifier runs over its whole domain, no memo."""
+    constants = {"0": ZERO, "1": rat(1), "inf": INF}
+
+    def term(t):
+        if isinstance(t, VVar):
+            return env[t.name]
+        if isinstance(t, VConst):
+            return constants[t.which]
+        if isinstance(t, VMul):
+            return tv_mul(term(t.left), term(t.right), RAT)
+        return tv_inv(term(t.arg))
+
+    def holds(phi):
+        if isinstance(phi, CRel):
+            args = tuple(env[a.name] for a in phi.args)
+            return companion.relations[phi.pred][args] == term(phi.value)
+        if isinstance(phi, CLe):
+            return tv_compare(term(phi.left), term(phi.right)) <= 0
+        if isinstance(phi, CEqV):
+            return term(phi.left) == term(phi.right)
+        if isinstance(phi, CAnd):
+            return holds(phi.left) and holds(phi.right)
+        if isinstance(phi, CImp):
+            return not holds(phi.left) or holds(phi.right)
+        if isinstance(phi, CNot):
+            return not holds(phi.body)
+        objects = isinstance(phi, (CForallObj, CExistsObj))
+        saved, verdicts = env[phi.var], []
+        for item in companion.objects if objects else companion.values:
+            env[phi.var] = item
+            verdicts.append(holds(phi.body))
+        env[phi.var] = saved
+        return all(verdicts) if isinstance(phi, (CForallObj, CForallVal)) else any(verdicts)
+
+    return holds(psi)
+
+
+class TestEvalClassicalProperty:
+    @settings(max_examples=200)
+    @given(psi=guard_shapes(classical_formulas), companion=small_companions(), data=st.data())
+    def test_matches_the_naive_full_domain_evaluator(self, psi, companion, data):
+        env = {x: data.draw(st.sampled_from(companion.objects)) for x in OBJ_VARS}
+        env.update({g: data.draw(st.sampled_from(companion.values)) for g in VAL_VARS})
+        assert eval_classical(psi, companion, env) == naive_eval(psi, companion, dict(env))
 
 
 class TestCheckTranslation:
