@@ -4,10 +4,11 @@ The textbook notions quantify over all formulas; here they are replaced
 by honest finite surrogates.  A canonical formula family is enumerated
 deterministically (size-ordered, documented budget) so that
 depth-bounded checks are reproducible and monotone in the depth bound.
-The checks feed the family, as a node list, to the evaluator's bottom-up
-pass (``semantics.value_tables``): one table per member over the
-assignments of its free variables, x and y at most, built from the
-tables of its immediate subformulas.
+The family is one list of ``syntax.Node`` (each member's kids are family
+indices, its free variables a sorted subset of x and y), and the checks
+feed it to the evaluator's bottom-up pass (``semantics.value_tables``):
+one table per member over the assignments of its free variables, built
+from the tables of its immediate subformulas.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -23,12 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations, product
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
 from .semantics import Structure, ranks_of, value_tables
 from .syntax import (
-    And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Not, One,
+    And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Node, Not, One,
     Signature, Tensor, Var,
 )
 from .values import RAT, K_ELEM, TruthValue
@@ -181,33 +182,23 @@ _BINARY_OPS = (And, Imp, Tensor)
 FAMILY_CACHE_SIZE = 16
 
 
-class _Member(NamedTuple):
-    """One family formula, as a node of ``semantics.value_tables``: the
-    formula, the family indices of its immediate subformulas, and its free
-    variables (a sorted subset of ``_FAMILY_VARS``), which are its axes."""
-
-    formula: Formula
-    kids: Tuple[int, ...]
-    free: Tuple[str, ...]
-
-
 def _atoms(predicates, constants):
     terms = [Var(v) for v in _FAMILY_VARS] + [App(c, ()) for c in constants]
-    yield _Member(Bot(), (), ())
-    yield _Member(One(), (), ())
+    yield Node(Bot(), (), ())
+    yield Node(One(), (), ())
     for pred, arity in predicates:
         for args in product(terms, repeat=arity):
             free = tuple(v for v in _FAMILY_VARS if Var(v) in args)
-            yield _Member(Atom(pred, args), (), free)
+            yield Node(Atom(pred, args), (), free)
 
 
-def _compounds(members: List[_Member], layers: List[range]):
+def _compounds(members: List[Node], layers: List[range]):
     """The members one size up from the last layer, in canonical order."""
     size = len(layers) + 1
     for op in _UNARY_OPS:
         for i in layers[size - 2]:
             m = members[i]
-            yield _Member(op(m.formula), (i,), m.free)
+            yield Node(op(m.formula), (i,), m.free)
     for op in _BINARY_OPS:
         for left_size in range(1, size - 1):
             for i in layers[left_size - 1]:
@@ -215,23 +206,23 @@ def _compounds(members: List[_Member], layers: List[range]):
                 for j in layers[size - 2 - left_size]:
                     b = members[j]
                     free = tuple(v for v in _FAMILY_VARS if v in a.free or v in b.free)
-                    yield _Member(op(a.formula, b.formula), (i, j), free)
+                    yield Node(op(a.formula, b.formula), (i, j), free)
     for i in layers[size - 2]:
         body = members[i]
         for var in _FAMILY_VARS:
             if var in body.free:
                 free = tuple(v for v in body.free if v != var)
-                yield _Member(Forall(var, body.formula), (i,), free)
-                yield _Member(Exists(var, body.formula), (i,), free)
+                yield Node(Forall(var, body.formula), (i,), free)
+                yield Node(Exists(var, body.formula), (i,), free)
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, ...],
-                 budget: int, depth: Optional[int]) -> Tuple[_Member, ...]:
+                 budget: int, depth: Optional[int]) -> Tuple[Node, ...]:
     """The canonical enumeration cut to connective depth <= depth (depth
     None: whole).  A member's kids are shallower and come before it, so
     they stay in; they index the cut tuple."""
-    members: List[_Member] = []
+    members: List[Node] = []
     layers: List[range] = []
     layer = _atoms(predicates, constants)
     while len(members) < budget:
@@ -243,7 +234,7 @@ def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, 
         layer = _compounds(members, layers)
     depths: List[int] = []
     at: Dict[int, int] = {}  # enumeration index -> index in the cut
-    kept: List[_Member] = []
+    kept: List[Node] = []
     for i, member in enumerate(members):
         depths.append(max([depths[k] + 1 for k in member.kids], default=0))
         if depth is None or depths[i] <= depth:
@@ -252,7 +243,7 @@ def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, 
     return tuple(kept)
 
 
-def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[_Member, ...]:
+def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[Node, ...]:
     """The canonical enumeration over sig, cut to connective depth <= depth
     (depth None: whole), after the checks every family entry point shares."""
     if budget < 1 or (depth is not None and depth < 0):
@@ -290,12 +281,12 @@ def sentence_family(sig: Signature, depth: int,
 # Value tables: the family evaluated bottom-up, once per structure
 
 
-def _tables(struct: Structure, members: Tuple[_Member, ...]):
+def _tables(struct: Structure, members: Tuple[Node, ...]):
     """Yield (member, table) per member, in family order: the table lists
     the member's values, as ranks of ``ranks_of(struct)``, over the
     assignments of its free variables in ``product`` order over the
     universe (cell i * n + j holds x = universe[i], y = universe[j])."""
-    return zip(members, value_tables(struct, members, {}))
+    return zip(members, value_tables(struct, members))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +377,7 @@ def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
     return True
 
 
-def _paired_tables(a: Structure, b: Structure, members: Tuple[_Member, ...]):
+def _paired_tables(a: Structure, b: Structure, members: Tuple[Node, ...]):
     """((member, table in a), (member, table in b)) per member, built lazily."""
     here = _tables(a, members)
     if b is a:

@@ -7,24 +7,26 @@ are finite minima and maxima, so evaluation is exact and total.
 
 Every connective, core or derived, has one truth function in ``TRUTH``,
 written against a small algebra interface.  The one evaluator,
-``value_tables``, runs it bottom-up on value ranks; the solver runs it on
-symbolic values.  ``Ranks`` is the one interned value sort: the direct
-evaluator and the classical companion's evaluator (``translation``) both
-run on it.  ``syntax.expand_derived`` gives derived
-connectives by definition, and the test suite checks the two agree.
+``value_tables``, runs it on value ranks over a formula's DAG node list
+(``syntax.nodes``), one table per subformula over the assignments of its
+free variables; the solver runs it on symbolic values over the same list.
+``Ranks`` is the one interned value sort: the direct evaluator and the
+classical companion's evaluator (``translation``) both run on it.
+``syntax.expand_derived`` gives derived connectives by definition, and
+the test suite checks the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import UsageError
 from .syntax import (
     QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, DArrow, DDArrow, Delta,
-    Forall, Formula, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature,
-    Tensor, Term, Top, Var, children, content_lines, term_vars,
+    Forall, Formula, Iff, Imp, Inv, LukImp, Node, Not, One, Or, Power, Signature,
+    Tensor, Term, Top, Var, content_lines, nodes,
 )
 from .values import (
     INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
@@ -208,18 +210,16 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
     raise UsageError(f"not a term: {t!r}")
 
 
-def value_tables(struct: Structure, nodes: Sequence[tuple], env: Assignment):
-    """Yield the value table of every node, in order.
+def value_tables(struct: Structure, nodes: Sequence[Node]):
+    """Yield the value table of every node of a ``syntax.nodes`` list, in order.
 
-    A node is (formula, kids, axes): kids are the positions in ``nodes``
-    of its immediate subformulas, which come before it; axes are its free
-    variables that range over the universe, sorted, and env holds the
-    others.  A table lists the formula's values, as ranks of
-    ``ranks_of(struct)``, over the assignments of the axes, row-major.
-    The truth function reads the kids' tables laid out over the node's
-    axes; a quantifier lays its body out with its variable last and folds
-    each run of n cells.  A pass memoizes the connectives that do not
-    compare their operands, and keeps every table until it ends.
+    A table lists the node's values, as ranks of ``ranks_of(struct)``,
+    over the assignments of its free variables (its axes) in ``product``
+    order over the universe.  The truth function reads the kids' tables
+    laid out over the node's axes; a quantifier lays its body out with its
+    variable last and folds each run of n cells.  A pass memoizes the
+    connectives that do not compare their operands, and keeps every table
+    until it ends.
     """
     V = ranks_of(struct)
     universe = struct.universe
@@ -243,7 +243,7 @@ def value_tables(struct: Structure, nodes: Sequence[tuple], env: Assignment):
         truth = TRUTH.get(quantifier or kind)
         if kind is Atom:
             rows = V.tables.get(phi.pred, {})
-            scope = dict(env)
+            scope = {}
             values = []
             for assignment in product(*[universe] * len(axes)):
                 scope.update(zip(axes, assignment))
@@ -290,63 +290,29 @@ def _layout(axes: Tuple[str, ...], order: Tuple[str, ...], n: int) -> List[int]:
     return [cells[i] for i in index]
 
 
-def _nodes(phi: Formula, env: Assignment, nodes: List[tuple]) -> Tuple[str, ...]:
-    """Append the nodes of phi's subformulas to nodes, in post-order, for
-    ``value_tables`` under env; return phi's axes.  A variable bound by a
-    quantifier is an axis below it, where it shadows env; a variable that
-    is neither bound nor in env is an axis of phi itself."""
-    kind = type(phi)
-    if kind is Atom:
-        names = set()
-        for t in phi.args:
-            names |= term_vars(t)
-        kids: Tuple[int, ...] = ()
-        axes = tuple(sorted(names - env.keys())) if names else ()
-    elif kind in QUANTIFIER_CONNECTIVE:
-        inner = {v: e for v, e in env.items() if v != phi.var} if phi.var in env else env
-        below = _nodes(phi.body, inner, nodes)
-        kids = (len(nodes) - 1,)
-        axes = tuple(v for v in below if v != phi.var)
-    else:
-        kids = ()
-        axes = ()
-        for kid in children(phi):
-            below = _nodes(kid, env, nodes)
-            kids += (len(nodes) - 1,)
-            if not axes:
-                axes = below
-            elif below and below != axes:
-                axes = tuple(sorted(set(axes).union(below)))
-    nodes.append((phi, kids, axes))
-    return axes
-
-
-def eval_formula(
-    phi: Formula,
-    struct: Structure,
-    env: Optional[Assignment] = None,
-    on_value: Optional[Callable[[TruthValue], None]] = None,
-) -> TruthValue:
+def eval_formula(phi: Formula, struct: Structure, env: Optional[Assignment] = None) -> TruthValue:
     """Exact truth value of phi in struct under env.
 
-    ``on_value``, when given, is called with every value some subformula
-    takes under some assignment reached during evaluation; the
-    classical-translation check uses it to collect witness values.
+    The pass evaluates phi over every assignment of its free variables,
+    which env must all bind to elements of the universe, and reads env's
+    cell; env's other variables are ignored.
     """
-    return ranks_of(struct).decode(_rank(phi, struct, env or {}, on_value))
-
-
-def _rank(phi, struct, env, on_value=None):
-    """phi's rank in struct under env, from one ``value_tables`` pass."""
-    nodes: List[tuple] = []
-    unbound = _nodes(phi, env, nodes)
+    flat = nodes(phi)
+    free = flat[-1].free
+    env = env or {}
+    unbound = [v for v in free if v not in env]
     if unbound:
-        raise UsageError(f"unbound variables {list(unbound)}")
-    for values in value_tables(struct, nodes, env):
-        if on_value is not None:
-            for value in set(values):
-                on_value(ranks_of(struct).decode(value))
-    return values[0]
+        raise UsageError(f"unbound variables {unbound}")
+    cell = 0
+    if free:
+        position = {element: i for i, element in enumerate(struct.universe)}
+        for v in free:
+            if env[v] not in position:
+                raise UsageError(f"variable {v!r} is bound to {env[v]!r}, not in the universe")
+            cell = cell * len(position) + position[env[v]]
+    for table in value_tables(struct, flat):
+        pass
+    return ranks_of(struct).decode(table[cell])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +321,7 @@ def _rank(phi, struct, env, on_value=None):
 
 def satisfies(struct: Structure, phi: Formula) -> bool:
     """True when the sentence evaluates to absolute truth."""
-    return _rank(phi, struct, {}) == ranks_of(struct).INF
+    return eval_formula(phi, struct).is_inf
 
 
 def models_theory(struct: Structure, theory: Iterable[Formula]) -> bool:

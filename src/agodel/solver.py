@@ -3,7 +3,9 @@
 Pipeline: ground all quantifiers over n named elements, compile the
 condition "sentence evaluates to absolute truth" into a disjunction of
 constraint systems, and decide each system by Fourier-Motzkin
-elimination over exact rationals.
+elimination over exact rationals.  Compilation runs bottom-up over the
+ground sentence's node list (``syntax.nodes``), so a subformula object
+that recurs is compiled once.
 
 Each ground atom is an unknown ranging over the three strata of the
 carrier: a case tag picks the stratum (zero / group element / inf), and
@@ -36,7 +38,7 @@ from .errors import ResourceLimitError, UsageError
 from .semantics import ORDERED, TRUTH, Structure, satisfies
 from .syntax import (
     QUANTIFIER_CONNECTIVE, App, Atom, DDArrow, Formula, One, Power, Signature,
-    Term, Top, Var, children, free_vars, print_formula, rebuild,
+    Term, Top, Var, children, free_vars, nodes, print_formula, rebuild,
 )
 from .values import (
     K_ELEM, K_INF, K_ZERO, LEX2, MAX_POWER_BITS, RAT, TruthValue, lex2, one, rat,
@@ -309,45 +311,44 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     Raises ResourceLimitError when some subformula has more than
     MAX_BRANCHES branches.
     """
-
-    def guard(branches):
-        if len(branches) > MAX_BRANCHES:
-            raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}")
-        return branches
-
-    # Each step returns [(tags, lins, sym_value)].  A connective's value is
-    # its truth function from semantics.TRUTH, run on the symbolic algebra
-    # once per joined pair of operand branches and, for an ORDERED
+    # Each node's branches are [(tags, lins, sym_value)].  A connective's
+    # value is its truth function from semantics.TRUTH, run on the symbolic
+    # algebra once per joined pair of operand branches and, for an ORDERED
     # connective, once per case of the order between its two operands.
-    def go(node: Formula):
+    # A subformula that recurs in phi is compiled once.
+    compiled: List[list] = []
+    for node, kids, _ in nodes(phi):
         kind = type(node)
         if kind is Atom:
             key = _atom_key(node)
-            return [
+            out = [
                 ({key: K_ZERO}, [], _SYM_Z),
                 ({key: K_ELEM}, [], _sym_elem({key: 1})),
                 ({key: K_INF}, [], _SYM_I),
             ]
-        if kind in QUANTIFIER_CONNECTIVE:
+        elif kind in QUANTIFIER_CONNECTIVE:
             raise UsageError("compile expects a ground sentence; run ground_sentence() first")
-        parts = [go(kid) for kid in children(node)]
-        truth = TRUTH[kind]
-        if not parts:
-            return [({}, [], truth(_Symbolic, node, 0))]
-        if len(parts) == 1:
-            return guard([(tags, lins, truth(_Symbolic, node, 0, v))
-                          for tags, lins, v in parts[0]])
-        out = []
-        ordered = kind in ORDERED
-        for tags, (_, lins1, v1), (_, lins2, v2) in _join(*parts):
-            lins = lins1 + lins2
-            for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
-                out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
-            guard(out)
-        return out
+        elif not kids:
+            out = [({}, [], TRUTH[kind](_Symbolic, node, 0))]
+        elif len(kids) == 1:
+            truth = TRUTH[kind]
+            out = [(tags, lins, truth(_Symbolic, node, 0, v))
+                   for tags, lins, v in compiled[kids[0]]]
+        else:
+            truth = TRUTH[kind]
+            ordered = kind in ORDERED
+            out = []
+            left, right = kids
+            for tags, (_, lins1, v1), (_, lins2, v2) in _join(compiled[left], compiled[right]):
+                lins = lins1 + lins2
+                for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
+                    out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
+                if len(out) > MAX_BRANCHES:
+                    raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}")
+        compiled.append(out)
 
     systems = {}
-    for tags, lins, v in go(phi):
+    for tags, lins, v in compiled[-1]:
         if v == _SYM_I:
             system = ConstraintSystem(tags, list(dict.fromkeys(lins)))
             systems.setdefault(system.canonical_key(), system)

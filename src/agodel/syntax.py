@@ -30,7 +30,9 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .errors import (
     ArityError, FormulaSyntaxError, ParseError, ResourceLimitError, UnknownSymbolError, UsageError,
@@ -294,7 +296,7 @@ QUANTIFIER_CONNECTIVE = {Forall: And, Exists: Or}
 # ---------------------------------------------------------------------------
 # Generic traversal: which fields of a node are subformulas
 #
-# The recursive traversals here and in semantics/solver collect children in
+# The recursive traversals here and in the solver's grounding collect children in
 # plain loops: on Python 3.11 a comprehension adds a frame per level, which
 # would halve the nesting depth that fits under the recursion limit.
 
@@ -347,14 +349,61 @@ def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
     return _SHAPES[type(phi)][1](phi, kids)
 
 
+class Node(NamedTuple):
+    """One subformula in a list of ``nodes``: the formula, the positions in
+    the list of its immediate subformulas, and its free variables, sorted."""
+
+    formula: Formula
+    kids: Tuple[int, ...]
+    free: Tuple[str, ...]
+
+
+def nodes(phi: Formula) -> List[Node]:
+    """phi's subformulas in post-order, so each comes after its immediate
+    subformulas and phi is last.  A subformula object that recurs in phi
+    (``expand_derived`` shares repeated operands) is listed once, so the
+    list is as long as phi is as a DAG.  Every bottom-up pass reads it."""
+    out: List[Node] = []
+    _list(phi, out, {})
+    return out
+
+
+def _list(phi: Formula, out: List[Node], at: Dict[int, int]) -> int:
+    """Append phi's unlisted subformulas to out, in post-order; return
+    phi's position.  at maps the id of each listed formula to its
+    position (out keeps the formula alive, so the id is not reused)."""
+    key = id(phi)
+    got = at.get(key)
+    if got is None:
+        kind = type(phi)
+        shape = _SHAPES.get(kind)
+        if shape is None:
+            raise UsageError(f"not a formula: {phi!r}")
+        kids: Tuple[int, ...] = ()
+        free: Tuple[str, ...] = ()
+        if kind is Atom:  # a leaf: its arguments are terms
+            names: Set[str] = set()
+            for t in phi.args:
+                names |= term_vars(t)
+            if names:
+                free = tuple(sorted(names))
+        else:
+            for kid in shape[0](phi):
+                k = _list(kid, out, at)
+                kids += (k,)
+                below = out[k][2]
+                if below and below != free:
+                    free = tuple(sorted({*free, *below})) if free else below
+            if kind in QUANTIFIER_CONNECTIVE and phi.var in free:
+                free = tuple([v for v in free if v != phi.var])
+        got = at[key] = len(out)
+        out.append(Node(phi, kids, free))
+    return got
+
+
 def is_core(phi: Formula) -> bool:
     """True when no derived node occurs anywhere in the formula."""
-    if type(phi) not in CORE_NODES:
-        return False
-    for kid in children(phi):
-        if not is_core(kid):
-            return False
-    return True
+    return all(type(node.formula) in CORE_NODES for node in nodes(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +499,6 @@ def free_vars(phi: Formula) -> Set[str]:
     if kind in QUANTIFIER_CONNECTIVE:
         out.discard(phi.var)
     return out
-
-
-def is_sentence(phi: Formula) -> bool:
-    return not free_vars(phi)
 
 
 def _fresh(base: str, taken: Set[str]) -> str:
@@ -571,28 +616,32 @@ class _Parser:
             self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
 
-    # formula := quantified | binary(_LEVEL_IFF)
+    # formula := binary(_LEVEL_IFF); a quantifier is a primary whose body
+    # extends as far right as possible
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("forall", "exists"):
-            return self.quantified()
         return self.binary(_LEVEL_IFF)
 
     def quantified(self) -> Formula:
-        tok = self.advance()
-        var_tok = self.peek()
-        if var_tok.kind != "IDENT" or var_tok.text in KEYWORDS:
-            self.error("expected a variable name after quantifier")
-        if var_tok.text in self.sig.functions or var_tok.text in self.sig.predicates:
-            self.error(
-                f"{var_tok.text!r} is a declared symbol and cannot be a bound variable",
-                var_tok, cls=UnknownSymbolError,
-            )
-        self.advance()
-        self.expect(".")
+        """A quantifier prefix and its body, read in a loop so that a long
+        prefix costs no stack."""
+        prefix = []
+        while self.peek().text in ("forall", "exists"):
+            tok = self.advance()
+            var_tok = self.peek()
+            if var_tok.kind != "IDENT" or var_tok.text in KEYWORDS:
+                self.error("expected a variable name after quantifier")
+            if var_tok.text in self.sig.functions or var_tok.text in self.sig.predicates:
+                self.error(
+                    f"{var_tok.text!r} is a declared symbol and cannot be a bound variable",
+                    var_tok, cls=UnknownSymbolError,
+                )
+            self.advance()
+            self.expect(".")
+            prefix.append((Forall if tok.text == "forall" else Exists, var_tok.text))
         body = self.formula()
-        node = Forall if tok.text == "forall" else Exists
-        return node(var_tok.text, body)
+        for node, var in reversed(prefix):
+            body = node(var, body)
+        return body
 
     def binary(self, level: int) -> Formula:
         """Operands joined by the binary connectives of one precedence level."""
@@ -669,6 +718,10 @@ class _Parser:
             if self.peek().text == "(":
                 self.error(f"nullary predicate {name!r} takes no argument list", tok, cls=ArityError)
             return Atom(name, ())
+        return Atom(name, self.arguments(tok, "predicate", arity))
+
+    def arguments(self, tok: Token, what: str, arity: int) -> Tuple[Term, ...]:
+        """The parenthesized argument list of the symbol at tok, of arity >= 1."""
         self.expect("(")
         args = [self.term()]
         while self.peek().text == ",":
@@ -676,8 +729,9 @@ class _Parser:
             args.append(self.term())
         self.expect(")")
         if len(args) != arity:
-            self.error(f"predicate {name!r} expects {arity} arguments, got {len(args)}", tok, cls=ArityError)
-        return Atom(name, tuple(args))
+            self.error(f"{what} {tok.text!r} expects {arity} arguments, got {len(args)}",
+                       tok, cls=ArityError)
+        return tuple(args)
 
     def term(self) -> Term:
         tok = self.peek()
@@ -690,17 +744,7 @@ class _Parser:
             self.error(f"predicate {name!r} used as a term", tok, cls=UnknownSymbolError)
         if name in self.sig.functions:
             arity = self.sig.functions[name]
-            if arity == 0:
-                return App(name, ())
-            self.expect("(")
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.advance()
-                args.append(self.term())
-            self.expect(")")
-            if len(args) != arity:
-                self.error(f"function {name!r} expects {arity} arguments, got {len(args)}", tok, cls=ArityError)
-            return App(name, tuple(args))
+            return App(name, self.arguments(tok, "function", arity) if arity else ())
         return Var(name)
 
 

@@ -13,9 +13,9 @@ phi_G(g) with one distinguished value variable such that
 ``check_translation`` machine-checks that equivalence instance by
 instance.  The companion's value sort must contain every witness the
 equivalence needs, i.e. the value of every subformula of phi under
-every assignment; ``check_translation`` collects that exact set through
-an evaluator hook and seeds the sort with it, so the check never
-reports a wrong answer.
+every assignment; ``check_translation`` reads that exact set off the
+direct evaluator's value tables and seeds the sort with it, so the
+check never reports a wrong answer.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from typing import (
 )
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Ranks, Structure, eval_formula, eval_term
+from .semantics import Ranks, Structure, eval_term, ranks_of, value_tables
 from .syntax import (
-    QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv, One,
-    Tensor, Term, Var, children, expand_derived, free_vars, is_core, is_sentence,
-    print_term, term_vars,
+    CORE_NODES, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv,
+    One, Tensor, Term, Var, children, expand_derived, is_core, nodes, print_term,
+    term_vars,
 )
 from .values import INF, ZERO, TruthValue, one, order_key
 
@@ -153,24 +153,6 @@ def _body(node):
 
 _pair = attrgetter("left", "right")
 
-# The companion's product and inverse on the classical evaluator's values,
-# ranks of its value sort ev.V, memoized per call: the clause g = g1 * g2 is
-# evaluated k^3 times over a sort of k values.
-def _mul(ev, s, t):
-    key = (s, t)
-    got = ev.products.get(key)
-    if got is None:
-        got = ev.products[key] = ev.V.mul(s, t)
-    return got
-
-
-def _inv(ev, s):
-    got = ev.inverses.get(s)
-    if got is None:
-        got = ev.inverses[s] = ev.V.inv(s)
-    return got
-
-
 # One row per classical node type.  The parameter of a quantifier is its
 # sort and whether every instance must hold; of CAnd and CImp, the verdict
 # when the left side is false; of the other inner nodes, the operation on the
@@ -188,8 +170,8 @@ _SHAPES = {
     CExistsVal: _Shape("exists-val", _body, "_quantifier", ("values", False), "var"),
     VVar: _Shape("", _no_parts, "_var", label="name"),
     VConst: _Shape("", _no_parts, "_const", label="which"),
-    VMul: _Shape("mul", _pair, "_apply", _mul),
-    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", _inv),
+    VMul: _Shape("mul", _pair, "_apply", lambda ev, s, t: ev.V.mul(s, t)),
+    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", lambda ev, s: ev.V.inv(s)),
 }
 
 
@@ -378,8 +360,6 @@ class _ClassicalEvaluator:
         self.objects = companion.objects
         self.values = range(len(V.values))
         self.constants = {"0": V.ZERO, "1": V.ONE, "inf": V.INF}
-        self.products: Dict[Tuple, object] = {}
-        self.inverses: Dict[object, object] = {}
         self.memo: Dict[Tuple[int, object], bool] = {}
         self.fv_cache: Dict[int, Tuple[str, ...]] = {}
         # id of a formula node -> the projection of an assignment onto its free variables
@@ -599,15 +579,22 @@ def check_translation(phi: Formula, struct: Structure) -> bool:
 
     Returns whether direct satisfaction and classical satisfaction of
     the translated sentence agree, over a value sort seeded with every
-    value a subformula of phi takes under an assignment.
+    value a subformula of phi takes under an assignment: the cells of
+    the value tables of one direct evaluation pass.
     """
-    if not is_sentence(phi):
-        raise UsageError(f"not a sentence (free: {sorted(free_vars(phi))})")
-    core = phi if is_core(phi) else expand_derived(phi)
-    needed: Set[TruthValue] = set()
-    direct = eval_formula(core, struct, on_value=needed.add).is_inf
-    companion = to_classical(struct, needed)
-    return direct == eval_classical(holds_sentence(translate(core)), companion)
+    flat = nodes(phi)
+    if flat[-1].free:
+        raise UsageError(f"not a sentence (free: {list(flat[-1].free)})")
+    if not all(type(node.formula) in CORE_NODES for node in flat):
+        phi = expand_derived(phi)
+        flat = nodes(phi)
+    V = ranks_of(struct)
+    needed: Set[object] = set()
+    for table in value_tables(struct, flat):
+        needed.update(table)
+    companion = to_classical(struct, map(V.decode, needed))
+    direct = V.is_inf(table[0])  # the last table is phi's, a sentence: one cell
+    return direct == eval_classical(holds_sentence(translate(phi)), companion)
 
 
 # ---------------------------------------------------------------------------

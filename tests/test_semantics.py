@@ -1,6 +1,7 @@
 """Evaluation, satisfaction, similarity/ultrametric, structure files."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -14,8 +15,8 @@ from agodel import (
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
     tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
 )
-from agodel.semantics import ORDERED, TRUTH, ranks_of
-from agodel.syntax import App
+from agodel.semantics import ORDERED, TRUTH, ranks_of, value_tables
+from agodel.syntax import App, nodes
 from conftest import (
     RAT_POOL, make_rng, oracle, random_formula, random_structure, random_truth_value,
     similarity_closure, tv_dmin,
@@ -89,6 +90,16 @@ class TestEval:
     def test_unbound_variable_rejected(self):
         with pytest.raises(UsageError):
             eval_formula(Atom("P", (Var("x"),)), random_structure(make_rng(1), SIG1))
+
+    def test_env_value_outside_the_universe_rejected(self):
+        struct = Structure(SIG1, RAT, ("m1", "m2"), {},
+                           {"P": {("m1",): rat(2), ("m2",): rat(3)}})
+        phi = parse("P(x)", SIG1)
+        assert eval_formula(phi, struct, {"x": "m2"}) == rat(3)
+        with pytest.raises(UsageError):
+            eval_formula(phi, struct, {"x": "m3"})
+        # a variable that is not free in the formula is ignored
+        assert eval_formula(parse("forall x. P(x)", SIG1), struct, {"x": "m3"}) == rat(2)
 
     def test_unbound_variable_refused_before_any_value(self):
         # Q^300000 alone exceeds the power limit; the unbound x is refused first
@@ -205,6 +216,18 @@ class TestDerivedTablesAgreeWithExpansion:
 ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0})
 
 
+def assert_tables_hold_the_oracle_values(phi, struct):
+    """The cells of one value_tables pass over the sentence that closes phi
+    are exactly the values the oracle sees: those of every subformula under
+    every assignment it reaches (the witness sort of check_translation)."""
+    sentence = reduce(lambda body, v: Forall(v, body), sorted(free_vars(phi)), phi)
+    expected_seen = set()
+    oracle(sentence, struct, {}, expected_seen)
+    V = ranks_of(struct)
+    seen = {V.decode(v) for table in value_tables(struct, nodes(sentence)) for v in table}
+    assert seen == expected_seen
+
+
 class TestAgainstOracle:
     @settings(max_examples=300)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]))
@@ -215,10 +238,8 @@ class TestAgainstOracle:
         struct = random_structure(rng, ORACLE_SIG, backend=backend)
         phi = random_formula(rng, ORACLE_SIG, depth=4, bound=("y", "z"), qdepth=2)
         env = {v: rng.choice(struct.universe) for v in sorted(free_vars(phi))}
-        expected_seen, seen = set(), set()
-        expected = oracle(phi, struct, env, expected_seen)
-        assert eval_formula(phi, struct, env, on_value=seen.add) == expected
-        assert seen == expected_seen
+        assert eval_formula(phi, struct, env) == oracle(phi, struct, env, set())
+        assert_tables_hold_the_oracle_values(phi, struct)
 
     @pytest.mark.parametrize("text", [
         "P(x) /\\ forall x. Q(x, x)",
@@ -237,10 +258,9 @@ class TestAgainstOracle:
             struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
             phi = parse(text, ORACLE_SIG)
             for x in struct.universe:
-                expected_seen, seen = set(), set()
-                expected = oracle(phi, struct, {"x": x}, expected_seen)
-                assert eval_formula(phi, struct, {"x": x}, on_value=seen.add) == expected
-                assert seen == expected_seen
+                assert eval_formula(phi, struct, {"x": x}) == \
+                    oracle(phi, struct, {"x": x}, set())
+            assert_tables_hold_the_oracle_values(phi, struct)
 
     @settings(max_examples=300)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),

@@ -11,11 +11,12 @@ from agodel import (
     Exists, Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power,
     ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     compile_inf,
-    dump_structure, eval_formula, find_model, fm_solve, free_vars,
+    dump_structure, eval_formula, expand_derived, find_model, fm_solve, free_vars,
     ground_sentence, models_theory, parse, parse_theory, rat, remark_lab,
 )
 from agodel import solver
 from agodel.solver import TAG_ELEM, TAG_INF, TAG_ZERO
+from agodel.syntax import nodes
 from conftest import make_rng, random_formula
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
@@ -121,6 +122,15 @@ class TestCompile:
             phi = random_formula(rng, sig3, depth=rng.randint(1, 4), qdepth=0)
             ok, witness = branch_union_matches_eval(phi, ["P", "Q", "R"])
             assert ok, f"{phi} disagrees at {witness}"
+
+    def test_shared_subformula_compiles_as_its_tree_copy(self):
+        # P^4 expands to (P * P) * (P * P) with one shared P * P
+        shared = expand_derived(parse("P^4", SIG0))
+        p = lambda: Atom("P", ())  # noqa: E731
+        tree = Tensor(Tensor(p(), p()), Tensor(p(), p()))
+        assert shared == tree
+        assert len(nodes(shared)) == 3 and len(nodes(tree)) == 7
+        assert compile_inf(shared) == compile_inf(tree)
 
     def test_branch_budget(self, monkeypatch):
         sig = Signature(predicates={f"A{i}": 0 for i in range(12)})

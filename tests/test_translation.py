@@ -14,6 +14,7 @@ from agodel import (
 )
 from agodel.values import order_key, tv_compare, tv_inv, tv_mul
 from agodel import translation
+from agodel.syntax import children, nodes
 from agodel.translation import (
     ClassicalStructure, CAnd, CEqV, CExistsObj, CExistsVal, CForallObj, CForallVal, CImp, CLe,
     CNot, CRel, VConst, VInv, VMul, VVar,
@@ -443,6 +444,27 @@ class TestCheckTranslation:
         struct = nullary(rat(2))
         phi = Tensor(Tensor(Atom("P", ()), Atom("P", ())),
                      Tensor(Atom("P", ()), Atom("P", ())))
+        assert check_translation(phi, struct)
+
+    def test_nested_derived_arrows_are_flattened_as_a_dag(self):
+        # the expansion shares repeated operands: a tree of 120,641 nodes
+        # but 81 distinct objects, each listed once
+        sig = Signature(predicates={"P": 0, "S": 0})
+        phi = expand_derived(parse("P ==> S ==> S ==> S ==> S", sig))
+        distinct, todo = {}, [phi]
+        while todo:
+            node = todo.pop()
+            if id(node) not in distinct:
+                distinct[id(node)] = node
+                todo.extend(children(node))
+        flat = nodes(phi)
+        assert len(flat) == len(distinct) == 81
+        assert {id(node.formula) for node in flat} == distinct.keys()
+        tree_size = []
+        for node in flat:
+            tree_size.append(1 + sum(tree_size[k] for k in node.kids))
+        assert tree_size[-1] == 120_641
+        struct = Structure(sig, RAT, ("m1",), {}, {"P": {(): rat(2)}, "S": {(): rat(3)}})
         assert check_translation(phi, struct)
 
     def test_function_symbols_pass_through(self, rng):
