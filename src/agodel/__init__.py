@@ -19,7 +19,7 @@ from .values import (
 from .syntax import (
     And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists, Forall, Formula, Iff,
     Imp, Inv, LukImp, Not, One, Or, Power, Signature, Tensor, Term, Top, Var,
-    expand_derived, free_vars, is_core, parse, parse_signature,
+    expand_derived, free_vars, parse, parse_signature,
     parse_theory, print_formula, substitute,
 )
 from .semantics import (

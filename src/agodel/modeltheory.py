@@ -30,7 +30,7 @@ from .errors import ResourceLimitError, UsageError
 from .semantics import Structure, ranks_of, value_tables
 from .syntax import (
     And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Node, Not, One,
-    Signature, Tensor, Var,
+    Signature, Tensor, Var, fresh_name,
 )
 from .values import RAT, K_ELEM, TruthValue
 
@@ -425,38 +425,29 @@ def _transports(source: Structure, target: Structure, candidate: EmbeddingCandid
 def _candidate_exponent(source: Structure, target: Structure, h: Dict[str, str]):
     """Derive the unique exponent scaling compatible with the atomic tables.
 
-    Returns a Fraction, or None when no exponent scaling can transport
-    the atomic values (strata mismatch, non-parallel exponent vectors).
+    The first pair of group values whose source is not the identity pins
+    the exponent: the ratio of the two values' exponents of the source's
+    least prime.  Every atomic pair must then transport exactly; pairs
+    before the pinning one are checked under exponent 1, which any
+    exponent maps alike.  Returns a Fraction, or None when no exponent
+    scaling can transport the atomic values.
     """
-    exponent: Optional[Fraction] = None
+    candidate = EmbeddingCandidate.make(h)
+    pinned = False
     for name, table in source.preds.items():
         for args, tv in table.items():
             image = target.preds[name][tuple(h[a] for a in args)]
-            if tv.kind != image.kind:
-                return None
-            if tv.kind != K_ELEM:
-                continue
-            vec_s = factor_positive(tv.payload)
-            vec_t = factor_positive(image.payload)
-            if not vec_s:
-                if vec_t:
+            if not pinned and tv.kind == image.kind == K_ELEM and tv.payload != 1:
+                pinned = True
+                vec_s = factor_positive(tv.payload)
+                p = min(vec_s)
+                r = Fraction(factor_positive(image.payload).get(p, 0), vec_s[p])
+                if r <= 0:
                     return None
-                continue
-            if not vec_t:
+                candidate = EmbeddingCandidate(candidate.mapping, r)
+            if candidate.transport(tv) != image:
                 return None
-            if set(vec_s) != set(vec_t):
-                return None
-            ratios = {Fraction(vec_t[p], vec_s[p]) for p in vec_s}
-            if len(ratios) != 1:
-                return None
-            r = ratios.pop()
-            if r <= 0:
-                return None
-            if exponent is None:
-                exponent = r
-            elif exponent != r:
-                return None
-    return exponent if exponent is not None else Fraction(1)
+    return candidate.exponent
 
 
 def search_embeddings(
@@ -532,9 +523,7 @@ def diagram_signature(struct: Structure) -> Tuple[Signature, Dict[str, str]]:
     names = {}
     taken = set(struct.signature.functions) | set(struct.signature.predicates)
     for element in struct.universe:
-        name = f"c_{element}"
-        while name in taken:
-            name += "'"
+        name = fresh_name(f"c_{element}", taken)
         taken.add(name)
         names[element] = name
     return struct.signature.with_constants(names.values()), names

@@ -290,29 +290,16 @@ def _layout(axes: Tuple[str, ...], order: Tuple[str, ...], n: int) -> List[int]:
     return [cells[i] for i in index]
 
 
-def eval_formula(phi: Formula, struct: Structure, env: Optional[Assignment] = None) -> TruthValue:
-    """Exact truth value of phi in struct under env.
-
-    The pass evaluates phi over every assignment of its free variables,
-    which env must all bind to elements of the universe, and reads env's
-    cell; env's other variables are ignored.
-    """
+def eval_formula(phi: Formula, struct: Structure) -> TruthValue:
+    """Exact truth value of the sentence phi in struct; an open phi is
+    refused before any value is computed.  ``value_tables`` gives the
+    values of an open formula under every assignment."""
     flat = nodes(phi)
-    free = flat[-1].free
-    env = env or {}
-    unbound = [v for v in free if v not in env]
-    if unbound:
-        raise UsageError(f"unbound variables {unbound}")
-    cell = 0
-    if free:
-        position = {element: i for i, element in enumerate(struct.universe)}
-        for v in free:
-            if env[v] not in position:
-                raise UsageError(f"variable {v!r} is bound to {env[v]!r}, not in the universe")
-            cell = cell * len(position) + position[env[v]]
+    if flat[-1].free:
+        raise UsageError(f"unbound variables {list(flat[-1].free)}")
     for table in value_tables(struct, flat):
         pass
-    return ranks_of(struct).decode(table[cell])
+    return ranks_of(struct).decode(table[0])
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ from .values import (
 
 AtomKey = Tuple[str, Tuple[str, ...]]
 
-# A case tag is the value kind of the atom's stratum, so tags sort in
-# value order (zero < elem < inf).
-TAG_ZERO, TAG_ELEM, TAG_INF = K_ZERO, K_ELEM, K_INF
-
 # Case branches multiply with the nesting of connectives and quantifiers, so
 # compile_inf and find_model refuse to build more branches than this, and
 # fm_solve refuses to derive more comparisons than MAX_FM_CONSTRAINTS in one
@@ -84,6 +80,8 @@ class Constraint:
 class ConstraintSystem(NamedTuple):
     """One case branch: stratum tags for atoms plus linear comparisons."""
 
+    # an atom's tag is the value kind of its stratum, so tags sort in value
+    # order (K_ZERO < K_ELEM < K_INF)
     tags: Dict[AtomKey, int]
     lins: List[Constraint]
 
@@ -525,7 +523,6 @@ class SolveStats:
 @dataclass
 class FindResult:
     structure: Optional[Structure]
-    n_max: int
     stats: SolveStats
 
     @property
@@ -574,8 +571,8 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
                         raise AssertionError(
                             f"solver produced a non-model for {print_formula(phi)}"
                         )
-                return FindResult(struct, n_max, stats)
-    return FindResult(None, n_max, stats)
+                return FindResult(struct, stats)
+    return FindResult(None, stats)
 
 
 def _merge_sentence_branches(per_sentence):

@@ -401,11 +401,6 @@ def _list(phi: Formula, out: List[Node], at: Dict[int, int]) -> int:
     return got
 
 
-def is_core(phi: Formula) -> bool:
-    """True when no derived node occurs anywhere in the formula."""
-    return all(type(node.formula) in CORE_NODES for node in nodes(phi))
-
-
 # ---------------------------------------------------------------------------
 # Derived-connective expansion
 
@@ -501,7 +496,8 @@ def free_vars(phi: Formula) -> Set[str]:
     return out
 
 
-def _fresh(base: str, taken: Set[str]) -> str:
+def fresh_name(base: str, taken: Set[str]) -> str:
+    """base, primed until it is not in taken."""
     name = base
     while name in taken:
         name += "'"
@@ -524,7 +520,7 @@ def substitute(phi: Formula, x: str, s: Term) -> Formula:
             return phi
         if phi.var in term_vars(s) and x in free_vars(phi.body):
             taken = free_vars(phi.body) | term_vars(s) | {x}
-            fresh = _fresh(phi.var, taken)
+            fresh = fresh_name(phi.var, taken)
             body = substitute(phi.body, phi.var, Var(fresh))
             return kind(fresh, substitute(body, x, s))
         return kind(phi.var, substitute(phi.body, x, s))

@@ -31,7 +31,7 @@ from .errors import ResourceLimitError, UsageError
 from .semantics import Ranks, Structure, eval_term, ranks_of, value_tables
 from .syntax import (
     CORE_NODES, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv,
-    One, Tensor, Term, Var, children, expand_derived, is_core, nodes, print_term,
+    One, Tensor, Term, Var, children, expand_derived, nodes, print_term,
     term_vars,
 )
 from .values import INF, ZERO, TruthValue, one, order_key
@@ -216,9 +216,8 @@ def translate(phi: Formula) -> Translation:
     parents' clauses.  A node that recurs in phi (``expand_derived``
     shares repeated operands) is translated once and its translation
     recurs, so the companion of a DAG is a DAG of the same order of size.
+    A derived node anywhere in phi raises UsageError.
     """
-    if not is_core(phi):
-        raise UsageError("translate requires a core-only formula; run expand_derived first")
     counter = [0]
     names: Dict[int, str] = {id(phi): "g"}  # id of a node -> its value variable
     done: Dict[int, ClassicalFormula] = {}  # id of a node -> its translation
@@ -253,6 +252,8 @@ def translate(phi: Formula) -> Translation:
             approx = CForallVal(g2, CImp(order(v, v2), CExistsObj(
                 node.var, CExistsVal(g1, CAnd(body, order(v1, v2))))))
             return CAnd(bound, approx)
+        if kind not in _SIDE_CLAUSES:
+            raise UsageError("translate requires a core-only formula; run expand_derived first")
         kids = children(node)
         kid_vars = [var_of(kid) for kid in kids]
         parts = [go(kid) for kid in kids]

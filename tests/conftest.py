@@ -13,7 +13,8 @@ from agodel import (
     Tensor, Top, Var, elem, eval_term, free_vars, lex2, one, rat, tv_compare,
     tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
-from agodel.syntax import children
+from agodel.semantics import ranks_of, value_tables
+from agodel.syntax import CORE_NODES, children, nodes
 
 # values used by grid checks and random tables
 RAT_POOL = [ZERO, rat(1, 2), rat(1), rat(2), INF]
@@ -153,6 +154,11 @@ def similarity_closure(rng, size, value_pool):
     return Structure(sig, RAT, universe, {}, {"e": table})
 
 
+def is_core(phi):
+    """True when no derived node occurs anywhere in the formula."""
+    return all(type(node.formula) in CORE_NODES for node in nodes(phi))
+
+
 def subformulas(phi):
     """Yield phi and all its subformulas, prefix order."""
     yield phi
@@ -211,6 +217,20 @@ def oracle(phi, struct, env, seen):
         }[kind]()
     seen.add(value)
     return value
+
+
+def root_cells(phi, struct):
+    """(assignment, value) per cell of phi's table from one value_tables
+    pass: its sorted free variables over the universe in product order."""
+    flat = nodes(phi)
+    for table in value_tables(struct, flat):
+        pass
+    free = flat[-1].free
+    assignments = list(product(struct.universe, repeat=len(free)))
+    assert len(table) == len(assignments)
+    V = ranks_of(struct)
+    return [(dict(zip(free, elements)), V.decode(cell))
+            for elements, cell in zip(assignments, table)]
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from agodel import (
     INF, LEX2, RAT, ZERO, Atom, Delta, EmbeddingCandidate, GeneratedSubgroup,
     ResourceLimitError, Signature, Structure, UsageError, bounded_ediag,
-    bounded_elementary_equiv, check_embedding, eval_formula, factor_positive,
+    bounded_elementary_equiv, check_embedding, factor_positive,
     formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, rat,
     satisfies, search_embeddings, sentence_family, tv_power,
 )
@@ -425,10 +425,10 @@ def oracle_check_embedding(source, target, candidate, depth, budget):
         fv = sorted(free_vars(phi))
         for values in product(source.universe, repeat=len(fv)):
             env = dict(zip(fv, values))
-            transported = candidate.transport(eval_formula(phi, source, env))
+            transported = candidate.transport(oracle(phi, source, env, set()))
             if transported is None:
                 return False
-            if transported != eval_formula(phi, target, {v: h[e] for v, e in env.items()}):
+            if transported != oracle(phi, target, {v: h[e] for v, e in env.items()}, set()):
                 return False
     return True
 
@@ -505,3 +505,99 @@ class TestTablesAgainstOracle:
             oracle_separating_sentence(source, other, depth, budget)
         assert bounded_ediag(source, min(depth, 2), budget) == \
             oracle_ediag(source, min(depth, 2), budget)
+
+
+# ---------------------------------------------------------------------------
+# Exponent pinning against a per-pair derivation
+
+
+def oracle_candidate_exponent(source, target, h):
+    """The exponent derived pair by pair: strata must match, and every
+    non-identity pair's exponent vectors must be parallel with one common
+    positive ratio."""
+    exponent = None
+    for name, table in source.preds.items():
+        for args, tv in table.items():
+            image = target.preds[name][tuple(h[a] for a in args)]
+            if tv.kind != image.kind:
+                return None
+            if not tv.is_elem:
+                continue
+            vec_s = factor_positive(tv.payload)
+            vec_t = factor_positive(image.payload)
+            if not vec_s:
+                if vec_t:
+                    return None
+                continue
+            if not vec_t or set(vec_s) != set(vec_t):
+                return None
+            ratios = {Fraction(vec_t[p], vec_s[p]) for p in vec_s}
+            if len(ratios) != 1:
+                return None
+            r = ratios.pop()
+            if r <= 0 or (exponent is not None and exponent != r):
+                return None
+            exponent = r
+    return exponent if exponent is not None else Fraction(1)
+
+
+# identity values, both bounds, several primes, squares (for ratio 1/2)
+EXPONENT_POOL = [ZERO, INF, rat(1), rat(2), rat(3), rat(4), rat(9), rat(1, 4), rat(6),
+                 rat(36), rat(3, 2), rat(9, 4), rat(5)]
+EXPONENT_SIG = Signature(predicates={"P": 1, "Q": 0})
+
+
+def scaled(tv, r):
+    """tv^r for a rational r of either sign; None when irrational."""
+    if not tv.is_elem:
+        return tv
+    value = Fraction(1)
+    for p, e in factor_positive(tv.payload).items():
+        if (e * r).denominator != 1:
+            return None
+        value *= Fraction(p) ** int(e * r)
+    return rat(value)
+
+
+class TestCandidateExponent:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_matches_the_per_pair_derivation(self, data):
+        # most target cells are the source's scaled by one ratio, the rest
+        # drawn at random: strata, primes and ratios then mismatch at times
+        size = data.draw(st.integers(1, 2))
+        universe = tuple(f"m{i}" for i in range(1, size + 1))
+        draw_value = st.sampled_from(EXPONENT_POOL)
+        ratio = data.draw(st.sampled_from(
+            [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)]))
+        source_preds = {"P": {(m,): data.draw(draw_value) for m in universe},
+                        "Q": {(): data.draw(draw_value)}}
+        target_preds = {}
+        for name, table in source_preds.items():
+            target_preds[name] = {}
+            for args, tv in table.items():
+                image = scaled(tv, ratio) if data.draw(st.integers(0, 3)) else None
+                target_preds[name][args] = image if image is not None else data.draw(draw_value)
+        source = Structure(EXPONENT_SIG, RAT, universe, {}, source_preds)
+        target = Structure(EXPONENT_SIG, RAT, universe, {}, target_preds)
+        for image in permutations(universe):
+            h = dict(zip(universe, image))
+            assert modeltheory._candidate_exponent(source, target, h) == \
+                oracle_candidate_exponent(source, target, h)
+
+    def test_only_the_pinning_pair_is_factored(self):
+        # an atomic value with a cofactor past the trial-division bound, after
+        # the pair that pins the exponent, is compared, not factored: the
+        # per-pair derivation refuses it, the pinned transport decides
+        big = rat(1000000000039 * 1000000000061)
+        h = {"m1": "m1"}
+        # (source P, source Q, target P, target Q, exponent)
+        for p, q, p_image, q_image, exponent in ((rat(2), rat(3), rat(4), big, None),
+                                                 (rat(2), big, rat(2), big, Fraction(1))):
+            source = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): p}, "Q": {(): q}})
+            target = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): p_image}, "Q": {(): q_image}})
+            with pytest.raises(ResourceLimitError):
+                oracle_candidate_exponent(source, target, h)
+            assert modeltheory._candidate_exponent(source, target, h) == exponent
+            found = search_embeddings(source, target, 1)
+            assert [c.exponent for c in found] == ([] if exponent is None else [exponent])

@@ -15,8 +15,8 @@ from agodel import (
     ground_sentence, models_theory, parse, parse_theory, rat, remark_lab,
 )
 from agodel import solver
-from agodel.solver import TAG_ELEM, TAG_INF, TAG_ZERO
 from agodel.syntax import nodes
+from agodel.values import K_ELEM, K_INF, K_ZERO
 from conftest import make_rng, random_formula
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
@@ -75,19 +75,19 @@ class TestCompile:
         branches = compile_inf(parse("P ==> Q", SIG0))
         tag_sets = {tuple(sorted(b.tags.items())) for b in branches}
         p, q = ("P", ()), ("Q", ())
-        assert (((p, TAG_ELEM), (q, TAG_ELEM))) in tag_sets
-        assert (((p, TAG_ZERO), (q, TAG_ELEM))) in tag_sets
-        assert (((p, TAG_ZERO), (q, TAG_INF))) in tag_sets
-        assert (((p, TAG_ELEM), (q, TAG_INF))) in tag_sets
+        assert (((p, K_ELEM), (q, K_ELEM))) in tag_sets
+        assert (((p, K_ZERO), (q, K_ELEM))) in tag_sets
+        assert (((p, K_ZERO), (q, K_INF))) in tag_sets
+        assert (((p, K_ELEM), (q, K_INF))) in tag_sets
         assert len(branches) == 4
         elem_branch = next(b for b in branches
-                           if b.tags == {p: TAG_ELEM, q: TAG_ELEM})
+                           if b.tags == {p: K_ELEM, q: K_ELEM})
         assert len(elem_branch.lins) == 1 and elem_branch.lins[0].rel == "<"
 
     def test_delta_single_branch(self):
         branches = compile_inf(Delta(Atom("P", ())))
         assert len(branches) == 1
-        assert branches[0].tags == {("P", ()): TAG_INF}
+        assert branches[0].tags == {("P", ()): K_INF}
         assert not branches[0].lins
 
     def test_bot_is_empty_disjunction(self):

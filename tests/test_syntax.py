@@ -6,11 +6,11 @@ from agodel import (
     And, App, ArityError, Atom, Bot, DDArrow, Delta, Forall,
     FormulaSyntaxError, Imp, Inv, LukImp, Not, One, Or, ParseError, Power,
     ResourceLimitError, Signature, Tensor, Top, UnknownSymbolError, UsageError, Var,
-    expand_derived, free_vars, is_core, parse, parse_signature, parse_theory,
+    expand_derived, free_vars, parse, parse_signature, parse_theory,
     print_formula, substitute,
 )
 from agodel.syntax import children, rebuild
-from conftest import formula_depth, make_rng, random_formula, subformulas
+from conftest import formula_depth, is_core, make_rng, random_formula, subformulas
 
 SIG = Signature(
     functions={"c": 0, "f": 1, "g": 2},
