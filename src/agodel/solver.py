@@ -3,9 +3,10 @@
 Pipeline: ground all quantifiers over n named elements, compile the
 condition "sentence evaluates to absolute truth" into a disjunction of
 constraint systems, and decide each system by Fourier-Motzkin
-elimination over exact rationals.  Compilation runs bottom-up over the
-ground sentence's node list (``syntax.nodes``), so a subformula object
-that recurs is compiled once.
+elimination on integer rows; rationals appear only in the rebuilt
+witness.  Compilation runs bottom-up over the ground sentence's node
+list (``syntax.nodes``), so a subformula object that recurs is compiled
+once.
 
 Each ground atom is an unknown ranging over the three strata of the
 carrier: a case tag picks the stratum (zero / group element / inf), and
@@ -26,12 +27,13 @@ only means no model with at most n_max elements was found.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import lcm
-from operator import itemgetter
+from math import gcd, lcm
+from operator import index, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, UsageError
@@ -58,23 +60,29 @@ MAX_FM_CONSTRAINTS = 100000
 # ---------------------------------------------------------------------------
 # Linear forms and constraint systems
 
-# A linear form is a dict var -> integer coefficient (exponent space);
-# a constraint means  sum(coeffs) + const  REL  0  with REL in {<, <=, =}.
+# A linear form is a tuple of (variable, int coefficient) pairs in the
+# variables' natural order, with no zero coefficient (exponent space); a
+# constraint means  sum(coeffs) + const  REL  0  with REL in {<, <=, =}.
+
+
+def _add_forms(f, g, sign: int = 1):
+    """The linear form f + sign * g."""
+    out = dict(f)
+    for v, c in g:
+        out[v] = out.get(v, 0) + sign * c
+    return tuple(sorted(item for item in out.items() if item[1]))
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: Tuple[Tuple[object, Fraction], ...]
-    const: Fraction
+    coeffs: Tuple[Tuple[object, int], ...]
+    const: int
     rel: str
 
     @staticmethod
-    def make(coeffs: Dict, const, rel: str) -> "Constraint":
-        items = tuple(sorted(
-            ((v, Fraction(c)) for v, c in coeffs.items() if c != 0),
-            key=lambda it: repr(it[0]),
-        ))
-        return Constraint(items, Fraction(const), rel)
+    def make(coeffs: Dict[object, int], const: int, rel: str) -> "Constraint":
+        items = tuple(sorted((v, index(c)) for v, c in coeffs.items() if c))
+        return Constraint(items, index(const), rel)
 
 
 class ConstraintSystem(NamedTuple):
@@ -103,10 +111,7 @@ class ConstraintSystem(NamedTuple):
             if cons.const != 0:
                 raise UsageError("concrete membership needs homogeneous constraints")
             value = None
-            for var, coeff in cons.coeffs:
-                if coeff.denominator != 1:
-                    raise UsageError("concrete membership needs integer coefficients")
-                n = int(coeff)
+            for var, n in cons.coeffs:
                 factor = tv_power(valuation[var], abs(n))
                 if n < 0:
                     factor = tv_inv(factor)
@@ -185,14 +190,11 @@ def _ground_term(t: Term, const_map: Dict[str, str], env: Dict[str, Term]) -> Te
 # Compilation into case branches
 
 # Symbolic values during compilation: (K_ZERO,) | (K_INF,) | (K_ELEM, form)
-# where form maps atom keys to integer exponent coefficients.
+# where form is a linear form over the call's atom numbers (integer
+# exponent coefficients).
 
 _SYM_Z = (K_ZERO,)
 _SYM_I = (K_INF,)
-
-
-def _sym_elem(form: Dict[AtomKey, int]):
-    return (K_ELEM, {k: v for k, v in form.items() if v})
 
 
 def _atom_key(phi: Atom) -> AtomKey:
@@ -236,7 +238,7 @@ class _Symbolic:
     """The algebra of symbolic values that the truth functions run on."""
 
     ZERO = _SYM_Z
-    ONE = _sym_elem({})
+    ONE = (K_ELEM, ())
     INF = _SYM_I
 
     @staticmethod
@@ -251,12 +253,9 @@ class _Symbolic:
     def mul(a, b):
         kinds = {a[0], b[0]}
         if kinds == {K_ELEM}:
-            form = dict(a[1])
-            for k, c in b[1].items():
-                form[k] = form.get(k, 0) + c
-            return _sym_elem(form)
+            return (K_ELEM, _add_forms(a[1], b[1]))
         if kinds == {K_ZERO, K_INF}:
-            return _sym_elem({})  # inf * 0 = identity
+            return (K_ELEM, ())  # inf * 0 = identity
         if K_ZERO in kinds:
             return _SYM_Z
         return _SYM_I
@@ -267,40 +266,19 @@ class _Symbolic:
             return _SYM_I
         if v == _SYM_I:
             return _SYM_Z
-        return _sym_elem({k: -c for k, c in v[1].items()})
+        return (K_ELEM, tuple((k, -c) for k, c in v[1]))
 
     @staticmethod
     def power(v, n: int):
         if v[0] != K_ELEM:
             return v
-        return _sym_elem({k: c * n for k, c in v[1].items()})
+        return (K_ELEM, tuple((k, c * n) for k, c in v[1]))
 
 
+# Order cases [(extra constraints, rel)], rel in {-1, 0, 1} the sign of v1 - v2
 _UNSPLIT = [([], 0)]
-
-
-def _sym_cases(v1, v2):
-    """Disjoint exhaustive cases for the order between two symbolic values.
-
-    Returns [(extra_constraints, rel)] with rel in {-1, 0, 1}, the sign of
-    v1 - v2.  Strata order the kinds outright; two group-element forms
-    split on the sign of their difference.
-    """
-    k1, k2 = v1[0], v2[0]
-    if k1 != k2:
-        return [([], -1 if k1 < k2 else 1)]
-    if k1 != K_ELEM:
-        return [([], 0)]
-    diff = dict(v1[1])
-    for k, c in v2[1].items():
-        diff[k] = diff.get(k, 0) - c
-    diff = {k: c for k, c in diff.items() if c}
-    if not diff:
-        return [([], 0)]
-    lt = Constraint.make(diff, 0, "<")
-    eq = Constraint.make(diff, 0, "=")
-    gt = Constraint.make({k: -c for k, c in diff.items()}, 0, "<")
-    return [([lt], -1), ([eq], 0), ([gt], 1)]
+_BELOW = [([], -1)]
+_ABOVE = [([], 1)]
 
 
 def compile_inf(phi: Formula) -> List[ConstraintSystem]:
@@ -313,16 +291,61 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     # value is its truth function from semantics.TRUTH, run on the symbolic
     # algebra once per joined pair of operand branches and, for an ORDERED
     # connective, once per case of the order between its two operands.
-    # A subformula that recurs in phi is compiled once.
+    # A subformula that recurs in phi is compiled once.  Inside the call an
+    # atom is its number in the sorted list of phi's atoms, so a form over
+    # numbers lists its atoms in key order too.
+    node_list = nodes(phi)
+    atoms = sorted({_atom_key(node) for node, _, _ in node_list if type(node) is Atom})
+    number = {key: i for i, key in enumerate(atoms)}
+    pairs: Dict[tuple, list] = {}   # (form1, form2) -> order cases
+    splits: Dict[tuple, tuple] = {}  # reduced difference -> its cases, both signs
+
+    def order_cases(v1, v2):
+        """Disjoint exhaustive cases for the order between two symbolic
+        values: strata order the kinds outright; two group-element forms
+        split on the sign of their difference d.  d is divided by the gcd
+        of its coefficients and made sign-canonical (first coefficient
+        positive), so d, -d and their multiples share one set of
+        constraints."""
+        k1, k2 = v1[0], v2[0]
+        if k1 != k2:
+            return _BELOW if k1 < k2 else _ABOVE
+        if k1 != K_ELEM:
+            return _UNSPLIT
+        cases = pairs.get((v1[1], v2[1]))
+        if cases is not None:
+            return cases
+        diff = _add_forms(v1[1], v2[1], -1)
+        if not diff:
+            cases = _UNSPLIT
+        else:
+            g = gcd(*(c for _, c in diff))
+            if diff[0][1] < 0:
+                g = -g
+            reduced = tuple((v, c // g) for v, c in diff)
+            both = splits.get(reduced)
+            if both is None:
+                form = tuple((atoms[v], c) for v, c in reduced)
+                below = Constraint(form, 0, "<")
+                equal = Constraint(form, 0, "=")
+                above = Constraint(tuple((v, -c) for v, c in form), 0, "<")
+                both = splits[reduced] = (
+                    [([below], -1), ([equal], 0), ([above], 1)],
+                    [([above], -1), ([equal], 0), ([below], 1)],
+                )
+            cases = both[g < 0]
+        pairs[v1[1], v2[1]] = cases
+        return cases
+
     compiled: List[list] = []
-    for node, kids, _ in nodes(phi):
+    for node, kids, _ in node_list:
         kind = type(node)
         if kind is Atom:
-            key = _atom_key(node)
+            i = number[_atom_key(node)]
             out = [
-                ({key: K_ZERO}, [], _SYM_Z),
-                ({key: K_ELEM}, [], _sym_elem({key: 1})),
-                ({key: K_INF}, [], _SYM_I),
+                ({i: K_ZERO}, [], _SYM_Z),
+                ({i: K_ELEM}, [], (K_ELEM, ((i, 1),))),
+                ({i: K_INF}, [], _SYM_I),
             ]
         elif kind in QUANTIFIER_CONNECTIVE:
             raise UsageError("compile expects a ground sentence; run ground_sentence() first")
@@ -339,7 +362,7 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
             left, right = kids
             for tags, (_, lins1, v1), (_, lins2, v2) in _join(compiled[left], compiled[right]):
                 lins = lins1 + lins2
-                for extra, rel in _sym_cases(v1, v2) if ordered else _UNSPLIT:
+                for extra, rel in order_cases(v1, v2) if ordered else _UNSPLIT:
                     out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
                 if len(out) > MAX_BRANCHES:
                     raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}")
@@ -348,13 +371,14 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     systems = {}
     for tags, lins, v in compiled[-1]:
         if v == _SYM_I:
-            system = ConstraintSystem(tags, list(dict.fromkeys(lins)))
+            keyed = {atoms[i]: tag for i, tag in tags.items()}
+            system = ConstraintSystem(keyed, list(dict.fromkeys(lins)))
             systems.setdefault(system.canonical_key(), system)
     return [systems[key] for key in sorted(systems)]
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin over exact rationals
+# Fourier-Motzkin on integer rows
 
 
 @dataclass
@@ -367,15 +391,19 @@ class FMResult:
 def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
     """Decide a conjunction of linear comparisons over the rationals.
 
-    Equalities are removed by exact substitution, then variables are
-    eliminated one by one; every lower/upper bound pair combines into a
-    new comparison whose strictness is inherited.  SAT returns a
+    Rows stay integer (Schrijver, Theory of Linear and Integer
+    Programming, 1986, section 12.2).  An equality c*x + e = 0 is removed
+    by multiplying every other row through by |c| and substituting; a
+    variable x is then eliminated by combining each lower bound
+    a*x + l REL 0 (a < 0) with each upper bound b*x + u REL 0 (b > 0)
+    into b*l - a*u REL 0, strict if either is.  Every derived row is
+    divided by the gcd of its coefficients and constant.  SAT returns a
     concrete rational valuation (reconstructed by walking the
     elimination stack backwards); UNSAT is certified by a contradictory
     constant comparison.
     """
     work = [(dict(c.coeffs), c.const, c.rel) for c in constraints]
-    substitutions: List[Tuple[object, Dict, Fraction]] = []  # var = form + const
+    substitutions: List[Tuple[object, Dict, int]] = []  # var, an equality row
     eliminations: List[Tuple[object, List, List]] = []  # var, lowers, uppers
 
     # equality substitution pass
@@ -386,14 +414,13 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
         )
         if eq_index is None:
             break
-        coeffs, cst, _ = work.pop(eq_index)
-        var = min(coeffs, key=repr)
-        c_var = coeffs.pop(var)
-        # var = -(rest + cst) / c_var
-        expr = {v: -c / c_var for v, c in coeffs.items()}
-        expr_const = -cst / c_var
-        substitutions.append((var, expr, expr_const))
-        work = [_substitute_lin(item, var, expr, expr_const) for item in work]
+        eq = coeffs, cst, _ = work.pop(eq_index)
+        var = min(coeffs)
+        sign = 1 if coeffs[var] > 0 else -1
+        substitutions.append((var, coeffs, cst))
+        # |c| * row - sign(c) * a * eq, with c and a the coefficients of var
+        work = [_combine(var, abs(coeffs[var]), row, -sign * row[0][var], eq, row[2])
+                if var in row[0] else row for row in work]
 
     for coeffs, cst, rel in list(work):
         if not coeffs and rel == "=" and cst != 0:
@@ -415,41 +442,24 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
         cert = constant_check(inequalities)
         if cert is not None:
             return FMResult(False, certificate=cert)
-        variables = sorted({v for coeffs, _, _ in inequalities for v in coeffs}, key=repr)
+        lower_count, upper_count = Counter(), Counter()
+        for coeffs, _, _ in inequalities:
+            for v, c in coeffs.items():
+                (upper_count if c > 0 else lower_count)[v] += 1
+        variables = lower_count.keys() | upper_count.keys()
         if not variables:
             break
         # eliminate the variable with the cheapest lower*upper product
-        def cost(var):
-            lo = sum(1 for coeffs, _, _ in inequalities if coeffs.get(var, 0) < 0)
-            hi = sum(1 for coeffs, _, _ in inequalities if coeffs.get(var, 0) > 0)
-            return lo * hi
-
-        var = min(variables, key=lambda v: (cost(v), repr(v)))
-        lowers, uppers, rest = [], [], []
-        for coeffs, cst, rel in inequalities:
-            c = coeffs.get(var, 0)
-            if c == 0:
-                rest.append((coeffs, cst, rel))
-                continue
-            others = {v: k for v, k in coeffs.items() if v != var}
-            # c*var + others + cst REL 0
-            bound_form = {v: -k / c for v, k in others.items()}
-            bound_const = -cst / c
-            if c > 0:
-                uppers.append((bound_form, bound_const, rel))  # var REL bound
-            else:
-                lowers.append((bound_form, bound_const, rel))  # bound REL var
+        var = min(variables, key=lambda v: (lower_count[v] * upper_count[v], v))
+        lowers, uppers, new = [], [], []
+        for row in inequalities:
+            c = row[0].get(var, 0)
+            (new if c == 0 else uppers if c > 0 else lowers).append(row)
         eliminations.append((var, lowers, uppers))
-        new = list(rest)
-        for lo_form, lo_const, lo_rel in lowers:
-            for hi_form, hi_const, hi_rel in uppers:
-                coeffs = dict(lo_form)
-                for v, k in hi_form.items():
-                    coeffs[v] = coeffs.get(v, 0) - k
-                coeffs = {v: k for v, k in coeffs.items() if k}
-                cst = lo_const - hi_const
-                rel = "<" if "<" in (lo_rel, hi_rel) else "<="
-                new.append((coeffs, cst, rel))
+        for lo in lowers:
+            for hi in uppers:
+                rel = "<" if "<" in (lo[2], hi[2]) else "<="
+                new.append(_combine(var, hi[0][var], lo, -lo[0][var], hi, rel))
         if len(new) > MAX_FM_CONSTRAINTS:
             raise ResourceLimitError(
                 f"Fourier-Motzkin constraint count exceeds budget {MAX_FM_CONSTRAINTS}"
@@ -465,32 +475,42 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
     for var, lowers, uppers in reversed(eliminations):
         lo = None
         lo_strict = False
-        for form, cst, rel in lowers:
-            value = cst + sum(k * witness[v] for v, k in form.items())
+        for coeffs, cst, rel in lowers:
+            value = _solve_for(var, coeffs, cst, witness)
             if lo is None or value > lo or (value == lo and rel == "<"):
                 lo, lo_strict = value, rel == "<"
         hi = None
         hi_strict = False
-        for form, cst, rel in uppers:
-            value = cst + sum(k * witness[v] for v, k in form.items())
+        for coeffs, cst, rel in uppers:
+            value = _solve_for(var, coeffs, cst, witness)
             if hi is None or value < hi or (value == hi and rel == "<"):
                 hi, hi_strict = value, rel == "<"
         witness[var] = _pick_in_interval(lo, lo_strict, hi, hi_strict)
-    for var, expr, expr_const in reversed(substitutions):
-        witness[var] = expr_const + sum(c * witness[v] for v, c in expr.items())
+    for var, coeffs, cst in reversed(substitutions):
+        witness[var] = _solve_for(var, coeffs, cst, witness)
     return FMResult(True, witness=witness)
 
 
-def _substitute_lin(item, var, expr, expr_const):
-    coeffs, cst, rel = item
-    c = coeffs.get(var)
-    if c is None or c == 0:
-        return (dict(coeffs), cst, rel)
-    out = {v: k for v, k in coeffs.items() if v != var}
-    for v, k in expr.items():
-        out[v] = out.get(v, 0) + c * k
-    out = {v: k for v, k in out.items() if k}
-    return (out, cst + c * expr_const, rel)
+def _solve_for(var, coeffs, cst, witness) -> Fraction:
+    """The value of var that makes sum(coeffs) + cst zero at witness."""
+    rest = sum((k * witness[v] for v, k in coeffs.items() if v != var), Fraction(cst))
+    return rest / -coeffs[var]
+
+
+def _combine(var, m1, row1, m2, row2, rel):
+    """The row m1 * row1 + m2 * row2, in which var cancels, divided by the
+    gcd of its coefficients and constant."""
+    coeffs = {v: m1 * k for v, k in row1[0].items() if v != var}
+    for v, k in row2[0].items():
+        if v != var:
+            coeffs[v] = coeffs.get(v, 0) + m2 * k
+    coeffs = {v: k for v, k in coeffs.items() if k}
+    cst = m1 * row1[1] + m2 * row2[1]
+    g = gcd(cst, *coeffs.values())
+    if g > 1:
+        coeffs = {v: k // g for v, k in coeffs.items()}
+        cst //= g
+    return coeffs, cst, rel
 
 
 def _pick_in_interval(lo, lo_strict, hi, hi_strict) -> Fraction:

@@ -1,5 +1,8 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -435,6 +438,22 @@ class TestHarness:
             code, out, _ = run(capsys, "solve", "--theory", theory,
                                "--sig", sig, "--max-domain", "2")
             runs.append((code, out))
+        assert runs[0] == runs[1]
+
+    def test_output_does_not_depend_on_the_hash_seed(self, files):
+        sig = files("s.txt", "pred R/2\npred P/1\nfn c/0\n")
+        theory = files("t.txt", "exists x. exists y. P(x) ==> R(x, y) * P(c)\n"
+                                "forall x. R(x, x) -> P(x)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "agodel.cli", "solve", "--theory", theory,
+                 "--sig", sig, "--max-domain", "3"],
+                capture_output=True, env=env, timeout=120)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0][1]
         assert runs[0] == runs[1]
 
     def test_unknown_command_exits_2(self, capsys):

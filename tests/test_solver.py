@@ -139,6 +139,24 @@ class TestCompile:
         with pytest.raises(ResourceLimitError):
             compile_inf(phi)
 
+    def test_branch_budget_edge(self, monkeypatch):
+        # the longest branch list compiled for this sentence at n = 2 has 457
+        # entries: a change in the raw branch counts moves this edge
+        sig = Signature(predicates={"R": 2})
+        phi = parse("forall x. exists y. R(x, y) ==> R(y, x)", sig)
+        ground = ground_sentence(phi, solver.element_names(sig, 2))
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 456)
+        with pytest.raises(ResourceLimitError):
+            compile_inf(ground)
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 457)
+        assert len(compile_inf(ground)) == 9
+
+    def test_default_budget_is_exceeded_at_n3(self):
+        sig = Signature(predicates={"P": 1})
+        phi = parse("forall x. exists y. P(x) ==> P(y)", sig)
+        with pytest.raises(ResourceLimitError):
+            compile_inf(ground_sentence(phi, solver.element_names(sig, 3)))
+
 
 # Random nullary formulas over P, Q, R with every connective, for the
 # properties of the branch join: operands of a binary connective, and the
@@ -232,6 +250,15 @@ class TestFourierMotzkin:
         assert result.sat
         check_witness(constraints, result.witness)
 
+    def test_equality_with_non_unit_coefficient(self):
+        # 2x - 3y = 0 makes x = 3y/2, which is not an integer form in y
+        constraints = [Constraint.make({"x": 2, "y": -3}, 0, "="),
+                       Constraint.make({"x": 1, "y": -1}, 0, "<")]
+        result = fm_solve(constraints)
+        assert result.sat
+        check_witness(constraints, result.witness)
+        assert result.witness["x"].denominator == 2
+
     def test_inconsistent_equalities(self):
         result = fm_solve([Constraint.make({"x": 1}, 0, "="),
                            Constraint.make({"x": 1}, -1, "=")])
@@ -268,7 +295,7 @@ class TestFourierMotzkin:
             names = [f"x{i}" for i in range(nvars)]
             constraints = []
             for _ in range(rng.randint(1, 4)):
-                coeffs = {v: rng.randint(-3, 3) for v in names}
+                coeffs = {v: rng.randint(-12, 12) for v in names}
                 constraints.append(Constraint.make(
                     coeffs, rng.randint(-2, 2), rng.choice(["<", "<=", "="])))
             result = fm_solve(constraints)
