@@ -5,10 +5,11 @@ by honest finite surrogates.  A canonical formula family is enumerated
 deterministically (size-ordered, documented budget) so that
 depth-bounded checks are reproducible and monotone in the depth bound.
 The family is one list of ``syntax.Node`` (each member's kids are family
-indices, its free variables a sorted subset of x and y), and the checks
-feed it to the evaluator's bottom-up pass (``semantics.value_tables``):
-one table per member over the assignments of its free variables, built
-from the tables of its immediate subformulas.
+indices, its free variables a sorted subset of x and y), planned once
+(``semantics.plan``), and the checks feed the plan to the evaluator's
+bottom-up pass (``semantics.value_tables``): one table per member over
+the assignments of its free variables, built from the tables of its
+immediate subformulas.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -27,7 +28,7 @@ from itertools import islice, permutations, product
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Structure, ranks_of, value_tables
+from .semantics import Step, Structure, plan, ranks_of, value_tables
 from .syntax import (
     And, App, Atom, Bot, Delta, Exists, Forall, Formula, Imp, Inv, Node, Not, One,
     Signature, Tensor, Var, fresh_name,
@@ -218,10 +219,12 @@ def _compounds(members: List[Node], layers: List[range]):
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, ...],
-                 budget: int, depth: Optional[int]) -> Tuple[Node, ...]:
+                 budget: int, depth: Optional[int]) -> Tuple[Step, ...]:
     """The canonical enumeration cut to connective depth <= depth (depth
-    None: whole).  A member's kids are shallower and come before it, so
-    they stay in; they index the cut tuple."""
+    None: whole), planned for ``value_tables``.  A member's kids are
+    shallower and come before it, so they stay in; they index the cut
+    tuple.  The plan shares the enumeration's cache entry, so each
+    family is planned once."""
     members: List[Node] = []
     layers: List[range] = []
     layer = _atoms(predicates, constants)
@@ -240,10 +243,10 @@ def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, 
         if depth is None or depths[i] <= depth:
             at[i] = len(kept)
             kept.append(member._replace(kids=tuple(at[k] for k in member.kids)))
-    return tuple(kept)
+    return tuple(map(Step._make, plan(kept)))
 
 
-def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[Node, ...]:
+def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[Step, ...]:
     """The canonical enumeration over sig, cut to connective depth <= depth
     (depth None: whole), after the checks every family entry point shares."""
     if budget < 1 or (depth is not None and depth < 0):
@@ -281,7 +284,7 @@ def sentence_family(sig: Signature, depth: int,
 # Value tables: the family evaluated bottom-up, once per structure
 
 
-def _tables(struct: Structure, members: Tuple[Node, ...]):
+def _tables(struct: Structure, members: Tuple[Step, ...]):
     """Yield (member, table) per member, in family order: the table lists
     the member's values, as ranks of ``ranks_of(struct)``, over the
     assignments of its free variables in ``product`` order over the
@@ -377,7 +380,7 @@ def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
     return True
 
 
-def _paired_tables(a: Structure, b: Structure, members: Tuple[Node, ...]):
+def _paired_tables(a: Structure, b: Structure, members: Tuple[Step, ...]):
     """((member, table in a), (member, table in b)) per member, built lazily."""
     here = _tables(a, members)
     if b is a:

@@ -6,10 +6,15 @@ truth values.  Finiteness makes every structure safe: quantifier values
 are finite minima and maxima, so evaluation is exact and total.
 
 Every connective, core or derived, has one truth function in ``TRUTH``,
-written against a small algebra interface.  The one evaluator,
-``value_tables``, runs it on value ranks over a formula's DAG node list
-(``syntax.nodes``), one table per subformula over the assignments of its
-free variables; the solver runs it on symbolic values over the same list.
+written against a small algebra interface.  The one evaluator runs in two
+steps over a formula's DAG node list (``syntax.nodes``): ``plan`` picks
+each node's kernel once per list, and ``value_tables`` runs the kernels
+on value ranks, one table per subformula over the assignments of its free
+variables; the solver runs the truth functions on symbolic values over
+the same list.  On ranks, And and the universal quantifier are min, Or
+and the existential max, and the other connectives that only choose among
+their operands, 0 and inf get one comprehension each, derived from
+``TRUTH`` at import; the rest run their truth function per cell.
 ``Ranks`` is the one interned value sort: the direct evaluator and the
 classical companion's evaluator (``translation``) both run on it.
 ``syntax.expand_derived`` gives derived connectives by definition, and
@@ -19,8 +24,9 @@ the test suite checks the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from itertools import chain, product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UsageError
 from .syntax import (
@@ -135,16 +141,18 @@ class Ranks:
     the ordered connectives compare ints.  ``ONE`` or a product, inverse or
     power outside the sort stays a TruthValue; 0 and inf are in every sort,
     so such a value is a group element.  ``tables`` holds ``preds`` with
-    each value encoded so.  The direct evaluator runs on ``ranks_of(struct)``,
-    built once per structure; the classical evaluator runs on the
-    companion's value sort.
+    each value encoded so, and ``row`` lists a table again in ``product``
+    order over ``universe``.  The direct evaluator runs on
+    ``ranks_of(struct)``, built once per structure; the classical
+    evaluator runs on the companion's value sort.
     """
 
-    __slots__ = ("values", "rank", "INF", "ONE", "backend", "tables")
+    __slots__ = ("values", "rank", "INF", "ONE", "backend", "tables", "universe", "rows")
     ZERO = 0
 
     def __init__(self, values: Iterable[TruthValue], backend: GroupBackend,
-                 preds: Mapping[str, Mapping[Tuple[str, ...], TruthValue]]):
+                 preds: Mapping[str, Mapping[Tuple[str, ...], TruthValue]],
+                 universe: Sequence[str] = ()):
         self.values: Tuple[TruthValue, ...] = tuple(sorted({ZERO, INF, *values}, key=order_key))
         self.rank: Dict[TruthValue, int] = {v: i for i, v in enumerate(self.values)}
         self.INF = len(self.values) - 1
@@ -154,6 +162,20 @@ class Ranks:
         self.tables: Dict[str, Dict[Tuple[str, ...], object]] = {
             name: {args: rank.get(v, v) for args, v in table.items()}
             for name, table in preds.items()}
+        self.universe = universe
+        self.rows: Dict[Tuple[str, int], list] = {}  # filled by row on first use
+
+    def row(self, name: str, arity: int) -> Optional[list]:
+        """The ranks of predicate name's table in ``product`` order over
+        the universe; None when it has no table of that arity."""
+        got = self.rows.get((name, arity))
+        if got is None:
+            table = self.tables.get(name)
+            if table is None or len(next(iter(table))) != arity:  # tables are total
+                return None
+            got = self.rows[name, arity] = [
+                table[args] for args in product(self.universe, repeat=arity)]
+        return got
 
     def encode(self, v: TruthValue):
         return self.rank.get(v, v)
@@ -186,7 +208,8 @@ def ranks_of(struct: Structure) -> Ranks:
     """The rank algebra of struct, built on first use and kept on it."""
     got = struct._ranks
     if got is None:
-        got = struct._ranks = Ranks(struct.atomic_values(), struct.backend, struct.preds)
+        got = struct._ranks = Ranks(struct.atomic_values(), struct.backend, struct.preds,
+                                    struct.universe)
     return got
 
 
@@ -202,7 +225,7 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
         except KeyError:
             raise UsageError(f"unbound variable {t.name!r}") from None
     if kind is App:
-        args = tuple([eval_term(a, struct, env) for a in t.args])
+        args = tuple([eval_term(a, struct, env) for a in t.args]) if t.args else ()
         try:
             return struct.funcs[t.func][args]
         except KeyError:
@@ -210,71 +233,315 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
     raise UsageError(f"not a term: {t!r}")
 
 
-def value_tables(struct: Structure, nodes: Sequence[Node]):
-    """Yield the value table of every node of a ``syntax.nodes`` list, in order.
+# ---------------------------------------------------------------------------
+# Rank kernels, derived from TRUTH
+#
+# On ranks most truth functions only choose: the result is one of the
+# operands a and b, 0 or inf.  TRUTH is probed on the names a, b, 0 and I
+# (inf), for each order sign of the operands and each stratum they lie in;
+# the shortest expression over the ranks a, b and I that agrees with every
+# probe is compiled, once, into one list comprehension.
+
+
+_ZERO, _MID, _INF = 0, 1, 2  # the strata of a rank: 0, strictly between, inf
+
+
+def _cases(kind, arity: int) -> Optional[list]:
+    """(rel, strata, names) for every case ranks can meet: names are those
+    of a, b, 0 and I that equal TRUTH[kind]'s result there.  None when
+    TRUTH[kind] has no kernel: the probe has no ONE, mul, inv or power
+    and phi is None, so a truth function that leaves the sort or reads its
+    node (the exponent of Power) raises AttributeError."""
+    operands = ("a", "b")[:arity]
+    cases = []
+    for rel in (-1, 0, 1) if kind in ORDERED else (0,):
+        for levels in product((_ZERO, _MID, _INF), repeat=arity):
+            if arity == 2 and levels != (_MID, _MID) and \
+                    (levels[0] > levels[1]) - (levels[0] < levels[1]) != rel:
+                continue  # no two ranks in these strata compare so
+            strata = {"0": _ZERO, "I": _INF, **dict(zip(operands, levels))}
+            probe = SimpleNamespace(ZERO="0", INF="I", is_zero=lambda x: strata[x] == _ZERO,
+                                    is_inf=lambda x: strata[x] == _INF)
+            try:
+                got = TRUTH[kind](probe, None, rel, *operands)
+            except AttributeError:
+                return None
+            # a rank is its stratum's bound, or itself (a equals b when rel is 0)
+            rank = {x: {_ZERO: "0", _INF: "I"}.get(level, "a" if rel == 0 else x)
+                    for x, level in strata.items()}
+            cases.append((rel, strata, frozenset(x for x in strata if rank[x] == rank[got])))
+    return cases
+
+
+# the tests an expression may branch on: (text, holds(rel, strata))
+_TESTS = (
+    ("a < b", lambda rel, strata: rel < 0),
+    ("a <= b", lambda rel, strata: rel <= 0),
+    ("a == b", lambda rel, strata: rel == 0),
+    *((f"{x} == {bound}", lambda rel, strata, x=x, level=level: strata.get(x) == level)
+      for x in "ab" for bound, level in (("0", _ZERO), ("I", _INF))),
+)
+
+
+def _expression(cases: list, depth: int) -> Optional[str]:
+    """The shortest expression, with tests nested at most depth deep, that
+    gives every case one of its names; None when there is none."""
+    common = frozenset.intersection(*[names for _, _, names in cases])
+    if common:
+        return min(common)
+    best = None
+    for text, holds in _TESTS if depth else ():
+        yes = [case for case in cases if holds(*case[:2])]
+        no = [case for case in cases if not holds(*case[:2])]
+        if yes and no:
+            then, other = _expression(yes, depth - 1), _expression(no, depth - 1)
+            if then and other:
+                found = f"({then} if {text} else {other})"
+                if best is None or len(found) < len(best):
+                    best = found
+    return best
+
+
+def _derived(kind, arity: int):
+    """(kernel, rank-closed on any operands) for TRUTH[kind] on ranks; None
+    when it has no kernel.  A binary kernel needs rank operands; a unary
+    one tests its operand only against 0 and I, so it is exact on any, and
+    rank-closed on any when a value strictly between goes to 0 or I."""
+    cases = _cases(kind, arity)
+    if cases is None:
+        return None
+    expression = next(filter(None, (_expression(cases, depth) for depth in range(len(_TESTS)))))
+    operands = "".join(", " + x for x in "AB"[:arity])
+    loop = ("", " for a in A", " for a, b in zip(A, B)")[arity]
+    name = f"{kind.__name__}_kernel"
+    namespace: Dict[str, object] = {}
+    exec(f"def {name}(P, phi, free{operands}):\n    I = P.I\n    return [{expression}{loop}]\n",
+         namespace)
+    closes = arity < 2 and all(
+        names & {"0", "I"} for _, strata, names in cases if strata.get("a", _MID) == _MID)
+    return namespace[name], closes
+
+
+def _compare_each(truth):
+    def run(P, phi, free, A, B):
+        V = P.V
+        compare = V.compare
+        return [truth(V, phi, compare(a, b), a, b) for a, b in zip(A, B)]
+    return run
+
+
+def _memoized(truth, kind):
+    def run(P, phi, free, *operands):
+        # only Power reads phi (its exponent keys its memo): one memo per kind serves all
+        V = P.V
+        known = P.memo.setdefault(phi.n if kind is Power else kind, {})
+        values = []
+        for args in zip(*operands):
+            value = known.get(args)
+            if value is None:
+                value = known[args] = truth(V, phi, 0, *args)
+            values.append(value)
+        return values
+    return run
+
+
+def _constant(truth):
+    def run(P, phi, free):
+        return [truth(P.V, phi, 0)]
+    return run
+
+
+def _fold(truth):
+    """A quantifier over any body: truth folded over each run of n cells."""
+    def run(P, phi, free, body):
+        V, n = P.V, P.n
+        compare = V.compare
+        values = []
+        for start in range(0, len(body), n):
+            result = body[start]
+            for v in body[start + 1:start + n]:
+                result = truth(V, phi, compare(result, v), result, v)
+            values.append(result)
+        return values
+    return run
+
+
+def _lattice_fold(pick):
+    """A quantifier over a rank-closed body: pick (min or max) of each run of n cells."""
+    def run(P, phi, free, body):
+        return list(map(pick, zip(*[iter(body)] * P.n)))
+    return run
+
+
+def _lattice(pick):
+    def run(P, phi, free, A, B):
+        return list(map(pick, A, B))
+    return run
+
+
+_LATTICE = {And: min, Or: max}  # the infimum and supremum of the chain
+
+
+def _kernels(kind):
+    """((kernel, rank-closed) over kids not all rank-closed, the same over
+    rank-closed kids) for a node of type kind."""
+    lattice = QUANTIFIER_CONNECTIVE.get(kind)
+    if lattice:
+        return (_fold(TRUTH[lattice]), False), (_lattice_fold(_LATTICE[lattice]), True)
+    truth = TRUTH[kind]
+    arity = truth.__code__.co_argcount - 3  # after V, phi and rel
+    generic = (_compare_each(truth) if kind in ORDERED
+               else _memoized(truth, kind) if arity else _constant(truth))
+    derived = _derived(kind, arity)
+    if derived is None:
+        return (generic, False), (generic, False)
+    run, closes = derived
+    if kind in _LATTICE:
+        run = _lattice(_LATTICE[kind])
+    if arity == 2:
+        return (generic, False), (run, True)
+    return (run, closes), (run, True)
+
+
+_KERNELS = {kind: _kernels(kind) for kind in (*TRUTH, *QUANTIFIER_CONNECTIVE)}
+
+
+def _flat_atom(P, phi, free):
+    """An atom over distinct variables: its predicate's ``Ranks.row``,
+    laid out over the node's axes."""
+    at = tuple([t.name for t in phi.args])
+    row = P.V.row(phi.pred, len(at))
+    if row is None:
+        return _term_atom(P, phi, free)  # which names what has no interpretation
+    if at == free:
+        return row
+    return [row[i] for i in P.layout((at, free))]
+
+
+def _term_atom(P, phi, axes):
+    """An atom over constants, function terms or a repeated variable: its
+    argument terms evaluated under every assignment of its axes."""
+    struct = P.struct
+    rows = P.V.tables.get(phi.pred, {})
+    scope = {}
+    values = []
+    # a ground atom (the solver's witness checks) has one cell and binds nothing
+    for assignment in product(struct.universe, repeat=len(axes)) if axes else ((),):
+        if axes:
+            scope.update(zip(axes, assignment))
+        key = tuple([eval_term(t, struct, scope) for t in phi.args])
+        try:
+            values.append(rows[key])
+        except KeyError:
+            raise UsageError(
+                f"structure has no interpretation for {phi.pred!r} at {key}") from None
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Plan and pass
+
+
+class Step(NamedTuple):
+    """The fields of a planned node: those of its ``syntax.Node``, the
+    kernel that computes its table, and its moves: None when every kid's
+    table is over the node's order already, else per kid None or the pair
+    (kid's axes, node's order) that lays the kid's table out over it.
+    ``plan`` returns plain tuples, since a NamedTuple is built in Python;
+    ``Step._make`` names them."""
+
+    formula: Formula
+    kids: Tuple[int, ...]
+    free: Tuple[str, ...]
+    run: Callable
+    moves: Optional[Tuple[Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]], ...]]
+
+
+def plan(nodes: Sequence[Node]) -> List[tuple]:
+    """Plan a ``syntax.nodes`` list for ``value_tables``: one step (the
+    fields of ``Step``) per node.
+
+    Each node's step is decided from its type and its kids' steps alone:
+    its order (its axes, then a quantifier's variable), whether it is
+    rank-closed (its values are always ranks), and its kernel.  Atoms,
+    Bot, Top, Not and Delta are rank-closed, and so are the other
+    connectives whose truth functions only choose (``_derived``) and the
+    quantifiers when their kids are.  Over rank-closed kids a quantifier is
+    min or max of each run of n cells, And and Or are min and max cell by
+    cell, and the others run their derived comprehension; an atom over
+    distinct variables reads its predicate's row off ``Ranks.row``.
+    Every other node runs its truth function per cell.
+    """
+    steps: List[tuple] = []
+    opened = set()  # the positions of the nodes that are not rank-closed
+    for i, (phi, kids, free) in enumerate(nodes):
+        kind = type(phi)
+        if kind is Atom:  # distinct variables are as many as the arguments
+            flat = len(free) == len(phi.args) and all([type(t) is Var for t in phi.args])
+            steps.append((phi, kids, free, _flat_atom if flat else _term_atom, None))
+            continue
+        # a bool indexes the pair: True, rank-closed kids, picks the second
+        run, closes = _KERNELS[kind][opened.isdisjoint(kids)]
+        if not closes:
+            opened.add(i)
+        order = free + (phi.var,) if kind in QUANTIFIER_CONNECTIVE else free
+        moves = None
+        for k in kids:
+            if nodes[k][2] != order:
+                moves = tuple([None if nodes[j][2] == order else (nodes[j][2], order)
+                               for j in kids])
+                break
+        steps.append((phi, kids, free, run, moves))
+    return steps
+
+
+class _Pass:
+    """What the kernels of one pass share: the structure, its ranks, the
+    rank of inf, the universe size, the memo of the connectives that do not
+    compare, and the layouts built so far."""
+
+    __slots__ = ("struct", "V", "I", "n", "memo", "layouts")
+
+    def __init__(self, struct: Structure):
+        self.struct = struct
+        self.V = ranks_of(struct)
+        self.I = self.V.INF
+        self.n = len(struct.universe)
+        self.memo: Dict[object, dict] = {}
+        self.layouts: Dict[tuple, List[int]] = {}
+
+    def layout(self, move: Tuple[Tuple[str, ...], Tuple[str, ...]]) -> List[int]:
+        got = self.layouts.get(move)
+        if got is None:
+            got = self.layouts[move] = _layout(*move, self.n)
+        return got
+
+
+def value_tables(struct: Structure, plan: Sequence[tuple]):
+    """Yield the value table of every step of a ``plan``, in order.
 
     A table lists the node's values, as ranks of ``ranks_of(struct)``,
     over the assignments of its free variables (its axes) in ``product``
-    order over the universe.  The truth function reads the kids' tables
-    laid out over the node's axes; a quantifier lays its body out with its
-    variable last and folds each run of n cells.  A pass memoizes the
-    connectives that do not compare their operands, and keeps every table
-    until it ends.
+    order over the universe.  Each step's kernel reads its kids' tables
+    laid out over the step's order (a quantifier's body with its variable
+    last, folded run by run).  The pass keeps every table until it ends;
+    a table may be shared with ``Ranks.row``, so it is read-only.
     """
-    V = ranks_of(struct)
-    universe = struct.universe
-    n = len(universe)
-    compare = V.compare
-    tables: List[Tuple[Tuple[str, ...], list]] = []  # (axes, values) per node so far
-    layouts: Dict[tuple, List[int]] = {}
-    memo: Dict[object, dict] = {}
-    for phi, kids, axes in nodes:
-        kind = type(phi)
-        quantifier = QUANTIFIER_CONNECTIVE.get(kind)
-        order = axes + (phi.var,) if quantifier else axes
-        operands = []
-        for k in kids:
-            at, values = tables[k]
-            if at != order:
-                index = layouts.get((at, order)) or layouts.setdefault(
-                    (at, order), _layout(at, order, n))
-                values = [values[i] for i in index]
-            operands.append(values)
-        truth = TRUTH.get(quantifier or kind)
-        if kind is Atom:
-            rows = V.tables.get(phi.pred, {})
-            scope = {}
-            values = []
-            for assignment in product(*[universe] * len(axes)):
-                scope.update(zip(axes, assignment))
-                key = tuple([eval_term(t, struct, scope) for t in phi.args])
-                try:
-                    values.append(rows[key])
-                except KeyError:
-                    raise UsageError(
-                        f"structure has no interpretation for {phi.pred!r} at {key}") from None
-        elif quantifier:
-            body = operands[0]
-            values = []
-            for start in range(0, len(body), n):
-                result = body[start]
-                for v in body[start + 1:start + n]:
-                    result = truth(V, phi, compare(result, v), result, v)
-                values.append(result)
-        elif kind in ORDERED:
-            values = [truth(V, phi, compare(a, b), a, b) for a, b in zip(*operands)]
-        elif kids:
-            # only Power reads phi (its exponent keys its memo): one memo per kind serves all
-            known = memo.setdefault(phi.n if kind is Power else kind, {})
-            values = []
-            for args in zip(*operands):
-                value = known.get(args)
-                if value is None:
-                    value = known[args] = truth(V, phi, 0, *args)
-                values.append(value)
+    P = _Pass(struct)
+    tables: List[list] = []
+    table_at = tables.__getitem__
+    for phi, kids, free, run, moves in plan:
+        if moves is None:
+            values = run(P, phi, free, *map(table_at, kids))
         else:
-            values = [truth(V, phi, 0)]
-        tables.append((axes, values))
+            operands = []
+            for k, move in zip(kids, moves):
+                values = tables[k]
+                if move is not None:
+                    values = [values[i] for i in P.layout(move)]
+                operands.append(values)
+            values = run(P, phi, free, *operands)
+        tables.append(values)
         yield values
 
 
@@ -297,7 +564,7 @@ def eval_formula(phi: Formula, struct: Structure) -> TruthValue:
     flat = nodes(phi)
     if flat[-1].free:
         raise UsageError(f"unbound variables {list(flat[-1].free)}")
-    for table in value_tables(struct, flat):
+    for table in value_tables(struct, plan(flat)):
         pass
     return ranks_of(struct).decode(table[0])
 

@@ -28,7 +28,7 @@ from typing import (
 )
 
 from .errors import ResourceLimitError, UsageError
-from .semantics import Ranks, Structure, eval_term, ranks_of, value_tables
+from .semantics import Ranks, Structure, eval_term, plan, ranks_of, value_tables
 from .syntax import (
     CORE_NODES, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv,
     One, Tensor, Term, Var, children, expand_derived, nodes, print_term,
@@ -591,7 +591,7 @@ def check_translation(phi: Formula, struct: Structure) -> bool:
         flat = nodes(phi)
     V = ranks_of(struct)
     needed: Set[object] = set()
-    for table in value_tables(struct, flat):
+    for table in value_tables(struct, plan(flat)):
         needed.update(table)
     companion = to_classical(struct, map(V.decode, needed))
     direct = V.is_inf(table[0])  # the last table is phi's, a sentence: one cell

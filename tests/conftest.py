@@ -13,7 +13,7 @@ from agodel import (
     Tensor, Top, Var, elem, eval_term, free_vars, lex2, one, rat, tv_compare,
     tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
-from agodel.semantics import ranks_of, value_tables
+from agodel.semantics import plan, ranks_of, value_tables
 from agodel.syntax import CORE_NODES, children, nodes
 
 # values used by grid checks and random tables
@@ -223,7 +223,7 @@ def root_cells(phi, struct):
     """(assignment, value) per cell of phi's table from one value_tables
     pass: its sorted free variables over the universe in product order."""
     flat = nodes(phi)
-    for table in value_tables(struct, flat):
+    for table in value_tables(struct, plan(flat)):
         pass
     free = flat[-1].free
     assignments = list(product(struct.universe, repeat=len(free)))

@@ -601,3 +601,53 @@ class TestCandidateExponent:
             assert modeltheory._candidate_exponent(source, target, h) == exponent
             found = search_embeddings(source, target, 1)
             assert [c.exponent for c in found] == ([] if exponent is None else [exponent])
+
+
+# ---------------------------------------------------------------------------
+# The paper's AEC axioms as properties of the bounded checks
+
+AEC_SIG = Signature(predicates={"P": 1, "R": 2})
+
+
+def extension(rng, struct, prefix):
+    """(copy, candidate): struct renamed onto fresh names, with a clone of
+    one element added while it has fewer than four, and every group value
+    raised to a power of 1-3.  The candidate maps each element to its new
+    name with that power as exponent: collapsing the clone onto its
+    original preserves every formula's value, so the candidate embeds
+    struct into the copy at every depth."""
+    names = {m: f"{prefix}{i}" for i, m in enumerate(struct.universe)}
+    original = {name: m for m, name in names.items()}
+    if len(struct.universe) < 4:
+        original[f"{prefix}clone"] = rng.choice(struct.universe)
+    power = rng.randint(1, 3)
+    preds = {}
+    for name, arity in struct.signature.predicates.items():
+        preds[name] = {}
+        for args in product(original, repeat=arity):
+            tv = struct.preds[name][tuple(original[a] for a in args)]
+            preds[name][args] = tv_power(tv, power) if tv.is_elem else tv
+    copy = Structure(struct.signature, RAT, tuple(original), {}, preds)
+    return copy, EmbeddingCandidate.make(names, Fraction(power))
+
+
+class TestAECAxioms:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 3), depth=st.integers(0, 2))
+    def test_embeddings_compose(self, seed, size, depth):
+        # h: M -> N and g: N -> K pass, so g o h passes with the product of
+        # the exponents; every candidate the searches find is composed too
+        rng = make_rng(seed)
+        m = random_structure(rng, AEC_SIG, size=size)
+        n, h0 = extension(rng, m, "n")
+        k, g0 = extension(rng, n, "k")
+        budget = 200
+        first = [h0] + search_embeddings(m, n, depth, budget)
+        second = [g0] + search_embeddings(n, k, depth, budget)
+        assert check_embedding(m, n, h0, depth, budget)
+        assert check_embedding(n, k, g0, depth, budget)
+        for h in first:
+            for g in second:
+                composite = EmbeddingCandidate.make(
+                    {a: g.h[b] for a, b in h.h.items()}, h.exponent * g.exponent)
+                assert check_embedding(m, k, composite, depth, budget), (h, g)

@@ -15,7 +15,8 @@ from agodel import (
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
     tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
 )
-from agodel.semantics import ORDERED, TRUTH, ranks_of, value_tables
+from agodel import semantics
+from agodel.semantics import ORDERED, TRUTH, plan, ranks_of, value_tables
 from agodel.syntax import App, nodes
 from conftest import (
     RAT_POOL, make_rng, oracle, random_formula, random_structure, random_truth_value,
@@ -214,7 +215,7 @@ def assert_tables_hold_the_oracle_values(phi, struct):
     expected_seen = set()
     oracle(sentence, struct, {}, expected_seen)
     V = ranks_of(struct)
-    seen = {V.decode(v) for table in value_tables(struct, nodes(sentence)) for v in table}
+    seen = {V.decode(v) for table in value_tables(struct, plan(nodes(sentence))) for v in table}
     assert seen == expected_seen
 
 
@@ -273,6 +274,100 @@ class TestAgainstOracle:
         assert report.triangle_violations == [
             (a, b, c) for a, b, c in product(universe, repeat=3)
             if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0]
+
+
+# The connectives whose values are always ranks over rank operands; the first
+# four are ranks over any operands.
+RANK_CLOSED = (Bot, Top, Not, Delta, And, Or, Imp, Iff, DArrow, DDArrow)
+CELL_SIG = Signature(functions={"c": 0}, predicates={"e": 2, "P": 1, "Q": 0})
+X, Y, C = Var("x"), Var("y"), App("c", ())
+# distinct, swapped and repeated variables, constants and zero arity
+CELL_LEAVES = (Atom("e", (X, Y)), Atom("e", (Y, X)), Atom("e", (X, X)), Atom("e", (C, X)),
+               Atom("e", (X, C)), Atom("P", (Y,)), Atom("P", (C,)), Atom("Q"),
+               Bot(), One(), Top())
+
+
+def cell_formulas():
+    """Formulas over x and y in which any connective, the ones that leave
+    the rank sort included, sits under any other."""
+    def grow(inner):
+        return st.one_of(
+            st.builds(lambda kind, a, b: kind(a, b), st.sampled_from(
+                [And, Or, Imp, Iff, DArrow, DDArrow, LukImp, Tensor]), inner, inner),
+            st.builds(lambda kind, a: kind(a), st.sampled_from([Not, Delta, Inv]), inner),
+            st.builds(Power, inner, st.integers(1, 3)),
+            st.builds(lambda q, v, a: q(v, a), st.sampled_from([Forall, Exists]),
+                      st.sampled_from("xy"), inner))
+    return st.recursive(st.sampled_from(CELL_LEAVES), grow, max_leaves=8)
+
+
+class TestRankKernels:
+    def test_rank_closure_is_derived_from_truth(self):
+        closes_over_ranks = {kind for kind, (_, (_, closes)) in semantics._KERNELS.items()
+                             if closes}
+        closes_always = {kind for kind, ((_, closes), _) in semantics._KERNELS.items()
+                         if closes}
+        assert closes_over_ranks == {*RANK_CLOSED, Forall, Exists}
+        assert closes_always == {Bot, Top, Not, Delta}
+
+    @pytest.mark.parametrize("kind", RANK_CLOSED, ids=lambda kind: kind.__name__)
+    def test_kernel_agrees_with_truth_on_every_pair(self, kind):
+        # P lists 0, inf and four group values, one per element: over
+        # (x, y) a binary node's table holds every pair of the six ranks
+        pool = RAT_POOL + [rat(3)]
+        universe = tuple(f"m{i}" for i in range(len(pool)))
+        struct = Structure(SIG1, RAT, universe, {},
+                           {"P": {(m,): v for m, v in zip(universe, pool)}})
+        V = ranks_of(struct)
+        ranks = [V.encode(v) for v in pool]
+        assert sorted(ranks) == list(range(6))
+        operands = (Atom("P", (X,)), Atom("P", (Y,)))[:TRUTH[kind].__code__.co_argcount - 3]
+        phi = kind(*operands)
+        steps = plan(nodes(phi))
+        assert semantics.Step._make(steps[-1]).run is semantics._KERNELS[kind][True][0]
+        *_, table = value_tables(struct, steps)
+        expected = [TRUTH[kind](V, phi, V.compare(*pair) if len(pair) == 2 else 0, *pair)
+                    for pair in product(ranks, repeat=len(operands))]
+        assert table == expected
+
+    @pytest.mark.parametrize("kind", [Forall, Exists], ids=["forall", "exists"])
+    def test_quantifier_over_ranks_folds_like_truth(self, kind):
+        rng = make_rng(5)
+        sig = Signature(predicates={"e": 2})
+        for size in range(1, 5):
+            struct = random_structure(rng, sig, size=size)
+            V = ranks_of(struct)
+            phi = kind("y", Atom("e", (Y, X)))
+            body, table = value_tables(struct, plan(nodes(phi)))  # over (x, y), then (x,)
+            truth = TRUTH[{Forall: And, Exists: Or}[kind]]
+            fold = [reduce(lambda a, b: truth(V, phi, V.compare(a, b), a, b),
+                           body[i * size:(i + 1) * size]) for i in range(size)]
+            assert table == fold
+
+    @settings(max_examples=300)
+    @given(phi=cell_formulas(), seed=st.integers(0, 2**32), size=st.integers(1, 4),
+           backend=st.sampled_from([RAT, LEX2]))
+    def test_every_cell_matches_oracle(self, phi, seed, size, backend):
+        struct = random_structure(make_rng(seed), CELL_SIG, size=size, backend=backend)
+        for env, value in root_cells(phi, struct):
+            assert value == oracle(phi, struct, env, set())
+
+    @pytest.mark.parametrize("text", [
+        "forall x. (e(x, y) * P(x)) /\\ e(y, x)",
+        "exists y. P(y)^2 /\\ one \\/ e(x, x)",
+        "forall y. (e(x, y) ->l e(c, y)) /\\ Q",
+        "(forall x. e(x, y)^-1) ==> (exists x. e(x, x) * one)",
+        "forall x. exists y. (P(y) <-> e(y, x)^3) => ~delta(Q * P(x))",
+    ])
+    @pytest.mark.parametrize("backend", [RAT, LEX2], ids=["rat", "lex2"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_products_and_powers_under_rank_connectives(self, text, backend, size):
+        # Tensor, Power, One, Inv and LukImp under And, Or, ==> and the quantifiers
+        phi = parse(text, CELL_SIG)
+        for seed in range(3):
+            struct = random_structure(make_rng(seed), CELL_SIG, size=size, backend=backend)
+            for env, value in root_cells(phi, struct):
+                assert value == oracle(phi, struct, env, set())
 
 
 class TestSatisfaction:
