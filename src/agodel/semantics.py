@@ -11,10 +11,11 @@ steps over a formula's DAG node list (``syntax.nodes``): ``plan`` picks
 each node's kernel once per list, and ``value_tables`` runs the kernels
 on value ranks, one table per subformula over the assignments of its free
 variables; the solver runs the truth functions on symbolic values over
-the same list.  On ranks, And and the universal quantifier are min, Or
-and the existential max, and the other connectives that only choose among
-their operands, 0 and inf get one comprehension each, derived from
-``TRUTH`` at import; the rest run their truth function per cell.
+the same list.  On ranks, the universal quantifier is min and the
+existential max of each run of cells, and the connectives that only
+choose among their operands, 0 and inf (And and Or among them) get one
+comprehension each, derived from ``TRUTH`` at import; the rest run their
+truth function per cell.
 ``Ranks`` is the one interned value sort: the direct evaluator and the
 classical companion's evaluator (``translation``) both run on it.
 ``syntax.expand_derived`` gives derived connectives by definition, and
@@ -86,17 +87,20 @@ class Structure:
             raise UsageError(f"tables for undeclared symbols: {sorted(extra)}")
 
     def _check_total(self, name: str, table: Mapping, arity: int) -> None:
+        # as many keys as the product has tuples, and every tuple among them
+        if len(table) == len(self.universe) ** arity and all(
+                map(table.__contains__, product(self.universe, repeat=arity))):
+            return
         expected = set(product(self.universe, repeat=arity))
-        keys = set(table.keys())
-        if keys != expected:
-            missing = sorted(expected - keys)[:3]
-            alien = sorted(keys - expected)[:3]
-            detail = []
-            if missing:
-                detail.append(f"missing entries e.g. {missing}")
-            if alien:
-                detail.append(f"unknown entries e.g. {alien}")
-            raise UsageError(f"table for {name!r} is not total: " + "; ".join(detail))
+        keys = set(table)
+        missing = sorted(expected - keys)[:3]
+        alien = sorted(keys - expected)[:3]
+        detail = []
+        if missing:
+            detail.append(f"missing entries e.g. {missing}")
+        if alien:
+            detail.append(f"unknown entries e.g. {alien}")
+        raise UsageError(f"table for {name!r} is not total: " + "; ".join(detail))
 
     def atomic_values(self) -> List[TruthValue]:
         """All truth values realized in predicate tables, deduplicated."""
@@ -140,14 +144,15 @@ class Ranks:
     of the sort is its rank there, an int, so rank order is value order and
     the ordered connectives compare ints.  ``ONE`` or a product, inverse or
     power outside the sort stays a TruthValue; 0 and inf are in every sort,
-    so such a value is a group element.  ``tables`` holds ``preds`` with
-    each value encoded so, and ``row`` lists a table again in ``product``
-    order over ``universe``.  The direct evaluator runs on
-    ``ranks_of(struct)``, built once per structure; the classical
-    evaluator runs on the companion's value sort.
+    so such a value is a group element.  ``row`` lists a table of
+    ``preds`` (whose values must be in the sort) as ranks in ``product``
+    order over ``universe``, and ``index`` gives each element's position
+    there.  The direct evaluator runs on ``ranks_of(struct)``, built once
+    per structure; the classical evaluator runs on the companion's value
+    sort.
     """
 
-    __slots__ = ("values", "rank", "INF", "ONE", "backend", "tables", "universe", "rows")
+    __slots__ = ("values", "rank", "INF", "ONE", "backend", "preds", "universe", "rows", "index")
     ZERO = 0
 
     def __init__(self, values: Iterable[TruthValue], backend: GroupBackend,
@@ -158,23 +163,22 @@ class Ranks:
         self.INF = len(self.values) - 1
         self.backend = backend
         self.ONE = self.encode(one(backend))
-        rank = self.rank
-        self.tables: Dict[str, Dict[Tuple[str, ...], object]] = {
-            name: {args: rank.get(v, v) for args, v in table.items()}
-            for name, table in preds.items()}
+        self.preds = preds
         self.universe = universe
+        self.index: Dict[str, int] = dict(zip(universe, range(len(universe))))
         self.rows: Dict[Tuple[str, int], list] = {}  # filled by row on first use
 
     def row(self, name: str, arity: int) -> Optional[list]:
         """The ranks of predicate name's table in ``product`` order over
-        the universe; None when it has no table of that arity."""
+        the universe, built in one walk on first use; None when it has no
+        table of that arity."""
         got = self.rows.get((name, arity))
         if got is None:
-            table = self.tables.get(name)
+            table = self.preds.get(name)
             if table is None or len(next(iter(table))) != arity:  # tables are total
                 return None
-            got = self.rows[name, arity] = [
-                table[args] for args in product(self.universe, repeat=arity)]
+            got = self.rows[name, arity] = list(map(self.rank.__getitem__, map(
+                table.__getitem__, product(self.universe, repeat=arity))))
         return got
 
     def encode(self, v: TruthValue):
@@ -373,12 +377,6 @@ def _lattice_fold(pick):
     return run
 
 
-def _lattice(pick):
-    def run(P, phi, free, A, B):
-        return list(map(pick, A, B))
-    return run
-
-
 _LATTICE = {And: min, Or: max}  # the infimum and supremum of the chain
 
 
@@ -396,8 +394,6 @@ def _kernels(kind):
     if derived is None:
         return (generic, False), (generic, False)
     run, closes = derived
-    if kind in _LATTICE:
-        run = _lattice(_LATTICE[kind])
     if arity == 2:
         return (generic, False), (run, True)
     return (run, closes), (run, True)
@@ -406,35 +402,38 @@ def _kernels(kind):
 _KERNELS = {kind: _kernels(kind) for kind in (*TRUTH, *QUANTIFIER_CONNECTIVE)}
 
 
-def _flat_atom(P, phi, free):
-    """An atom over distinct variables: its predicate's ``Ranks.row``,
-    laid out over the node's axes."""
-    at = tuple([t.name for t in phi.args])
-    row = P.V.row(phi.pred, len(at))
-    if row is None:
-        return _term_atom(P, phi, free)  # which names what has no interpretation
-    if at == free:
-        return row
-    return [row[i] for i in P.layout((at, free))]
+def _flat_atom(steps):
+    """The kernel of an atom over distinct variables: its predicate's
+    ``Ranks.row``, laid out over the node's axes by ``_layout_steps``
+    (steps is None when its arguments are in axis order)."""
+    def run(P, phi, free):
+        row = P.V.row(phi.pred, len(phi.args))
+        if row is None:
+            return _term_atom(P, phi, free)  # which names what has no interpretation
+        return row if steps is None else _relayout(row, steps, P.n)
+    return run
 
 
 def _term_atom(P, phi, axes):
     """An atom over constants, function terms or a repeated variable: its
-    argument terms evaluated under every assignment of its axes."""
-    struct = P.struct
-    rows = P.V.tables.get(phi.pred, {})
+    argument terms evaluated under every assignment of its axes, and the
+    cell they name read off its predicate's ``Ranks.row``."""
+    struct, n = P.struct, P.n
+    row = P.V.row(phi.pred, len(phi.args))
+    index = P.V.index
     scope = {}
     values = []
     # a ground atom (the solver's witness checks) has one cell and binds nothing
     for assignment in product(struct.universe, repeat=len(axes)) if axes else ((),):
         if axes:
             scope.update(zip(axes, assignment))
-        key = tuple([eval_term(t, struct, scope) for t in phi.args])
-        try:
-            values.append(rows[key])
-        except KeyError:
-            raise UsageError(
-                f"structure has no interpretation for {phi.pred!r} at {key}") from None
+        if row is None:
+            key = tuple([eval_term(t, struct, scope) for t in phi.args])
+            raise UsageError(f"structure has no interpretation for {phi.pred!r} at {key}")
+        cell = 0
+        for t in phi.args:
+            cell = cell * n + index[eval_term(t, struct, scope)]
+        values.append(row[cell])
     return values
 
 
@@ -445,8 +444,8 @@ def _term_atom(P, phi, axes):
 class Step(NamedTuple):
     """The fields of a planned node: those of its ``syntax.Node``, the
     kernel that computes its table, and its moves: None when every kid's
-    table is over the node's order already, else per kid None or the pair
-    (kid's axes, node's order) that lays the kid's table out over it.
+    table is over the node's order already, else per kid None or the
+    ``_layout_steps`` that lay the kid's table out over that order.
     ``plan`` returns plain tuples, since a NamedTuple is built in Python;
     ``Step._make`` names them."""
 
@@ -454,7 +453,7 @@ class Step(NamedTuple):
     kids: Tuple[int, ...]
     free: Tuple[str, ...]
     run: Callable
-    moves: Optional[Tuple[Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]], ...]]
+    moves: Optional[Tuple[Optional[Tuple[tuple, ...]], ...]]
 
 
 def plan(nodes: Sequence[Node]) -> List[tuple]:
@@ -467,9 +466,9 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
     Bot, Top, Not and Delta are rank-closed, and so are the other
     connectives whose truth functions only choose (``_derived``) and the
     quantifiers when their kids are.  Over rank-closed kids a quantifier is
-    min or max of each run of n cells, And and Or are min and max cell by
-    cell, and the others run their derived comprehension; an atom over
-    distinct variables reads its predicate's row off ``Ranks.row``.
+    min or max of each run of n cells and a connective runs its derived
+    comprehension (And keeps the smaller operand, Or the larger); an atom
+    over distinct variables reads its predicate's row off ``Ranks.row``.
     Every other node runs its truth function per cell.
     """
     steps: List[tuple] = []
@@ -477,8 +476,11 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
     for i, (phi, kids, free) in enumerate(nodes):
         kind = type(phi)
         if kind is Atom:  # distinct variables are as many as the arguments
-            flat = len(free) == len(phi.args) and all([type(t) is Var for t in phi.args])
-            steps.append((phi, kids, free, _flat_atom if flat else _term_atom, None))
+            run = _term_atom
+            if len(free) == len(phi.args) and all([type(t) is Var for t in phi.args]):
+                at = tuple([t.name for t in phi.args])
+                run = _flat_atom(None if at == free else _layout_steps(at, free))
+            steps.append((phi, kids, free, run, None))
             continue
         # a bool indexes the pair: True, rank-closed kids, picks the second
         run, closes = _KERNELS[kind][opened.isdisjoint(kids)]
@@ -488,7 +490,7 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
         moves = None
         for k in kids:
             if nodes[k][2] != order:
-                moves = tuple([None if nodes[j][2] == order else (nodes[j][2], order)
+                moves = tuple([None if nodes[j][2] == order else _layout_steps(nodes[j][2], order)
                                for j in kids])
                 break
         steps.append((phi, kids, free, run, moves))
@@ -497,10 +499,10 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
 
 class _Pass:
     """What the kernels of one pass share: the structure, its ranks, the
-    rank of inf, the universe size, the memo of the connectives that do not
-    compare, and the layouts built so far."""
+    rank of inf, the universe size and the memo of the connectives that
+    do not compare."""
 
-    __slots__ = ("struct", "V", "I", "n", "memo", "layouts")
+    __slots__ = ("struct", "V", "I", "n", "memo")
 
     def __init__(self, struct: Structure):
         self.struct = struct
@@ -508,13 +510,6 @@ class _Pass:
         self.I = self.V.INF
         self.n = len(struct.universe)
         self.memo: Dict[object, dict] = {}
-        self.layouts: Dict[tuple, List[int]] = {}
-
-    def layout(self, move: Tuple[Tuple[str, ...], Tuple[str, ...]]) -> List[int]:
-        got = self.layouts.get(move)
-        if got is None:
-            got = self.layouts[move] = _layout(*move, self.n)
-        return got
 
 
 def value_tables(struct: Structure, plan: Sequence[tuple]):
@@ -524,8 +519,9 @@ def value_tables(struct: Structure, plan: Sequence[tuple]):
     over the assignments of its free variables (its axes) in ``product``
     order over the universe.  Each step's kernel reads its kids' tables
     laid out over the step's order (a quantifier's body with its variable
-    last, folded run by run).  The pass keeps every table until it ends;
-    a table may be shared with ``Ranks.row``, so it is read-only.
+    last, folded run by run) by ``_relayout``.  The pass keeps every
+    table until it ends; a table may be shared with ``Ranks.row``, so it
+    is read-only.
     """
     P = _Pass(struct)
     tables: List[list] = []
@@ -538,23 +534,71 @@ def value_tables(struct: Structure, plan: Sequence[tuple]):
             for k, move in zip(kids, moves):
                 values = tables[k]
                 if move is not None:
-                    values = [values[i] for i in P.layout(move)]
+                    values = _relayout(values, move, P.n)
                 operands.append(values)
             values = run(P, phi, free, *operands)
         tables.append(values)
         yield values
 
 
-def _layout(axes: Tuple[str, ...], order: Tuple[str, ...], n: int) -> List[int]:
-    """For each cell, row-major, of a table over order, the cell with the
-    same assignment in a table over axes, a subset of order."""
-    stride = {v: n ** k for k, v in enumerate(reversed(axes))}
-    index = [0]
+def _layout_steps(axes: Tuple[str, ...], order: Tuple[str, ...]) -> Tuple[tuple, ...]:
+    """The list operations that lay a table over axes out over order,
+    which holds every axis: (op, a, b) each, run as op(t, n ** a, n ** b)
+    by ``_relayout``.  Axes out of the sequence of order are moved to the
+    end one by one (``_move``); then each run of order's variables that
+    axes lack is filled in by repetition (``_repeat``)."""
+    steps = []
+    ranked = sorted(axes, key=order.index)
+    # keep the longest prefix of ranked that axes already hold in sequence
+    kept = 0
+    for v in axes:
+        if v == ranked[kept]:
+            kept += 1
+    current = list(axes)
+    for v in ranked[kept:]:
+        k = current.index(v)
+        inner = len(current) - k - 1  # the axes after v
+        steps.append((_move, inner, inner + 1))
+        current.append(current.pop(k))
+    present = run = 0  # axes before the current variable of order, and the run missing there
     for v in order:
-        step = stride.get(v, 0)
-        index = [i + k * step for i in index for k in range(n)]
-    cells = list(range(n ** len(axes)))  # the pass keeps the index: share one int per cell
-    return [cells[i] for i in index]
+        if v in axes:
+            if run:
+                steps.append((_repeat, len(axes) - present, run))
+                run = 0
+            present += 1
+        else:
+            run += 1
+    if run:
+        steps.append((_repeat, 0, run))
+    return tuple(steps)
+
+
+def _relayout(t: list, steps: Tuple[tuple, ...], n: int) -> list:
+    """Run ``_layout_steps`` on t, a table over n elements: by slicing
+    and repetition alone, with no per-cell index."""
+    for op, a, b in steps:
+        t = op(t, n ** a, n ** b)
+    return t
+
+
+def _move(t: list, inner: int, block: int) -> list:
+    """t with the axis whose cells lie inner apart moved to the end: each
+    block of cells that share the axes before it is read as inner strided
+    slices, so e(y, x) under (x, y) is the rows t[j::n]."""
+    return list(chain.from_iterable([t[b + r:b + block:inner]
+                                     for b in range(0, len(t), block) for r in range(inner)]))
+
+
+def _repeat(t: list, block: int, count: int) -> list:
+    """t with each run of block cells repeated count times: the whole
+    list for missing axes at the front, each cell at the end, each block
+    between."""
+    if block == len(t):
+        return t * count
+    if block == 1:
+        return list(chain.from_iterable(zip(*[t] * count)))
+    return list(chain.from_iterable([t[s:s + block] * count for s in range(0, len(t), block)]))
 
 
 def eval_formula(phi: Formula, struct: Structure) -> TruthValue:
@@ -648,23 +692,24 @@ def check_ultrametric(struct: Structure) -> UltrametricReport:
     # ranks r of e: d(a, b) = 0 iff r[a][b] is top, and the strong triangle
     # d(a, b) <= max(d(a, c), d(b, c)) iff r[a][b] >= min(r[a][c], r[b][c])
     V = ranks_of(struct)
-    table = V.tables[e]
+    r = V.row(e, 2)  # r[i * n + j] is the rank of e(a_i, a_j)
     universe = struct.universe
-    r = [[table[a, b] for b in universe] for a in universe]
+    n = len(universe)
     identity = []
     symmetry = []
     triangle = []
     for i, a in enumerate(universe):
         for j, b in enumerate(universe):
-            if (r[i][j] == V.INF) != (a == b):
+            r_ab = r[i * n + j]
+            if (r_ab == V.INF) != (a == b):
                 identity.append((a, b))
-            if r[i][j] != r[j][i]:
+            if r_ab != r[j * n + i]:
                 symmetry.append((a, b))
     for i, a in enumerate(universe):
-        row_a = r[i]
+        row_a = r[i * n:i * n + n]
         for j, b in enumerate(universe):
             r_ab = row_a[j]
-            for c, r_ac, r_bc in zip(universe, row_a, r[j]):
+            for c, r_ac, r_bc in zip(universe, row_a, r[j * n:j * n + n]):
                 if r_ab < r_ac and r_ab < r_bc:
                     triangle.append((a, b, c))
     return UltrametricReport(identity, symmetry, triangle)
@@ -684,86 +729,83 @@ def load_structure(text: str, sig: Optional[Signature] = None) -> Structure:
     """Parse a structure file; infers the signature when none is given.
 
     Inference takes each symbol's arity from its table lines and marks a
-    binary predicate named ``e`` as the equality surrogate.
+    binary predicate named ``e`` as the equality surrogate.  Each line is
+    read once: a table line is split and stored in its symbol's table,
+    whose first line fixes an inferred arity.
     """
     backend: Optional[GroupBackend] = None
     universe: List[str] = []
-    fn_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
-    pred_lines: List[Tuple[int, str, Tuple[str, ...], str]] = []
     headers = set()
+    # name -> (table, arity) per kind; a table maps args to an output or a value text
+    funcs: Dict[str, Tuple[dict, int]] = {}
+    preds: Dict[str, Tuple[dict, int]] = {}
+    if sig is not None:
+        funcs = {name: ({}, arity) for name, arity in sig.functions.items()}
+        preds = {name: ({}, arity) for name, arity in sig.predicates.items()}
+    value_lines: Dict[str, int] = {}  # each value text -> the first line that holds it
     for lineno, line in content_lines(text):
         parts = line.split()
         kind = parts[0]
         try:
-            if kind in ("backend", "universe"):
-                if kind in headers:
-                    raise UsageError(f"duplicate {kind!r} line")
-                headers.add(kind)
-            if kind == "backend":
-                backend = backend_by_name(parts[1])
-            elif kind == "universe":
-                universe = parts[1:]
+            if kind == "pred":
+                sep, known = "=", preds
             elif kind == "fn":
-                if "->" not in parts:
-                    raise UsageError("expected 'fn name args... -> value'")
-                arrow = parts.index("->")
-                if arrow < 2 or len(parts) != arrow + 2:
-                    raise UsageError("expected 'fn name args... -> value'")
-                fn_lines.append((lineno, parts[1], tuple(parts[2:arrow]), parts[arrow + 1]))
-            elif kind == "pred":
-                if "=" not in parts:
-                    raise UsageError("expected 'pred name args... = value'")
-                eq = parts.index("=")
-                if eq < 2:
-                    raise UsageError("expected 'pred name args... = value'")
-                value_text = " ".join(parts[eq + 1:])
-                pred_lines.append((lineno, parts[1], tuple(parts[2:eq]), value_text))
+                sep, known = "->", funcs
+            elif kind in headers:
+                raise UsageError(f"duplicate {kind!r} line")
+            elif kind == "backend":
+                headers.add(kind)
+                backend = backend_by_name(parts[1])
+                continue
+            elif kind == "universe":
+                headers.add(kind)
+                universe = parts[1:]
+                continue
             else:
                 raise UsageError(f"unrecognized line {line!r}")
+            try:
+                at = parts.index(sep)
+            except ValueError:
+                at = 0
+            if at < 2 or kind == "fn" and len(parts) != at + 2:
+                raise UsageError(f"expected '{kind} name args... {sep} value'")
+            name, args = parts[1], tuple(parts[2:at])
+            entry = known.get(name)
+            if entry is None:
+                if sig is not None:
+                    word = "predicate" if kind == "pred" else "function"
+                    raise UsageError(f"undeclared {word} {name!r}")
+                entry = known[name] = ({}, len(args))
+            elif sig is None and entry[1] != len(args):
+                raise UsageError(f"inconsistent arity for {name!r}")
+            table = entry[0]
+            size = len(table)
+            out = table[args] = parts[-1] if at + 2 == len(parts) else " ".join(parts[at + 1:])
+            if len(table) == size:
+                raise UsageError(f"duplicate entry for {name!r} {args}")
+            if kind == "pred" and out not in value_lines:
+                value_lines[out] = lineno
         except (IndexError, UsageError) as exc:
             raise UsageError(f"structure line {lineno}: {exc}") from None
     if backend is None:
         raise UsageError("structure file missing 'backend' line")
     if not universe:
         raise UsageError("structure file missing 'universe' line")
-
     if sig is None:
-        functions = {}
-        predicates = {}
-        for lineno, name, args, _ in fn_lines:
-            functions.setdefault(name, len(args))
-            if functions[name] != len(args):
-                raise UsageError(f"structure line {lineno}: inconsistent arity for {name!r}")
-        for lineno, name, args, _ in pred_lines:
-            predicates.setdefault(name, len(args))
-            if predicates[name] != len(args):
-                raise UsageError(f"structure line {lineno}: inconsistent arity for {name!r}")
-        equality = "e" if predicates.get("e") == 2 else None
-        sig = Signature(functions, predicates, equality)
-
-    funcs: Dict[str, Dict[Tuple[str, ...], str]] = {n: {} for n in sig.functions}
-    preds: Dict[str, Dict[Tuple[str, ...], TruthValue]] = {n: {} for n in sig.predicates}
+        predicates = {name: arity for name, (_, arity) in preds.items()}
+        sig = Signature({name: arity for name, (_, arity) in funcs.items()}, predicates,
+                        "e" if predicates.get("e") == 2 else None)
     # a table of n^2 lines holds a few distinct values: parse each text once
     parsed: Dict[str, TruthValue] = {}
-    for lineno, name, args, out in fn_lines:
-        if name not in funcs:
-            raise UsageError(f"structure line {lineno}: undeclared function {name!r}")
-        if args in funcs[name]:
-            raise UsageError(f"structure line {lineno}: duplicate entry for {name!r} {args}")
-        funcs[name][args] = out
-    for lineno, name, args, value_text in pred_lines:
-        if name not in preds:
-            raise UsageError(f"structure line {lineno}: undeclared predicate {name!r}")
-        if args in preds[name]:
-            raise UsageError(f"structure line {lineno}: duplicate entry for {name!r} {args}")
-        value = parsed.get(value_text)
-        if value is None:
-            try:
-                value = parsed[value_text] = parse_truth_value(value_text, backend)
-            except UsageError as exc:
-                raise UsageError(f"structure line {lineno}: {exc}") from None
-        preds[name][args] = value
-    return Structure(sig, backend, tuple(universe), funcs, preds)
+    for value_text, lineno in value_lines.items():
+        try:
+            parsed[value_text] = parse_truth_value(value_text, backend)
+        except UsageError as exc:
+            raise UsageError(f"structure line {lineno}: {exc}") from None
+    return Structure(sig, backend, tuple(universe),
+                     {name: table for name, (table, _) in funcs.items()},
+                     {name: dict(zip(table, map(parsed.__getitem__, table.values())))
+                      for name, (table, _) in preds.items()})
 
 
 def dump_structure(struct: Structure) -> str:

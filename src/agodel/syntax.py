@@ -87,7 +87,9 @@ def content_lines(text: str) -> Iterator[Tuple[int, str]]:
     """(line number, text) of each line of a signature, theory or structure
     file, with the ``#`` comment stripped; blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:  # most lines have none: skip the split
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if line:
             yield lineno, line
 

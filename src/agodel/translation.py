@@ -356,7 +356,12 @@ class _ClassicalEvaluator:
 
     def __init__(self, companion: ClassicalStructure):
         self.c = companion
-        V = self.V = Ranks(companion.values, companion.backend, companion.relations)
+        V = self.V = Ranks(companion.values, companion.backend, {})
+        # each graph with its values as ranks (a hand-built companion's
+        # graphs may hold values off its sort: they stay TruthValues)
+        rank = V.rank
+        self.graphs = {name: {args: rank.get(v, v) for args, v in table.items()}
+                       for name, table in companion.relations.items()}
         # the quantifier domains, by sort
         self.objects = companion.objects
         self.values = range(len(V.values))
@@ -420,7 +425,7 @@ class _ClassicalEvaluator:
                 raise UsageError(f"sort violation: {print_term(t)!r} holds a value-sort item")
         case, value_shape = _TERM_CASES.get(type(node.value), _NOT_A_TERM)
         value = case(self, node.value, env, value_shape)
-        table = self.V.tables.get(node.pred)
+        table = self.graphs.get(node.pred)
         if table is None or args not in table:
             raise UsageError(f"no graph entry for {node.pred!r} at {args}")
         return table[args] == value

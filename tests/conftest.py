@@ -233,6 +233,18 @@ def root_cells(phi, struct):
             for elements, cell in zip(assignments, table)]
 
 
+def layout_index(axes, order, n):
+    """The reference relayout: for each cell, row-major, of a table over
+    order, the position of the cell with the same assignment in a table
+    over axes, a subset of order, both over n elements."""
+    stride = {v: n ** k for k, v in enumerate(reversed(axes))}
+    index = [0]
+    for v in order:
+        step = stride.get(v, 0)
+        index = [i + k * step for i in index for k in range(n)]
+    return index
+
+
 @pytest.fixture
 def rng():
     return make_rng(20260810)

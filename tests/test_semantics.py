@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +19,8 @@ from agodel import semantics
 from agodel.semantics import ORDERED, TRUTH, plan, ranks_of, value_tables
 from agodel.syntax import App, nodes
 from conftest import (
-    RAT_POOL, make_rng, oracle, random_formula, random_structure, random_truth_value,
-    root_cells, similarity_closure, tv_dmin,
+    RAT_POOL, layout_index, make_rng, oracle, random_formula, random_structure,
+    random_truth_value, root_cells, similarity_closure, tv_dmin,
 )
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
@@ -370,6 +370,21 @@ class TestRankKernels:
                 assert value == oracle(phi, struct, env, set())
 
 
+class TestRelayout:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_reference_index(self, n):
+        # every order of up to four variables, and as axes every ordered
+        # subset of it: the empty one, prefixes, suffixes, gaps, permutations
+        for size in range(5):
+            for order in permutations("wxyz", size):
+                for k in range(size + 1):
+                    for axes in permutations(order, k):
+                        table = list(range(100, 100 + n ** k))
+                        steps = semantics._layout_steps(axes, order)
+                        want = [table[i] for i in layout_index(axes, order, n)]
+                        assert semantics._relayout(table, steps, n) == want, (axes, order)
+
+
 class TestSatisfaction:
     def test_satisfies_inf_only(self):
         assert satisfies(nullary(p=INF), Atom("P"))
@@ -530,7 +545,15 @@ class TestStructureFiles:
         ("backend rat\npred P = 1\n", "universe"),
         ("backend rat\nuniverse m1 m2\npred P m1 = 1\n", "not total"),
         ("backend rat\nuniverse m1\npred P m1 = 1\npred P m1 = 2\n", "duplicate"),
+        # the same value twice is a duplicate too, named by its second line
+        ("backend rat\nuniverse m1\npred P m1 = 1\npred P m1 = 1\n",
+         "line 4: duplicate entry for 'P' ('m1',)"),
+        ("backend rat\nuniverse m1\npred P m1 = 1  # one\npred P m1 = 1\n",
+         "line 4: duplicate entry"),
+        ("backend rat\nuniverse m1\nfn c -> m1\nfn c -> m1\n", "line 4: duplicate entry for 'c'"),
         ("backend rat\nuniverse m1\npred P m9 = 1\n", "not total"),
+        ("backend rat\nuniverse m1\npred P m1 = 1\npred P m9 = 1\n",
+         "not total: unknown entries e.g. [('m9',)]"),
         ("backend rat\nuniverse m1\nfn c -> m9\n", "outside the universe"),
         ("backend rat\nuniverse m1\npred P = nonsense\n", "bad rational"),
         ("backend rat\nuniverse m1 m1\npred P = 1\n", "duplicate universe"),
@@ -541,6 +564,15 @@ class TestStructureFiles:
         with pytest.raises(UsageError) as err:
             load_structure(text)
         assert fragment in str(err.value)
+
+    def test_value_of_another_backend(self):
+        with pytest.raises(UsageError, match=r"'P' at \('m2',\) uses backend lex2"):
+            Structure(SIG1, RAT, ("m1", "m2"), {}, {"P": {("m1",): INF, ("m2",): lex2(1, 2)}})
+
+    def test_trailing_comment(self):
+        m = load_structure("backend rat\nuniverse m1 m2  # two\n"
+                           "pred P m1 = 3/2  # a comment\npred P m2 = inf#\n")
+        assert m.preds["P"] == {("m1",): rat(3, 2), ("m2",): INF}
 
     def test_explicit_signature_mismatch(self):
         sig = Signature(predicates={"P": 2})
