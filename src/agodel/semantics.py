@@ -11,19 +11,20 @@ steps over a formula's DAG node list (``syntax.nodes``): ``plan`` picks
 each node's kernel once per list, and ``value_tables`` runs the kernels
 on value ranks, one table per subformula over the assignments of its free
 variables; the solver runs the truth functions on symbolic values over
-the same list.  On ranks, the universal quantifier is min and the
-existential max of each run of cells, and the connectives that only
-choose among their operands, 0 and inf (And and Or among them) get one
-comprehension each, derived from ``TRUTH`` at import; the rest run their
-truth function per cell.
-``Ranks`` is the one interned value sort: the direct evaluator and the
-classical companion's evaluator (``translation``) both run on it.
+the same list.  ``Ranks``, the one interned value sort, which the
+classical companion's evaluator (``translation``) runs on too, encodes
+every value so that it orders natively.  So a quantifier is min or max of
+each run of cells, and the connectives that only choose among their
+operands, 0 and inf (And and Or among them) get one comprehension each,
+derived from ``TRUTH`` at import; the rest run their truth function per
+cell.
 ``syntax.expand_derived`` gives derived connectives by definition, and
 the test suite checks the two agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from itertools import chain, product
@@ -37,8 +38,8 @@ from .syntax import (
 )
 from .values import (
     INF, K_ELEM, ZERO, GroupBackend, TruthValue, backend_by_name,
-    format_truth_value, one, order_key, parse_truth_value, tv_compare, tv_inv,
-    tv_mul, tv_power,
+    format_truth_value, one, order_key, parse_truth_value, tv_inv, tv_mul,
+    tv_power,
 )
 
 Assignment = Dict[str, str]
@@ -137,19 +138,50 @@ TRUTH = {
 ORDERED = frozenset((And, Or, Imp, Iff, DArrow, DDArrow, LukImp))
 
 
+class Between:
+    """A value outside a ``Ranks`` sort, placed strictly between the ranks
+    ``lo`` and ``lo + 1``: ``tv`` is the value, a group element.  It
+    orders natively with ranks, and with another value of its sort by
+    ``key``: lo, then the payload, whose order is that of ``tv_compare``
+    on one backend.  Its sort interns it, so ``==`` (identity) holds
+    exactly for equal values."""
+
+    __slots__ = ("lo", "tv", "key")
+
+    def __init__(self, lo: int, tv: TruthValue):
+        self.lo = lo
+        self.tv = tv
+        self.key = (lo, tv.payload)
+
+    # against a rank k: below k iff lo < k, above it iff lo >= k, never equal
+    def __lt__(self, other) -> bool:
+        return self.lo < other if type(other) is int else self.key < other.key
+
+    def __le__(self, other) -> bool:
+        return self.lo < other if type(other) is int else self.key <= other.key
+
+    def __gt__(self, other) -> bool:
+        return self.lo >= other if type(other) is int else self.key > other.key
+
+    def __ge__(self, other) -> bool:
+        return self.lo >= other if type(other) is int else self.key >= other.key
+
+    def __repr__(self) -> str:
+        return f"Between({self.lo}, {format_truth_value(self.tv)!r})"
+
+
 class Ranks:
     """An algebra of truth values as ranks: the one interned value sort.
 
     The sort is 0 and inf plus ``values``, deduplicated and sorted; a value
-    of the sort is its rank there, an int, so rank order is value order and
-    the ordered connectives compare ints.  ``ONE`` or a product, inverse or
-    power outside the sort stays a TruthValue; 0 and inf are in every sort,
-    so such a value is a group element.  ``row`` lists a table of
-    ``preds`` (whose values must be in the sort) as ranks in ``product``
-    order over ``universe``, and ``index`` gives each element's position
-    there.  The direct evaluator runs on ``ranks_of(struct)``, built once
-    per structure; the classical evaluator runs on the companion's value
-    sort.
+    of the sort is its rank there, an int, so rank order is value order.
+    ``ONE`` or a product, inverse or power outside the sort (a group
+    element, as 0 and inf are in every sort) is its ``Between``, interned
+    here for the life of the sort.  ``row`` lists a table of ``preds``
+    (whose values must be in the sort) as ranks in ``product`` order over
+    ``universe``, and ``index`` gives each element's position there.  The
+    direct evaluator runs on ``ranks_of(struct)``, built once per
+    structure; the classical evaluator runs on the companion's value sort.
     """
 
     __slots__ = ("values", "rank", "INF", "ONE", "backend", "preds", "universe", "rows", "index")
@@ -158,10 +190,12 @@ class Ranks:
     def __init__(self, values: Iterable[TruthValue], backend: GroupBackend,
                  preds: Mapping[str, Mapping[Tuple[str, ...], TruthValue]],
                  universe: Sequence[str] = ()):
-        self.values: Tuple[TruthValue, ...] = tuple(sorted({ZERO, INF, *values}, key=order_key))
-        self.rank: Dict[TruthValue, int] = {v: i for i, v in enumerate(self.values)}
-        self.INF = len(self.values) - 1
         self.backend = backend
+        self.values: Tuple[TruthValue, ...] = tuple(sorted(
+            map(self._own, {ZERO, INF, *values}), key=order_key))
+        # each value -> its rank, or its Between once ``encode`` has met it
+        self.rank: Dict[TruthValue, object] = {v: i for i, v in enumerate(self.values)}
+        self.INF = len(self.values) - 1
         self.ONE = self.encode(one(backend))
         self.preds = preds
         self.universe = universe
@@ -181,22 +215,29 @@ class Ranks:
                 table.__getitem__, product(self.universe, repeat=arity))))
         return got
 
+    def _own(self, v: TruthValue) -> TruthValue:
+        """v, refused as ``tv_compare`` would when of another backend."""
+        if v.backend is not None and v.backend is not self.backend:
+            raise UsageError(f"backend mismatch: {v.backend.name} vs {self.backend.name}")
+        return v
+
     def encode(self, v: TruthValue):
-        return self.rank.get(v, v)
+        """v's rank, or, for a value outside the sort, its interned ``Between``."""
+        got = self.rank.get(v)
+        if got is None:
+            lo = bisect_right(self.values, order_key(self._own(v)), key=order_key) - 1
+            # setdefault keeps one object per value when threads share the sort
+            got = self.rank.setdefault(v, Between(lo, v))
+        return got
 
     def decode(self, v) -> TruthValue:
-        return self.values[v] if type(v) is int else v
+        return self.values[v] if type(v) is int else v.tv
 
     def is_zero(self, a) -> bool:
         return a == 0
 
     def is_inf(self, a) -> bool:
         return a == self.INF
-
-    def compare(self, a, b) -> int:
-        if type(a) is int and type(b) is int:
-            return (a > b) - (a < b)
-        return tv_compare(self.decode(a), self.decode(b))
 
     def mul(self, a, b):
         return self.encode(tv_mul(self.decode(a), self.decode(b), self.backend))
@@ -240,11 +281,11 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
 # ---------------------------------------------------------------------------
 # Rank kernels, derived from TRUTH
 #
-# On ranks most truth functions only choose: the result is one of the
-# operands a and b, 0 or inf.  TRUTH is probed on the names a, b, 0 and I
-# (inf), for each order sign of the operands and each stratum they lie in;
-# the shortest expression over the ranks a, b and I that agrees with every
-# probe is compiled, once, into one list comprehension.
+# Most truth functions only choose: the result is one of the operands a
+# and b, 0 or inf.  TRUTH is probed on the names a, b, 0 and I (inf), for
+# each order sign of the operands and each stratum they lie in; the
+# shortest expression over the encoded values a, b and I that agrees with
+# every probe is compiled, once, into one list comprehension.
 
 
 _ZERO, _MID, _INF = 0, 1, 2  # the strata of a rank: 0, strictly between, inf
@@ -307,10 +348,8 @@ def _expression(cases: list, depth: int) -> Optional[str]:
 
 
 def _derived(kind, arity: int):
-    """(kernel, rank-closed on any operands) for TRUTH[kind] on ranks; None
-    when it has no kernel.  A binary kernel needs rank operands; a unary
-    one tests its operand only against 0 and I, so it is exact on any, and
-    rank-closed on any when a value strictly between goes to 0 or I."""
+    """The kernel of TRUTH[kind] on encoded values; None when it has none.
+    Encoded values order natively, so the kernel is exact on any."""
     cases = _cases(kind, arity)
     if cases is None:
         return None
@@ -321,17 +360,7 @@ def _derived(kind, arity: int):
     namespace: Dict[str, object] = {}
     exec(f"def {name}(P, phi, free{operands}):\n    I = P.I\n    return [{expression}{loop}]\n",
          namespace)
-    closes = arity < 2 and all(
-        names & {"0", "I"} for _, strata, names in cases if strata.get("a", _MID) == _MID)
-    return namespace[name], closes
-
-
-def _compare_each(truth):
-    def run(P, phi, free, A, B):
-        V = P.V
-        compare = V.compare
-        return [truth(V, phi, compare(a, b), a, b) for a, b in zip(A, B)]
-    return run
+    return namespace[name]
 
 
 def _memoized(truth, kind):
@@ -343,7 +372,8 @@ def _memoized(truth, kind):
         for args in zip(*operands):
             value = known.get(args)
             if value is None:
-                value = known[args] = truth(V, phi, 0, *args)
+                rel = (args[0] > args[1]) - (args[0] < args[1]) if kind in ORDERED else 0
+                value = known[args] = truth(V, phi, rel, *args)
             values.append(value)
         return values
     return run
@@ -355,51 +385,24 @@ def _constant(truth):
     return run
 
 
-def _fold(truth):
-    """A quantifier over any body: truth folded over each run of n cells."""
-    def run(P, phi, free, body):
-        V, n = P.V, P.n
-        compare = V.compare
-        values = []
-        for start in range(0, len(body), n):
-            result = body[start]
-            for v in body[start + 1:start + n]:
-                result = truth(V, phi, compare(result, v), result, v)
-            values.append(result)
-        return values
-    return run
-
-
 def _lattice_fold(pick):
-    """A quantifier over a rank-closed body: pick (min or max) of each run of n cells."""
+    """A quantifier: pick (min or max) of each run of n cells."""
     def run(P, phi, free, body):
         return list(map(pick, zip(*[iter(body)] * P.n)))
     return run
 
 
-_LATTICE = {And: min, Or: max}  # the infimum and supremum of the chain
-
-
-def _kernels(kind):
-    """((kernel, rank-closed) over kids not all rank-closed, the same over
-    rank-closed kids) for a node of type kind."""
+def _kernel(kind):
+    """The kernel of a node of type kind."""
     lattice = QUANTIFIER_CONNECTIVE.get(kind)
     if lattice:
-        return (_fold(TRUTH[lattice]), False), (_lattice_fold(_LATTICE[lattice]), True)
+        return _lattice_fold(min if lattice is And else max)  # the chain's inf and sup
     truth = TRUTH[kind]
     arity = truth.__code__.co_argcount - 3  # after V, phi and rel
-    generic = (_compare_each(truth) if kind in ORDERED
-               else _memoized(truth, kind) if arity else _constant(truth))
-    derived = _derived(kind, arity)
-    if derived is None:
-        return (generic, False), (generic, False)
-    run, closes = derived
-    if arity == 2:
-        return (generic, False), (run, True)
-    return (run, closes), (run, True)
+    return _derived(kind, arity) or (_memoized(truth, kind) if arity else _constant(truth))
 
 
-_KERNELS = {kind: _kernels(kind) for kind in (*TRUTH, *QUANTIFIER_CONNECTIVE)}
+_KERNELS = {kind: _kernel(kind) for kind in (*TRUTH, *QUANTIFIER_CONNECTIVE)}
 
 
 def _flat_atom(steps):
@@ -461,19 +464,15 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
     fields of ``Step``) per node.
 
     Each node's step is decided from its type and its kids' steps alone:
-    its order (its axes, then a quantifier's variable), whether it is
-    rank-closed (its values are always ranks), and its kernel.  Atoms,
-    Bot, Top, Not and Delta are rank-closed, and so are the other
-    connectives whose truth functions only choose (``_derived``) and the
-    quantifiers when their kids are.  Over rank-closed kids a quantifier is
-    min or max of each run of n cells and a connective runs its derived
-    comprehension (And keeps the smaller operand, Or the larger); an atom
-    over distinct variables reads its predicate's row off ``Ranks.row``.
-    Every other node runs its truth function per cell.
+    its order (its axes, then a quantifier's variable) and its kernel.  A
+    quantifier is min or max of each run of n cells, a connective whose
+    truth function only chooses runs its derived comprehension
+    (``_derived``: And keeps the smaller operand, Or the larger), and an
+    atom over distinct variables reads its predicate's row off
+    ``Ranks.row``.  Every other node runs its truth function per cell.
     """
     steps: List[tuple] = []
-    opened = set()  # the positions of the nodes that are not rank-closed
-    for i, (phi, kids, free) in enumerate(nodes):
+    for phi, kids, free in nodes:
         kind = type(phi)
         if kind is Atom:  # distinct variables are as many as the arguments
             run = _term_atom
@@ -482,10 +481,7 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
                 run = _flat_atom(None if at == free else _layout_steps(at, free))
             steps.append((phi, kids, free, run, None))
             continue
-        # a bool indexes the pair: True, rank-closed kids, picks the second
-        run, closes = _KERNELS[kind][opened.isdisjoint(kids)]
-        if not closes:
-            opened.add(i)
+        run = _KERNELS[kind]
         order = free + (phi.var,) if kind in QUANTIFIER_CONNECTIVE else free
         moves = None
         for k in kids:
@@ -500,7 +496,7 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
 class _Pass:
     """What the kernels of one pass share: the structure, its ranks, the
     rank of inf, the universe size and the memo of the connectives that
-    do not compare."""
+    run their truth function per cell."""
 
     __slots__ = ("struct", "V", "I", "n", "memo")
 
@@ -515,7 +511,7 @@ class _Pass:
 def value_tables(struct: Structure, plan: Sequence[tuple]):
     """Yield the value table of every step of a ``plan``, in order.
 
-    A table lists the node's values, as ranks of ``ranks_of(struct)``,
+    A table lists the node's values, encoded by ``ranks_of(struct)``,
     over the assignments of its free variables (its axes) in ``product``
     order over the universe.  Each step's kernel reads its kids' tables
     laid out over the step's order (a quantifier's body with its variable

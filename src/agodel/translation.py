@@ -159,7 +159,7 @@ _pair = attrgetter("left", "right")
 # evaluator and the values of the parts.
 _SHAPES = {
     CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
-    CLe: _Shape("le", _pair, "_apply", lambda ev, s, t: ev.V.compare(s, t) <= 0),
+    CLe: _Shape("le", _pair, "_apply", lambda ev, s, t: s <= t),
     CEqV: _Shape("eqv", _pair, "_apply", lambda ev, s, t: s == t),
     CAnd: _Shape("and", _pair, "_connective", False),
     CImp: _Shape("imp", _pair, "_connective", True),
@@ -337,9 +337,9 @@ class _ClassicalEvaluator:
     turns the naive exponential evaluation into one pass per node and
     assignment.
 
-    Inside one call a value is a rank of ``V``, the companion's value sort
-    interned as ``semantics.Ranks``, so memo keys hold small ints.
-    Objects are their names.
+    Inside one call a value is encoded by ``V``, the companion's value
+    sort interned as ``semantics.Ranks``, and orders natively.  Objects
+    are their names.
 
     A value quantifier loops over the support of its guard, not the whole
     sort (safe-range evaluation).  Let A be the body of exists-val v, or
@@ -357,10 +357,10 @@ class _ClassicalEvaluator:
     def __init__(self, companion: ClassicalStructure):
         self.c = companion
         V = self.V = Ranks(companion.values, companion.backend, {})
-        # each graph with its values as ranks (a hand-built companion's
-        # graphs may hold values off its sort: they stay TruthValues)
-        rank = V.rank
-        self.graphs = {name: {args: rank.get(v, v) for args, v in table.items()}
+        # each graph with its values encoded (a hand-built companion's
+        # graphs may hold values off its sort)
+        encode = V.encode
+        self.graphs = {name: {args: encode(v) for args, v in table.items()}
                        for name, table in companion.relations.items()}
         # the quantifier domains, by sort
         self.objects = companion.objects

@@ -1,5 +1,6 @@
 """Generated subgroups, canonical families, embeddings, equivalence, diagrams."""
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -10,8 +11,8 @@ from agodel import (
     INF, LEX2, RAT, ZERO, Atom, Delta, EmbeddingCandidate, GeneratedSubgroup,
     ResourceLimitError, Signature, Structure, UsageError, bounded_ediag,
     bounded_elementary_equiv, check_embedding, factor_positive,
-    formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, rat,
-    satisfies, search_embeddings, sentence_family, tv_power,
+    formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, print_formula,
+    rat, satisfies, search_embeddings, sentence_family, tv_power,
 )
 from agodel import modeltheory
 from agodel.modeltheory import (
@@ -609,16 +610,18 @@ class TestCandidateExponent:
 AEC_SIG = Signature(predicates={"P": 1, "R": 2})
 
 
-def extension(rng, struct, prefix):
-    """(copy, candidate): struct renamed onto fresh names, with a clone of
-    one element added while it has fewer than four, and every group value
-    raised to a power of 1-3.  The candidate maps each element to its new
-    name with that power as exponent: collapsing the clone onto its
-    original preserves every formula's value, so the candidate embeds
-    struct into the copy at every depth."""
-    names = {m: f"{prefix}{i}" for i, m in enumerate(struct.universe)}
+def extension(rng, struct, prefix, clone=True):
+    """(copy, candidate): struct renamed onto fresh names in a random
+    order, with a clone of one element added while it has fewer than four
+    (when clone is set), and every group value raised to a power of 1-3.
+    The candidate maps each element to its new name with that power as
+    exponent: collapsing the clone onto its original preserves every
+    formula's value, so the candidate embeds struct into the copy at every
+    depth, and without a clone it is an isomorphism."""
+    order = rng.sample(range(len(struct.universe)), len(struct.universe))
+    names = {m: f"{prefix}{i}" for i, m in zip(order, struct.universe)}
     original = {name: m for m, name in names.items()}
-    if len(struct.universe) < 4:
+    if clone and len(struct.universe) < 4:
         original[f"{prefix}clone"] = rng.choice(struct.universe)
     power = rng.randint(1, 3)
     preds = {}
@@ -629,6 +632,16 @@ def extension(rng, struct, prefix):
             preds[name][args] = tv_power(tv, power) if tv.is_elem else tv
     copy = Structure(struct.signature, RAT, tuple(original), {}, preds)
     return copy, EmbeddingCandidate.make(names, Fraction(power))
+
+
+def substructure(struct, original):
+    """The structure over the keys of original whose tables read each key
+    as the element of struct it maps to: a restriction when original is
+    the identity on a subset, an elementary extension when it adds clones."""
+    preds = {name: {args: struct.preds[name][tuple(original[a] for a in args)]
+                    for args in product(original, repeat=arity)}
+             for name, arity in struct.signature.predicates.items()}
+    return Structure(struct.signature, struct.backend, tuple(original), {}, preds)
 
 
 class TestAECAxioms:
@@ -651,3 +664,71 @@ class TestAECAxioms:
                 composite = EmbeddingCandidate.make(
                     {a: g.h[b] for a, b in h.h.items()}, h.exponent * g.exponent)
                 assert check_embedding(m, k, composite, depth, budget), (h, g)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 4), depth=st.integers(0, 2),
+           cloned=st.booleans())
+    def test_coherence(self, seed, size, depth, cloned):
+        # M0 is a substructure of M1: the restriction of a random M1 to a
+        # random subset, or a random M0 with clones added (an elementary
+        # one).  Whenever f1: M1 -> M2 and its restriction f0 to M0, with
+        # the same exponent, both pass, the inclusion passes with exponent 1
+        rng = make_rng(seed)
+        if cloned:
+            m0 = random_structure(rng, AEC_SIG, size=size)
+            clones = {f"c{i}": rng.choice(m0.universe) for i in range(4 - size)}
+            m1 = substructure(m0, {**{m: m for m in m0.universe}, **clones})
+        else:
+            m1 = random_structure(rng, AEC_SIG, size=size)
+            kept = rng.sample(m1.universe, rng.randint(1, size))
+            m0 = substructure(m1, {m: m for m in m1.universe if m in kept})
+        m2, g = extension(rng, m1, "k")
+        budget = 200
+        inclusion = check_embedding(m0, m1, EmbeddingCandidate.make(
+            {m: m for m in m0.universe}), depth, budget)
+        for f1 in [g] + search_embeddings(m1, m2, depth, budget):
+            f0 = EmbeddingCandidate.make({m: f1.h[m] for m in m0.universe}, f1.exponent)
+            if check_embedding(m0, m2, f0, depth, budget):
+                assert inclusion, (f0, f1)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 4), other=st.integers(1, 4),
+           depth=st.integers(0, 2))
+    def test_isomorphism_invariance(self, seed, size, other, depth):
+        # a renamed copy of A with every group value raised to a power gives
+        # the verdicts of A: embed (the injections found, moved across the
+        # isomorphism, and each candidate moved with its exponent divided or
+        # multiplied by the power passes; a search pins the exponent, 1 when
+        # only 0, 1 and inf occur), equiv and ediag (each sentence's element
+        # constants renamed), with B an extension of A (which A embeds
+        # into) and C a random structure
+        rng = make_rng(seed)
+        a = random_structure(rng, AEC_SIG, size=size)
+        copy, iso = extension(rng, a, "n", clone=False)
+        b = extension(rng, a, "k")[0]
+        c = random_structure(rng, AEC_SIG, size=other)
+        budget = 200
+        back = EmbeddingCandidate.make({t: s for s, t in iso.h.items()}, 1 / iso.exponent)
+        assert check_embedding(a, copy, iso, depth, budget)
+        assert check_embedding(copy, a, back, depth, budget)
+        for d in (b, c):
+            moved = [EmbeddingCandidate.make({iso.h[s]: t for s, t in f.h.items()},
+                                             f.exponent / iso.exponent)
+                     for f in search_embeddings(a, d, depth, budget)]
+            assert {f.mapping for f in search_embeddings(copy, d, depth, budget)} == \
+                {f.mapping for f in moved}
+            assert all(check_embedding(copy, d, f, depth, budget) for f in moved)
+            moved = [EmbeddingCandidate.make({s: iso.h[t] for s, t in f.h.items()},
+                                             f.exponent * iso.exponent)
+                     for f in search_embeddings(d, a, depth, budget)]
+            assert {f.mapping for f in search_embeddings(d, copy, depth, budget)} == \
+                {f.mapping for f in moved}
+            assert all(check_embedding(d, copy, f, depth, budget) for f in moved)
+            assert bounded_elementary_equiv(copy, d, depth, budget) == \
+                bounded_elementary_equiv(a, d, depth, budget)
+        assert bounded_elementary_equiv(a, copy, depth, budget)
+        renamed = {f"c_{m}": f"c_{n}" for m, n in iso.h.items()}
+        assert sorted(print_formula(phi) for phi in bounded_ediag(copy, depth, budget)) == \
+            sorted(re.sub(r"\bc_\w+", lambda name: renamed[name.group()], print_formula(phi))
+                   for phi in bounded_ediag(a, depth, budget))
+

@@ -13,7 +13,7 @@ from agodel import (
     Signature, Structure, Tensor, Top, UsageError, Var, check_similarity, check_ultrametric,
     dump_structure, entails_over, eval_formula, eval_term, expand_derived,
     free_vars, lex2, load_structure, models_theory, parse, rat, satisfies,
-    tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_resid,
+    tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
 from agodel import semantics
 from agodel.semantics import ORDERED, TRUTH, plan, ranks_of, value_tables
@@ -134,7 +134,7 @@ class TestTruthTable:
             assert decode(TRUTH[Not](algebra, Not(Atom("P")), 0, ra)) == tv_resid(a, ZERO)
             for b in pool:
                 rb = encode(b)
-                order = algebra.compare(ra, rb)
+                order = (ra > rb) - (ra < rb)
                 assert order == tv_compare(a, b)
                 for node, reference in spelled_out.items():
                     rel = order if node in ORDERED else 0
@@ -276,9 +276,10 @@ class TestAgainstOracle:
             if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0]
 
 
-# The connectives whose values are always ranks over rank operands; the first
-# four are ranks over any operands.
-RANK_CLOSED = (Bot, Top, Not, Delta, And, Or, Imp, Iff, DArrow, DDArrow)
+# The node types that run one kernel on their operands' encoded values:
+# those whose truth functions only choose (a comprehension each) and those
+# that run theirs per cell, memoized
+KERNEL_KINDS = (Bot, Top, Not, Delta, And, Or, Imp, Iff, DArrow, DDArrow, Inv, LukImp, Tensor)
 CELL_SIG = Signature(functions={"c": 0}, predicates={"e": 2, "P": 1, "Q": 0})
 X, Y, C = Var("x"), Var("y"), App("c", ())
 # distinct, swapped and repeated variables, constants and zero arity
@@ -301,48 +302,99 @@ def cell_formulas():
     return st.recursive(st.sampled_from(CELL_LEAVES), grow, max_leaves=8)
 
 
-class TestRankKernels:
-    def test_rank_closure_is_derived_from_truth(self):
-        closes_over_ranks = {kind for kind, (_, (_, closes)) in semantics._KERNELS.items()
-                             if closes}
-        closes_always = {kind for kind, ((_, closes), _) in semantics._KERNELS.items()
-                         if closes}
-        assert closes_over_ranks == {*RANK_CLOSED, Forall, Exists}
-        assert closes_always == {Bot, Top, Not, Delta}
+def arity_of(kind):
+    return TRUTH[kind].__code__.co_argcount - 3  # after V, phi and rel
 
-    @pytest.mark.parametrize("kind", RANK_CLOSED, ids=lambda kind: kind.__name__)
-    def test_kernel_agrees_with_truth_on_every_pair(self, kind):
+
+# each operand over one variable: its atom P (False), whose values are
+# ranks, or the atom squared (True), whose values mostly leave the sort
+KERNEL_CASES = [pytest.param(kind, squares, id=kind.__name__ + "-" + "".join(
+                    "S" if square else "P" for square in squares))
+                for kind in KERNEL_KINDS
+                for squares in product((False, True), repeat=arity_of(kind))]
+
+
+class TestRankKernels:
+    @pytest.mark.parametrize("kind, squares", KERNEL_CASES)
+    def test_kernel_agrees_with_truth_on_every_pair(self, kind, squares):
         # P lists 0, inf and four group values, one per element: over
-        # (x, y) a binary node's table holds every pair of the six ranks
+        # (x, y) a binary node's table holds every pair of the six ranks;
+        # the square of 1/2 lies between 0 and 1/2, and those of 2 and 3
+        # both between 3 and inf
         pool = RAT_POOL + [rat(3)]
         universe = tuple(f"m{i}" for i in range(len(pool)))
         struct = Structure(SIG1, RAT, universe, {},
                            {"P": {(m,): v for m, v in zip(universe, pool)}})
         V = ranks_of(struct)
-        ranks = [V.encode(v) for v in pool]
-        assert sorted(ranks) == list(range(6))
-        operands = (Atom("P", (X,)), Atom("P", (Y,)))[:TRUTH[kind].__code__.co_argcount - 3]
+        assert sorted(map(V.encode, pool)) == list(range(6))
+        operands, columns = [], []
+        for var, square in zip((X, Y), squares):
+            atom = Atom("P", (var,))
+            operands.append(Power(atom, 2) if square else atom)
+            columns.append([V.encode(tv_power(v, 2) if square else v) for v in pool])
+            assert any(type(a) is semantics.Between for a in columns[-1]) == square
         phi = kind(*operands)
         steps = plan(nodes(phi))
-        assert semantics.Step._make(steps[-1]).run is semantics._KERNELS[kind][True][0]
+        assert semantics.Step._make(steps[-1]).run is semantics._KERNELS[kind]
         *_, table = value_tables(struct, steps)
-        expected = [TRUTH[kind](V, phi, V.compare(*pair) if len(pair) == 2 else 0, *pair)
-                    for pair in product(ranks, repeat=len(operands))]
+        expected = [TRUTH[kind](V, phi, (pair[0] > pair[1]) - (pair[0] < pair[1])
+                                if len(pair) == 2 else 0, *pair)
+                    for pair in product(*columns)]
         assert table == expected
 
     @pytest.mark.parametrize("kind", [Forall, Exists], ids=["forall", "exists"])
-    def test_quantifier_over_ranks_folds_like_truth(self, kind):
+    @pytest.mark.parametrize("text", ["e(y, x)", "e(y, x) * e(x, y)^-1"], ids=["atom", "product"])
+    def test_quantifier_folds_like_truth(self, kind, text):
         rng = make_rng(5)
         sig = Signature(predicates={"e": 2})
         for size in range(1, 5):
             struct = random_structure(rng, sig, size=size)
             V = ranks_of(struct)
-            phi = kind("y", Atom("e", (Y, X)))
-            body, table = value_tables(struct, plan(nodes(phi)))  # over (x, y), then (x,)
+            phi = kind("y", parse(text, sig))
+            *_, body, table = value_tables(struct, plan(nodes(phi)))  # over (x, y), then (x,)
             truth = TRUTH[{Forall: And, Exists: Or}[kind]]
-            fold = [reduce(lambda a, b: truth(V, phi, V.compare(a, b), a, b),
+            fold = [reduce(lambda a, b: truth(V, phi, (a > b) - (a < b), a, b),
                            body[i * size:(i + 1) * size]) for i in range(size)]
             assert table == fold
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           size=st.integers(1, 5), outside=st.integers(0, 6))
+    def test_encoded_values_order_like_tv_compare(self, seed, backend, size, outside):
+        # P holds the sort; a pass over P(x) * P(y) encodes the products,
+        # then values in and out of the sort are encoded in a random order
+        # (products of sort values too, which may share their neighbours in
+        # the sort), and again in another, and a second pass runs
+        rng = make_rng(seed)
+        sort = [random_truth_value(rng, backend) for _ in range(size)]
+        universe = tuple(f"m{i}" for i in range(size))
+        struct = Structure(SIG1, backend, universe, {},
+                           {"P": {(m,): v for m, v in zip(universe, sort)}})
+        V = ranks_of(struct)
+        steps = plan(nodes(parse("P(x) * P(y)", SIG1)))
+        *_, first = value_tables(struct, steps)
+        values = sort + [random_truth_value(rng, backend) for _ in range(outside)]
+        values += [tv_mul(rng.choice(values), rng.choice(values), backend)
+                   for _ in range(outside)]
+        rng.shuffle(values)
+        codes = [V.encode(v) for v in values]
+        again = [V.encode(v) for v in reversed(values)]
+        assert all(a is b for a, b in zip(codes, reversed(again)))
+        *_, second = value_tables(struct, steps)
+        assert all(a is b for a, b in zip(first, second))
+        # == on a Between is identity: equal products are one object
+        assert first == [V.encode(tv_mul(v, w, backend)) for v, w in product(sort, repeat=2)]
+        for v, a in zip(values, codes):
+            assert V.decode(a) == v
+            assert (type(a) is int) == (v in sort or v in (ZERO, INF))
+            for w, b in zip(values, codes):
+                order = tv_compare(v, w)
+                assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == \
+                    (order < 0, order <= 0, order == 0, order != 0, order >= 0, order > 0)
+                assert V.decode(min(a, b)) == tv_min(v, w)
+                assert V.decode(max(a, b)) == tv_max(v, w)
+        assert V.decode(min(codes)) == reduce(tv_min, values)
+        assert V.decode(max(codes)) == reduce(tv_max, values)
 
     @settings(max_examples=300)
     @given(phi=cell_formulas(), seed=st.integers(0, 2**32), size=st.integers(1, 4),

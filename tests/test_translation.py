@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, RAT, ZERO, And, Atom, Bot, Exists, Forall, Imp,
+    INF, LEX2, RAT, ZERO, And, Atom, Bot, Exists, Forall, Imp,
     Inv, One, ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     check_translation, eval_classical, expand_derived, holds_sentence, parse,
-    print_classical, rat, to_classical, translate,
+    lex2, print_classical, rat, to_classical, translate,
 )
 from agodel.values import order_key, tv_compare, tv_inv, tv_mul
 from agodel import translation
@@ -246,6 +246,26 @@ class TestEvalClassical:
         for psi, env, expected in cases:
             assert eval_classical(psi, companion, env) is expected, print_classical(psi)
 
+    def test_values_of_another_backend(self):
+        # a value is encoded into the companion's sort, which refuses one of
+        # another backend as tv_compare does, wherever the value is used
+        companion = to_classical(nullary(rat(2)))
+        g, one = VVar("g"), VConst("1")
+        for psi in (CLe(g, one), CLe(one, g), CEqV(g, one), CEqV(VMul(g, g), one)):
+            with pytest.raises(UsageError, match="backend mismatch: lex2 vs rat"):
+                eval_classical(psi, companion, {"g": lex2(1, 2)})
+        lex = to_classical(Structure(SIG0, LEX2, ("m1",), {},
+                                     {"P": {(): lex2(1, 2)}, "Q": {(): ZERO}}))
+        with pytest.raises(UsageError, match="backend mismatch: rat vs lex2"):
+            eval_classical(CLe(g, one), lex, {"g": rat(2)})
+
+    def test_graph_entry_or_sort_value_of_another_backend(self):
+        psi = CExistsVal("g", CRel("P", (), VVar("g")))
+        for values, graph in [((ZERO, rat(2), INF), lex2(1, 2)), ((lex2(1, 2),), ZERO)]:
+            companion = ClassicalStructure(RAT, ("m1",), values, {"P": {(): graph}}, {})
+            with pytest.raises(UsageError, match="backend mismatch: lex2 vs rat"):
+                eval_classical(psi, companion)
+
     def test_memo_budget(self, monkeypatch):
         companion = to_classical(nullary(rat(2)))
         psi = holds_sentence(translate(Tensor(Atom("P", ()), Atom("Q", ()))))
@@ -476,7 +496,6 @@ class TestCheckTranslation:
                 assert check_translation(parse(text, sig), struct), text
 
     def test_lex2_backend(self, rng):
-        from agodel import LEX2
         sig = Signature(predicates={"P": 0, "Q": 0})
         for _ in range(50):
             struct = random_structure(rng, sig, size=1, backend=LEX2)
