@@ -208,30 +208,35 @@ def _atom_key(phi: Atom) -> AtomKey:
 
 
 def _join(left, right):
-    """Yield (tags, a, b) for each pair of branches a in left, b in right
-    whose tags agree on their shared atoms; tags is the union of both.
+    """(count, pairs): pairs yields (tags, a, b) for each pair of branches
+    a in left, b in right whose tags agree on their shared atoms; tags is
+    the union of both.
 
     A branch is a tuple (tags, lins, ...).  Every branch of one side tags
     the same atoms (those of its subformula or sentences), so the right
     side is grouped once by its tags on the shared atoms, and each left
     branch meets only its own group: conflicting pairs are never visited.
     Pairs come out left-major, each group in the order of ``right``.
+
+    count is the number of pairs, summed from the group sizes before any
+    pair is built (Selinger et al., SIGMOD 1979), when len(left) *
+    len(right) exceeds MAX_BRANCHES, and that product otherwise: so
+    count > MAX_BRANCHES exactly when the pairs are over the budget.
     """
-    if not left or not right:
-        return
+    count = len(left) * len(right)
+    if not count:
+        return 0, ()
     shared = left[0][0].keys() & right[0][0].keys()
     if not shared:
-        for a in left:
-            for b in right:
-                yield {**a[0], **b[0]}, a, b
-        return
+        return count, (({**a[0], **b[0]}, a, b) for a in left for b in right)
     strata = itemgetter(*shared)
     groups: Dict[object, list] = {}
     for b in right:
         groups.setdefault(strata(b[0]), []).append(b)
-    for a in left:
-        for b in groups.get(strata(a[0]), ()):
-            yield {**a[0], **b[0]}, a, b
+    if count > MAX_BRANCHES:
+        count = sum(len(groups.get(strata(a[0]), ())) for a in left)
+    return count, (({**a[0], **b[0]}, a, b)
+                   for a in left for b in groups.get(strata(a[0]), ()))
 
 
 class _Symbolic:
@@ -285,7 +290,10 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     """Branches whose union of solution sets is exactly {valuations: phi = INF}.
 
     Raises ResourceLimitError when some subformula has more than
-    MAX_BRANCHES branches.
+    MAX_BRANCHES branches.  Each pair of operand branches makes at least
+    one branch, so a binary node is refused on its pair count before its
+    join is built; an ordered one is also checked per pair, for its
+    order splits.
     """
     # Each node's branches are [(tags, lins, sym_value)].  A connective's
     # value is its truth function from semantics.TRUTH, run on the symbolic
@@ -360,12 +368,17 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
             ordered = kind in ORDERED
             out = []
             left, right = kids
-            for tags, (_, lins1, v1), (_, lins2, v2) in _join(compiled[left], compiled[right]):
+            count, joined = _join(compiled[left], compiled[right])
+            if count > MAX_BRANCHES:
+                raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}: "
+                                         f"{kind.__name__} with {count} operand pairs")
+            for tags, (_, lins1, v1), (_, lins2, v2) in joined:
                 lins = lins1 + lins2
                 for extra, rel in order_cases(v1, v2) if ordered else _UNSPLIT:
                     out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
                 if len(out) > MAX_BRANCHES:
-                    raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}")
+                    raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}: "
+                                             f"{kind.__name__} with at least {len(out)} branches")
         compiled.append(out)
 
     systems = {}
@@ -596,16 +609,15 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
 
 
 def _merge_sentence_branches(per_sentence):
+    # one combined system per pair, so the pair count is the branch count
     merged = [ConstraintSystem({}, [])]
     for branches in per_sentence:
-        joined = []
-        for tags, a, b in _join(merged, branches):
-            joined.append(ConstraintSystem(tags, list(dict.fromkeys(a.lins + b.lins))))
-            if len(joined) > MAX_BRANCHES:
-                raise ResourceLimitError(
-                    f"combined case-branch count exceeds budget {MAX_BRANCHES}"
-                )
-        merged = joined
+        count, joined = _join(merged, branches)
+        if count > MAX_BRANCHES:
+            raise ResourceLimitError(f"combined case-branch count exceeds budget "
+                                     f"{MAX_BRANCHES}: {count} branch pairs")
+        merged = [ConstraintSystem(tags, list(dict.fromkeys(a.lins + b.lins)))
+                  for tags, a, b in joined]
     return merged
 
 

@@ -156,10 +156,28 @@ class TestSolve:
         big = " \\/ ".join(f"(A{i} ==> A{(i + 1) % 12})" for i in range(12))
         theory = files("t.txt", big + "\n")
         monkeypatch.setattr(solver, "MAX_BRANCHES", 5)
-        code, _, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
-                           "--max-domain", "1")
+        code, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                             "--max-domain", "1")
         assert code == 3
-        assert "resource" in err
+        assert out == ""
+        assert err == ("resource limit: case-branch count exceeds budget 5: "
+                       "DDArrow with 9 operand pairs\n")
+
+    def test_combined_branch_budget_exits_3(self, files, capsys, monkeypatch):
+        # each sentence fits the budget, their 15 combined branches do not
+        sig = files("s.txt", "pred P/0\npred Q/0\npred R/0\n")
+        theory = files("t.txt", "P -> Q\nQ -> R\n")
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 14)
+        code, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                             "--max-domain", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("resource limit: combined case-branch count exceeds "
+                       "budget 14: 15 branch pairs\n")
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
+        code, _, _ = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                         "--max-domain", "1")
+        assert code == 0
 
     def test_unwritable_out_exits_2(self, files, capsys, tmp_path):
         theory = files("t.txt", "P\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agodel import (
     INF, RAT, ZERO, And, App, Atom, Bot, Constraint, DArrow, DDArrow, Delta,
@@ -21,6 +21,8 @@ from conftest import make_rng, random_formula
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIG1 = Signature(predicates={"P": 1})
+SIG12 = Signature(predicates={f"A{i}": 0 for i in range(12)})
+TWELVE_ARROWS = " \\/ ".join(f"(A{i} ==> A{(i + 1) % 12})" for i in range(12))
 
 GRID = [ZERO, rat(1, 2), rat(1), rat(2), INF]
 
@@ -133,11 +135,9 @@ class TestCompile:
         assert compile_inf(shared) == compile_inf(tree)
 
     def test_branch_budget(self, monkeypatch):
-        sig = Signature(predicates={f"A{i}": 0 for i in range(12)})
-        phi = parse(" \\/ ".join(f"(A{i} ==> A{(i+1) % 12})" for i in range(12)), sig)
         monkeypatch.setattr(solver, "MAX_BRANCHES", 10)
         with pytest.raises(ResourceLimitError):
-            compile_inf(phi)
+            compile_inf(parse(TWELVE_ARROWS, SIG12))
 
     def test_branch_budget_edge(self, monkeypatch):
         # the longest branch list compiled for this sentence at n = 2 has 457
@@ -151,11 +151,90 @@ class TestCompile:
         monkeypatch.setattr(solver, "MAX_BRANCHES", 457)
         assert len(compile_inf(ground)) == 9
 
-    def test_default_budget_is_exceeded_at_n3(self):
+    def test_default_budget_is_exceeded_at_n3(self, monkeypatch):
+        # the refused And node has 151,649 operand pairs and yields none; the
+        # nodes below it yield a few thousand in all
+        yielded = count_joined_pairs(monkeypatch)
         sig = Signature(predicates={"P": 1})
         phi = parse("forall x. exists y. P(x) ==> P(y)", sig)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"And with 151649 operand pairs$"):
             compile_inf(ground_sentence(phi, solver.element_names(sig, 3)))
+        assert yielded[-1] == 0
+        assert sum(yielded) < solver.MAX_BRANCHES
+
+    def test_refused_join_builds_no_pair(self, monkeypatch):
+        yielded = count_joined_pairs(monkeypatch)
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 20)
+        with pytest.raises(ResourceLimitError,
+                           match=r"exceeds budget 20: Or with 43 operand pairs$"):
+            compile_inf(parse(TWELVE_ARROWS, SIG12))
+        assert yielded[-1] == 0
+
+    def test_order_splits_over_budget_are_refused_per_pair(self, monkeypatch):
+        # P ==> Q joins 9 pairs, and its order splits make 11 branches
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 10)
+        with pytest.raises(ResourceLimitError,
+                           match=r"exceeds budget 10: DDArrow with at least 11 branches$"):
+            compile_inf(parse("P ==> Q", SIG0))
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 11)
+        assert compile_inf(parse("P ==> Q", SIG0))
+
+
+def count_joined_pairs(monkeypatch):
+    """Wrap solver._join; the returned list gets, per join, the number of
+    pairs drawn from it."""
+    join, yielded = solver._join, []
+
+    def counting(left, right):
+        count, pairs = join(left, right)
+        yielded.append(0)
+
+        def counted():
+            for pair in pairs:
+                yielded[-1] += 1
+                yield pair
+        return count, counted()
+
+    monkeypatch.setattr(solver, "_join", counting)
+    return yielded
+
+
+# Branch lists for the join's pair count: every branch of a side tags that
+# side's atoms, the two sides share none, all or some of their atoms, and
+# the tags take one, two or all three strata.
+JOIN_SHAPES = {"disjoint": ((0, 1), (2, 3)), "shared": ((0, 1, 2), (0, 1, 2)),
+               "overlapping": ((0, 1, 2), (1, 2, 3))}
+
+
+@st.composite
+def branch_lists(draw):
+    atoms_left, atoms_right = JOIN_SHAPES[draw(st.sampled_from(sorted(JOIN_SHAPES)))]
+    strata = sorted(draw(st.sets(st.sampled_from([K_ZERO, K_ELEM, K_INF]), min_size=1)))
+    sides = []
+    for atoms in (atoms_left, atoms_right):
+        tag_rows = draw(st.lists(st.tuples(*[st.sampled_from(strata)] * len(atoms)),
+                                 max_size=12))
+        sides.append([(dict(zip(atoms, row)), [], i) for i, row in enumerate(tag_rows)])
+    return sides
+
+
+class TestJoinCount:
+    @settings(max_examples=300)
+    @given(sides=branch_lists(), budget=st.integers(-1, 150))
+    @example(sides=([], [({0: K_ZERO}, [], 0)]), budget=-1)
+    @example(sides=([({0: K_ELEM}, [], 0)], []), budget=-1)
+    def test_count_is_the_number_of_pairs_when_it_exceeds_the_budget(self, sides, budget):
+        left, right = sides
+        agreeing = [({**a[0], **b[0]}, a, b) for a in left for b in right
+                    if all(a[0][k] == b[0][k] for k in a[0].keys() & b[0].keys())]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "MAX_BRANCHES", budget)
+            count, pairs = solver._join(left, right)
+        assert list(pairs) == agreeing
+        if len(agreeing) > budget:
+            assert count == len(agreeing)
+        else:
+            assert len(agreeing) <= count <= budget
 
 
 # Random nullary formulas over P, Q, R with every connective, for the
@@ -358,6 +437,20 @@ class TestFindModel:
     def test_non_sentence_rejected(self):
         with pytest.raises(UsageError):
             find_model(SIG1, [Atom("P", (Var("x"),))], 1)
+
+    def test_combined_budget_edge(self, monkeypatch):
+        # each sentence compiles to 7 branches within the budget; joined on Q
+        # they make 15 combined branches
+        sig = Signature(predicates={"P": 0, "Q": 0, "R": 0})
+        theory = [parse("P -> Q", sig), parse("Q -> R", sig)]
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 14)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^combined case-branch count exceeds budget 14: "
+                                 r"15 branch pairs$"):
+            find_model(sig, theory, 1)
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
+        result = find_model(sig, theory, 1)
+        assert result.sat and models_theory(result.structure, theory)
 
     def test_soundness_random_suite(self):
         rng = make_rng(29)
