@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import attrgetter, itemgetter
+from itertools import count
+from operator import attrgetter, eq, itemgetter, le
 from typing import (
-    Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple, Union, get_args,
+    Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple,
+    Union, get_args,
 )
 
 from .errors import ResourceLimitError, UsageError
@@ -134,12 +136,12 @@ ClassicalFormula = Union[
 
 
 class _Shape(NamedTuple):
-    """How one classical node type is printed, traversed and evaluated."""
+    """How one classical node type is printed, traversed and compiled."""
 
     keyword: str                 # print keyword; empty for a leaf, printed as its label
     parts: Callable              # node -> its subformulas and terms, in print order
-    case: str                    # the _ClassicalEvaluator method that evaluates it
-    param: object = None         # that method's parameter
+    build: Callable              # (node, param, closures of its parts, runtime) -> closure
+    param: object = None         # build's parameter
     label: Optional[str] = None  # field holding a name, printed before the parts
 
 
@@ -152,35 +154,6 @@ def _body(node):
 
 
 _pair = attrgetter("left", "right")
-
-# One row per classical node type.  The parameter of a quantifier is its
-# sort and whether every instance must hold; of CAnd and CImp, the verdict
-# when the left side is false; of the other inner nodes, the operation on the
-# evaluator and the values of the parts.
-_SHAPES = {
-    CRel: _Shape("rel", lambda n: (*n.args, n.value), "_rel", label="pred"),
-    CLe: _Shape("le", _pair, "_apply", lambda ev, s, t: s <= t),
-    CEqV: _Shape("eqv", _pair, "_apply", lambda ev, s, t: s == t),
-    CAnd: _Shape("and", _pair, "_connective", False),
-    CImp: _Shape("imp", _pair, "_connective", True),
-    CNot: _Shape("not", _body, "_not"),
-    CForallObj: _Shape("forall-obj", _body, "_quantifier", ("objects", True), "var"),
-    CExistsObj: _Shape("exists-obj", _body, "_quantifier", ("objects", False), "var"),
-    CForallVal: _Shape("forall-val", _body, "_quantifier", ("values", True), "var"),
-    CExistsVal: _Shape("exists-val", _body, "_quantifier", ("values", False), "var"),
-    VVar: _Shape("", _no_parts, "_var", label="name"),
-    VConst: _Shape("", _no_parts, "_const", label="which"),
-    VMul: _Shape("mul", _pair, "_apply", lambda ev, s, t: ev.V.mul(s, t)),
-    VInv: _Shape("inv", lambda t: (t.arg,), "_apply", lambda ev, s: ev.V.inv(s)),
-}
-
-
-def _shape(node) -> _Shape:
-    try:
-        return _SHAPES[type(node)]
-    except KeyError:
-        raise UsageError(f"not a classical formula: {node!r}") from None
-
 
 # ---------------------------------------------------------------------------
 # Translation
@@ -318,232 +291,414 @@ def to_classical(
 
 # ---------------------------------------------------------------------------
 # Classical evaluation (two-valued Tarskian semantics)
+#
+# eval_classical compiles the companion formula, a DAG, into one closure per
+# distinct node (closure generation: Feeley & Lapalme, Computer Languages
+# 1987) and runs the root's closure once.  A closure reads and binds the
+# variables of one assignment dict.
 
 # The memo grows with the formula and the value sort, so eval_classical refuses
-# to build more memo and support entries than this: over 400 times the largest
-# in the test suite and the benchmark's translate corpus (4,539 entries).
+# to build more memo and support entries than this: over 1,000 times the
+# largest in the test suite (1,802 entries) and the benchmark's translate
+# corpora of seeds 33001 and 33002 (1,189).
 MAX_CLASSICAL_MEMO = 2_000_000
 
+_UNSET = object()
+_NO_NAMES: FrozenSet[str] = frozenset()
 
-def _no_names(env):
+
+class _Runtime(NamedTuple):
+    """What the closures of one eval_classical call read.
+
+    Inside one call a value is encoded by ``V``, the companion's value sort
+    interned as ``semantics.Ranks``, and orders natively; objects are their
+    names.  ``tick`` numbers the memo and support entries as they are made.
+    """
+
+    companion: ClassicalStructure
+    V: Ranks
+    graphs: Dict[str, Dict[Tuple[str, ...], object]]  # each graph, its values encoded
+    domains: Dict[str, Sequence]                       # sort -> quantifier domain
+    constants: Dict[str, object]
+    tick: Iterator[int]
+    limit: int
+    # the names that some object quantifier or the assignment binds to an
+    # object: only a value variable of such a name checks its sort
+    object_names: FrozenSet[str]
+    # each product and inverse computed so far: a guard tries every value of
+    # the sort with the same operands, which would recompute them each time
+    products: Dict[Tuple[object, object], object]
+    inverses: Dict[object, object]
+
+
+def _over(limit: int) -> ResourceLimitError:
+    return ResourceLimitError(f"classical evaluation exceeds {limit} memo entries")
+
+
+def _no_key(env):
     return ()
 
 
-class _ClassicalEvaluator:
-    """Evaluator with per-call memoization keyed on (node, free-var values).
+def _projection(names) -> Callable:
+    """An assignment -> its values at names: the key of a memo entry."""
+    return itemgetter(*names) if names else _no_key
 
-    Translations share subtrees, so memoizing on object identity plus
-    the projection of the assignment onto the node's free variables
-    turns the naive exponential evaluation into one pass per node and
-    assignment.
 
-    Inside one call a value is encoded by ``V``, the companion's value
-    sort interned as ``semantics.Ranks``, and orders natively.  Objects
-    are their names.
-
-    A value quantifier loops over the support of its guard, not the whole
-    sort (safe-range evaluation).  Let A be the body of exists-val v, or
-    the antecedent of forall-val v whose body is an implication; strip
-    from A its prefix of object and value existentials.  The guard is the
-    first conjunct of the rest that mentions v, provided neither it nor a
-    conjunct left of it mentions a stripped variable (so a prefix that
-    binds v again leaves no guard).  Where those left conjuncts hold, an
-    instance off the support makes A false, so it can neither witness the
-    exists nor refute the forall.  The support is memoized on the guard's
-    other free variables; a quantifier with no guard loops over the whole
-    sort.
-    """
-
-    def __init__(self, companion: ClassicalStructure):
-        self.c = companion
-        V = self.V = Ranks(companion.values, companion.backend, {})
-        # each graph with its values encoded (a hand-built companion's
-        # graphs may hold values off its sort)
-        encode = V.encode
-        self.graphs = {name: {args: encode(v) for args, v in table.items()}
-                       for name, table in companion.relations.items()}
-        # the quantifier domains, by sort
-        self.objects = companion.objects
-        self.values = range(len(V.values))
-        self.constants = {"0": V.ZERO, "1": V.ONE, "inf": V.INF}
-        self.memo: Dict[Tuple[int, object], bool] = {}
-        self.fv_cache: Dict[int, Tuple[str, ...]] = {}
-        # id of a formula node -> the projection of an assignment onto its free variables
-        self.projections: Dict[int, Callable] = {}
-        # id of a value quantifier -> its guard, and (id, projection) -> support
-        self.guards: Dict[int, Optional[Tuple]] = {}
-        self.supports: Dict[Tuple[int, object], Tuple[int, ...]] = {}
-
-    # free variables (both sorts) of a classical node or value term, cached by identity
-    def free(self, node) -> Tuple[str, ...]:
-        key = id(node)
-        got = self.fv_cache.get(key)
-        if got is not None:
-            return got
-        shape = _shape(node)
-        names: Set[str] = set()
-        for part in shape.parts(node):
-            names.update(term_vars(part) if isinstance(part, (Var, App)) else self.free(part))
-        if shape.case == "_var":
-            names.add(node.name)
-        elif shape.case == "_quantifier":
-            names.discard(node.var)
-        result = tuple(sorted(names))
-        self.fv_cache[key] = result
-        return result
-
-    def eval(self, node, env: Dict[str, object]) -> bool:
-        node_id = id(node)
-        project = self.projections.get(node_id)
-        if project is None:
-            names = self.free(node)
-            project = self.projections[node_id] = itemgetter(*names) if names else _no_names
-        key = (node_id, project(env))
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        case, shape = _FORMULA_CASES.get(type(node), _NOT_A_FORMULA)
-        result = case(self, node, env, shape)
-        if len(self.memo) + len(self.supports) >= MAX_CLASSICAL_MEMO:
-            raise ResourceLimitError(
-                f"classical evaluation exceeds {MAX_CLASSICAL_MEMO} memo entries")
-        self.memo[key] = result
-        return result
-
-    # The cases below look up the case of a value-term part themselves, so
-    # that a level of nesting costs as few frames as possible.
-
-    def _ill_sorted(self, node, env, sort: str):
+def _ill_sorted(node, sort: str) -> Callable:
+    def run(env):
         raise UsageError(f"not a {sort}: {node!r}")
+    return run
 
-    def _rel(self, node: CRel, env, shape) -> bool:
+
+# Builders: (node, param, closures of its parts, runtime) -> the node's closure.
+
+
+def _rel(node: CRel, param, kids, rt: _Runtime) -> Callable:
+    value, = kids
+    pred, terms, companion = node.pred, node.args, rt.companion
+    table = rt.graphs.get(pred)
+
+    def checked(env):  # every case, and every error
         # the companion's function tables are the structure's, so eval_term
         # applies; a value-sort item never names an object
-        args = tuple(eval_term(t, self.c, env) for t in node.args)
-        for t, arg in zip(node.args, args):
+        args = tuple([eval_term(t, companion, env) for t in terms])
+        for t, arg in zip(terms, args):
             if not isinstance(arg, str):
                 raise UsageError(f"sort violation: {print_term(t)!r} holds a value-sort item")
-        case, value_shape = _TERM_CASES.get(type(node.value), _NOT_A_TERM)
-        value = case(self, node.value, env, value_shape)
-        table = self.graphs.get(node.pred)
+        v = value(env)
         if table is None or args not in table:
-            raise UsageError(f"no graph entry for {node.pred!r} at {args}")
-        return table[args] == value
+            raise UsageError(f"no graph entry for {pred!r} at {args}")
+        return table[args] == v
 
-    def _apply(self, node, env, shape):
-        values = []
-        for part in shape.parts(node):
-            case, part_shape = _TERM_CASES.get(type(part), _NOT_A_TERM)
-            values.append(case(self, part, env, part_shape))
-        return shape.param(self, *values)
+    if table is None or any(type(t) is not Var for t in terms):
+        return checked
+    # Arguments that are variables, looked up directly.  The graph is keyed
+    # by object names, so an entry found means every argument is an object;
+    # checked raises on the rest.
+    pick = _projection([t.name for t in terms])
+    # keyed as pick gives them: one name's value alone, not in a tuple
+    entries = {args[0]: v for args, v in table.items() if len(args) == 1} \
+        if len(terms) == 1 else table
 
-    def _connective(self, node, env, shape) -> bool:
-        if self.eval(node.left, env):
-            return self.eval(node.right, env)
-        return shape.param
+    def run(env):
+        got = entries.get(pick(env))
+        return checked(env) if got is None else got == value(env)
+    return run
 
-    def _not(self, node: CNot, env, shape) -> bool:
-        return not self.eval(node.body, env)
 
-    def _quantifier(self, node, env, shape) -> bool:
-        sort, want_all = shape.param
-        saved = env.get(node.var)
-        had = node.var in env
-        try:
-            for item in self.objects if sort == "objects" else self.support(node, env):
-                env[node.var] = item
-                truth = self.eval(node.body, env)
-                if want_all and not truth:
-                    return False
-                if not want_all and truth:
-                    return True
-            return want_all
-        finally:
-            if had:
-                env[node.var] = saved
+def _compare(node, op, kids, rt: _Runtime) -> Callable:
+    left, right = kids
+    return lambda env: op(left(env), right(env))
+
+
+def _and(node, param, kids, rt) -> Callable:
+    left, right = kids
+    return lambda env: left(env) and right(env)
+
+
+def _imp(node, param, kids, rt) -> Callable:
+    left, right = kids
+    return lambda env: not left(env) or right(env)
+
+
+def _not(node, param, kids, rt) -> Callable:
+    body, = kids
+    return lambda env: not body(env)
+
+
+def _var(node: VVar, param, kids, rt: _Runtime) -> Callable:
+    name = node.name
+    if name not in rt.object_names:
+        return itemgetter(name)  # bound, and never to an object
+
+    def checked(env):
+        v = env[name]
+        if isinstance(v, str):
+            raise UsageError(f"sort violation: {name!r} holds an object-sort item")
+        return v
+    return checked
+
+
+def _const(node: VConst, param, kids, rt: _Runtime) -> Callable:
+    which = node.which
+    value = rt.constants.get(which)
+    if value is not None:
+        return lambda env: value
+
+    def unknown(env):
+        raise UsageError(f"unknown value constant {which!r}")
+    return unknown
+
+
+def _mul(node, param, kids, rt: _Runtime) -> Callable:
+    left, right = kids
+    mul, products = rt.V.mul, rt.products
+
+    def run(env):
+        a, b = left(env), right(env)
+        got = products.get((a, b))
+        if got is None:
+            got = products[a, b] = mul(a, b)
+        return got
+    return run
+
+
+def _inv(node, param, kids, rt: _Runtime) -> Callable:
+    arg, = kids
+    inv, inverses = rt.V.inv, rt.inverses
+
+    def run(env):
+        a = arg(env)
+        got = inverses.get(a)
+        if got is None:
+            got = inverses[a] = inv(a)
+        return got
+    return run
+
+
+def _memoized(compute: Callable, project: Callable, rt: _Runtime) -> Callable:
+    """compute, memoized on the projection of the assignment."""
+    memo, tick, limit = {}, rt.tick, rt.limit
+
+    def run(env):
+        key = project(env)
+        got = memo.get(key)
+        if got is None:
+            got = compute(env)
+            if next(tick) >= limit:
+                raise _over(limit)
+            memo[key] = got
+        return got
+    return run
+
+
+def _quantifier(var: str, body: Callable, want_all: bool, domain, support: Optional[Callable],
+                project: Callable, rt: _Runtime) -> Callable:
+    """A quantifier over domain, or over support(env) when it has a guard;
+    memoized on the projection of the assignment."""
+    memo, tick, limit = {}, rt.tick, rt.limit
+
+    def run(env):
+        key = project(env)
+        got = memo.get(key)
+        if got is None:
+            saved = env.get(var, _UNSET)
+            got = want_all
+            for item in domain if support is None else support(env):
+                env[var] = item
+                if body(env) is not want_all:
+                    got = not want_all
+                    break
+            if saved is _UNSET:
+                env.pop(var, None)
             else:
-                env.pop(node.var, None)
+                env[var] = saved
+            if next(tick) >= limit:
+                raise _over(limit)
+            memo[key] = got
+        return got
+    return run
 
-    def guard(self, node):
-        """(the conjuncts left of the guard, the guard, the projection onto its
-        other free variables) of a value quantifier, or None; found once."""
-        key = id(node)
-        if key in self.guards:
-            return self.guards[key]
-        var, part, found = node.var, node.body, None
-        if type(node) is CForallVal:
-            part = part.left if type(part) is CImp else None
-        bound = set()  # the variables of the stripped existential prefix
-        while type(part) in (CExistsVal, CExistsObj):
-            bound.add(part.var)
-            part = part.body
-        lefts, todo = [], [] if part is None else [part]
-        while todo:
-            conjunct = todo.pop()
-            if type(conjunct) is CAnd:
-                todo += (conjunct.right, conjunct.left)
-                continue
-            names = self.free(conjunct)
-            if bound.intersection(names):
-                break
-            if var in names:
-                others = [name for name in names if name != var]
-                found = (lefts, conjunct, itemgetter(*others) if others else _no_names)
-                break
-            lefts.append(conjunct)
-        self.guards[key] = found
-        return found
 
-    def support(self, node, env):
-        """The ranks where the guard of a value quantifier holds, in rank order;
-        the whole sort when it has no guard, none when a conjunct left of it fails."""
-        found = self.guard(node)
-        if found is None:
-            return self.values
-        lefts, guard, project = found
+def _guard(node, free: Dict[int, FrozenSet[str]]):
+    """(the conjuncts left of the guard, the guard, its other free variables)
+    of a value quantifier, or None; see eval_classical for the rule."""
+    var, part = node.var, node.body
+    if type(node) is CForallVal:
+        part = part.left if type(part) is CImp else None
+    bound = set()  # the variables of the stripped existential prefix
+    while type(part) in (CExistsVal, CExistsObj):
+        bound.add(part.var)
+        part = part.body
+    lefts, todo = [], [] if part is None else [part]
+    while todo:
+        conjunct = todo.pop()
+        if type(conjunct) is CAnd:
+            todo += (conjunct.right, conjunct.left)
+            continue
+        names = free.get(id(conjunct))
+        if names is None:  # an object term: ill-sorted, so evaluate it first
+            return [], conjunct, ()
+        if not bound.isdisjoint(names):
+            return None
+        if var in names:
+            return lefts, conjunct, names - {var}
+        lefts.append(conjunct)
+    return None
+
+
+def _support(var: str, lefts, guard: Callable, project: Callable, rt: _Runtime) -> Callable:
+    """env -> the ranks where guard holds, in rank order, memoized on project;
+    none when a conjunct left of it fails."""
+    values, supports, tick, limit = rt.domains["values"], {}, rt.tick, rt.limit
+
+    def support(env):
         for left in lefts:
-            if not self.eval(left, env):
+            if not left(env):
                 return ()
-        key = (id(node), project(env))
-        got = self.supports.get(key)
+        key = project(env)
+        got = supports.get(key)
         if got is None:
             got = []
-            for item in self.values:
-                env[node.var] = item
-                if self.eval(guard, env):
+            for item in values:
+                env[var] = item
+                if guard(env):
                     got.append(item)
-            got = self.supports[key] = tuple(got)  # eval counts it against the budget
+            if next(tick) >= limit:
+                raise _over(limit)
+            supports[key] = got
         return got
-
-    def _var(self, t: VVar, env, shape):
-        try:
-            v = env[t.name]
-        except KeyError:
-            raise UsageError(f"unbound value variable {t.name!r}") from None
-        if isinstance(v, str):
-            raise UsageError(f"sort violation: {t.name!r} holds an object-sort item")
-        return v
-
-    def _const(self, t: VConst, env, shape):
-        try:
-            return self.constants[t.which]
-        except KeyError:
-            raise UsageError(f"unknown value constant {t.which!r}") from None
+    return support
 
 
-# The cases are looked up as plain functions: an evaluator holding its own
-# bound methods would be a reference cycle, keeping its memo alive after the
-# call until the cyclic garbage collector runs.
-def _cases(sort) -> Dict[type, Tuple[Callable, _Shape]]:
-    """node type -> (evaluation case, shape) for the node types of one sort."""
-    return {kind: (getattr(_ClassicalEvaluator, _SHAPES[kind].case), _SHAPES[kind])
-            for kind in get_args(sort)}
+# One row per classical node type.  The parameter of a quantifier is its
+# sort and whether every instance must hold; of a comparison, its operator.
+_SHAPES = {
+    CRel: _Shape("rel", lambda n: (*n.args, n.value), _rel, label="pred"),
+    CLe: _Shape("le", _pair, _compare, le),
+    CEqV: _Shape("eqv", _pair, _compare, eq),
+    CAnd: _Shape("and", _pair, _and),
+    CImp: _Shape("imp", _pair, _imp),
+    CNot: _Shape("not", _body, _not),
+    CForallObj: _Shape("forall-obj", _body, _quantifier, ("objects", True), "var"),
+    CExistsObj: _Shape("exists-obj", _body, _quantifier, ("objects", False), "var"),
+    CForallVal: _Shape("forall-val", _body, _quantifier, ("values", True), "var"),
+    CExistsVal: _Shape("exists-val", _body, _quantifier, ("values", False), "var"),
+    VVar: _Shape("", _no_parts, _var, label="name"),
+    VConst: _Shape("", _no_parts, _const, label="which"),
+    VMul: _Shape("mul", _pair, _mul),
+    VInv: _Shape("inv", lambda t: (t.arg,), _inv),
+}
+_FORMULAS = frozenset(get_args(ClassicalFormula))
+_TERMS = frozenset(get_args(ValueTerm))
+_LEAVES = frozenset((VVar, VConst))
+_INNER = frozenset(_SHAPES) - _LEAVES  # the nodes of the compile walk
+_ON_TERMS = frozenset((CRel, CLe, CEqV, VMul, VInv))  # whose operands are value terms
 
 
-_FORMULA_CASES = _cases(ClassicalFormula)
-_TERM_CASES = _cases(ValueTerm)
-_NOT_A_FORMULA = (_ClassicalEvaluator._ill_sorted, "classical formula")
-_NOT_A_TERM = (_ClassicalEvaluator._ill_sorted, "value term")
+def _leaf_names(leaf) -> FrozenSet[str]:
+    return frozenset((leaf.name,)) if type(leaf) is VVar else _NO_NAMES
+
+
+def _shape(node) -> _Shape:
+    try:
+        return _SHAPES[type(node)]
+    except KeyError:
+        raise UsageError(f"not a classical formula: {node!r}") from None
+
+
+def _closure(part, closures: Dict[int, Callable], rt: _Runtime, kinds=_FORMULAS,
+             sort: str = "classical formula") -> Callable:
+    """The closure of part where a node of kinds is expected: a value-term
+    leaf's is built on first use, and one that raises on a part of another
+    sort."""
+    fn = closures.get(id(part))
+    if fn is None and type(part) in _LEAVES:
+        fn = closures[id(part)] = _SHAPES[type(part)].build(part, None, (), rt)
+    return fn if fn is not None and type(part) in kinds else _ill_sorted(part, sort)
+
+
+class _Program(NamedTuple):
+    """A classical formula compiled over one companion."""
+
+    rt: _Runtime
+    free: Dict[int, FrozenSet[str]]  # id of a node -> its free variables
+    closures: Dict[int, Callable]    # id of a node -> its closure
+    supports: Dict[int, Callable]    # id of a guarded value quantifier -> its support
+
+
+def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) -> _Program:
+    """One closure per distinct node of psi, children first; objects are
+    the names the assignment binds to objects.
+
+    A quantifier and a formula node with more than one parent memoize their
+    verdicts on the projection of the assignment onto their free variables;
+    every other node has one parent, so each memoized evaluation runs each
+    node below it at most once per evaluation of that parent.
+    """
+    V = Ranks(companion.values, companion.backend, {})
+    encode = V.encode  # a hand-built companion's graphs may hold values off its sort
+    graphs = {name: {args: encode(v) for args, v in table.items()}
+              for name, table in companion.relations.items()}
+
+    # One iterative post-order walk: free variables and parent counts.  A
+    # node is pushed once per parent until it is done, expanded on its first
+    # pop and done on its second.  Value-term leaves are no nodes of the
+    # walk: their parents read them.
+    free, expanded, order = {}, set(), []
+    parents, todo, object_names = {id(psi): 0}, [psi], set(objects)
+    while todo:
+        node = todo.pop()
+        key = id(node)
+        if key in free:
+            continue
+        shape = _SHAPES.get(type(node))
+        if shape is None:
+            raise UsageError(f"not a classical formula: {node!r}")
+        parts = shape.parts(node)
+        if key not in expanded:
+            expanded.add(key)
+            todo.append(node)
+            for part in parts:
+                if type(part) in _INNER:
+                    part_key = id(part)
+                    parents[part_key] = parents.get(part_key, 0) + 1
+                    if part_key not in free:
+                        todo.append(part)
+            continue
+        names = _NO_NAMES
+        for part in parts:
+            got = free.get(id(part))
+            if got is None:
+                kind = type(part)
+                if kind is VVar or kind is VConst:
+                    got = free[id(part)] = _leaf_names(part)
+                elif isinstance(part, (Var, App)):
+                    got = frozenset(term_vars(part))
+                else:
+                    raise UsageError(f"not a classical formula: {part!r}")
+            names = names | got if names else got
+        if shape.label == "var":
+            names = names - {node.var}
+            if shape.param[0] == "objects":
+                object_names.add(node.var)
+        elif type(node) in _LEAVES:  # psi itself
+            names = _leaf_names(node)
+        free[key] = names
+        order.append(node)
+
+    rt = _Runtime(companion, V, graphs,
+                  {"objects": companion.objects, "values": range(len(V.values))},
+                  {"0": V.ZERO, "1": V.ONE, "inf": V.INF}, count(), MAX_CLASSICAL_MEMO,
+                  frozenset(object_names), {}, {})
+    closures: Dict[int, Callable] = {}
+    supports: Dict[int, Callable] = {}
+    for node in order:
+        kind, key = type(node), id(node)
+        shape = _SHAPES[kind]
+        kinds, sort = (_TERMS, "value term") if kind in _ON_TERMS else (_FORMULAS, "classical formula")
+        kids = []
+        for part in (node.value,) if kind is CRel else shape.parts(node):
+            fn = closures.get(id(part))
+            kids.append(fn if fn is not None and type(part) in kinds
+                        else _closure(part, closures, rt, kinds, sort))
+        if shape.build is not _quantifier:
+            fn = shape.build(node, shape.param, kids, rt)
+            if parents[key] > 1 and kind in _FORMULAS:
+                fn = _memoized(fn, _projection(free[key]), rt)
+        else:
+            domain, want_all = shape.param
+            support = None
+            found = _guard(node, free) if domain == "values" else None
+            if found is not None:
+                lefts, guard, others = found
+                support = supports[key] = _support(
+                    node.var, [_closure(left, closures, rt) for left in lefts],
+                    _closure(guard, closures, rt), _projection(others), rt)
+            fn = _quantifier(node.var, kids[0], want_all, rt.domains[domain], support,
+                             _projection(free[key]), rt)
+        closures[key] = fn
+    return _Program(rt, free, closures, supports)
 
 
 def eval_classical(
@@ -553,27 +708,46 @@ def eval_classical(
 ) -> bool:
     """Two-valued satisfaction; value quantifiers range over the finite sort.
 
-    A value quantifier with a guard (see _ClassicalEvaluator) evaluates the
-    guard at every value of the sort before it tries an instance, so a
-    hand-built formula whose guard raises UsageError at some value raises
-    it even where a witness at an earlier value would have decided the
-    quantifier; no companion that ``translate`` builds raises there.
-    Raises ResourceLimitError when the evaluation needs more than
-    MAX_CLASSICAL_MEMO memo and support entries.
+    psi is compiled once per call into one closure per distinct node (see
+    _compile), and the root's closure runs once.  Quantifiers and formula
+    nodes shared by several parents memoize their verdicts per assignment of
+    their free variables, so a DAG costs one evaluation per node and
+    assignment, not one per path.
+
+    A value quantifier loops over the support of its guard, not the whole
+    sort (safe-range evaluation).  Let A be the body of exists-val v, or the
+    antecedent of forall-val v whose body is an implication; strip from A
+    its prefix of object and value existentials.  The guard is the first
+    conjunct of the rest that mentions v, provided neither it nor a conjunct
+    left of it mentions a stripped variable (so a prefix that binds v again
+    leaves no guard).  Where those left conjuncts hold, an instance off the
+    support makes A false, so it can neither witness the exists nor refute
+    the forall.  The support is memoized on the guard's other free
+    variables; a quantifier with no guard loops over the whole sort.
+
+    A guarded quantifier evaluates its guard at every value of the sort
+    before it tries an instance, so a hand-built formula whose guard raises
+    UsageError at some value raises it even where a witness at an earlier
+    value would have decided the quantifier; no companion that ``translate``
+    builds raises there.  Raises ResourceLimitError when the evaluation
+    needs more than MAX_CLASSICAL_MEMO memo and support entries.
     """
-    evaluator = _ClassicalEvaluator(companion)
     scope = dict(env) if env else {}
-    names = evaluator.free(psi)
+    program = _compile(psi, companion, [name for name, item in scope.items()
+                                        if isinstance(item, str)])
+    names = sorted(program.free[id(psi)])
     missing = set(names) - set(scope)
     if missing:
         raise UsageError(f"unbound variables {sorted(missing)}")
     for name in names:
         item = scope[name]
         if isinstance(item, TruthValue):
-            scope[name] = evaluator.V.encode(item)
+            scope[name] = program.rt.V.encode(item)
         elif not isinstance(item, str):
             raise UsageError(f"sort violation: {name!r} holds neither an object nor a truth value")
-    return evaluator.eval(psi, scope)
+    run = program.closures[id(psi)] if type(psi) in _FORMULAS else \
+        _ill_sorted(psi, "classical formula")
+    return run(scope)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +760,10 @@ def check_translation(phi: Formula, struct: Structure) -> bool:
     Returns whether direct satisfaction and classical satisfaction of
     the translated sentence agree, over a value sort seeded with every
     value a subformula of phi takes under an assignment: the cells of
-    the value tables of one direct evaluation pass.
+    the value tables of one direct evaluation pass.  Only that sort comes
+    from the direct evaluator; ``eval_classical`` compiles and runs the
+    companion formula on its own, so a wrong translation clause shows as
+    a disagreement.
     """
     flat = nodes(phi)
     if flat[-1].free:

@@ -263,6 +263,25 @@ class TestResourceLimits:
         assert "nesting exceeds the recursion limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("depth,code", [(50, 0), (150, 3)])
+    def test_deep_translation_check(self, files, capsys, depth, code):
+        # the alternating chain S /\ (S -> (S /\ ... P)): 150 levels exceed
+        # the recursion limit in the recursive-descent parser (about 95 levels
+        # fit under the test runner) and exit 3
+        formula = "P"
+        for k in range(depth):
+            formula = f"S /\\ ({formula})" if k % 2 == 0 else f"S -> ({formula})"
+        struct = files("m.struct", STRUCT_PS)
+        result, out, err = run(capsys, "check-translation", "--formula", formula,
+                               "--structure", struct)
+        assert result == code
+        if code == 3:
+            assert out == ""
+            assert "nesting exceeds the recursion limit" in err
+            assert "Traceback" not in err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("formula", ["P^99999", "P^99999999"])
     def test_huge_power_exits_3(self, files, capsys, formula):
         struct = files("m.struct", STRUCT_PS)

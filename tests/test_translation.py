@@ -1,5 +1,6 @@
 """Classical companion: translation clauses, evaluation, the equivalence check."""
 
+import gc
 from functools import reduce
 from itertools import product
 
@@ -171,12 +172,13 @@ class TestToClassical:
 
 
 def guard_and_support(psi, companion, env):
-    """The guard the evaluator finds for a value quantifier, and its support as values."""
-    evaluator = translation._ClassicalEvaluator(companion)
-    scope = {name: evaluator.V.encode(item) for name, item in env.items()}
-    found = evaluator.guard(psi)
-    support = evaluator.support(psi, scope)
-    return found, [evaluator.V.values[rank] for rank in support]
+    """The guard of a compiled value quantifier, and its support as values."""
+    program = translation._compile(psi, companion)
+    V = program.rt.V
+    scope = {name: V.encode(item) for name, item in env.items()}
+    found = translation._guard(psi, program.free)
+    support = program.supports[id(psi)](scope) if found else program.rt.domains["values"]
+    return found, [V.values[rank] for rank in support]
 
 
 # Hand-built value quantifiers over the companion of P = 2, Q = 3, whose
@@ -270,9 +272,38 @@ class TestEvalClassical:
         companion = to_classical(nullary(rat(2)))
         psi = holds_sentence(translate(Tensor(Atom("P", ()), Atom("Q", ()))))
         assert eval_classical(psi, companion) is False
-        monkeypatch.setattr(translation, "MAX_CLASSICAL_MEMO", 20)
-        with pytest.raises(ResourceLimitError):
+        # the evaluation makes exactly 14 memo and support entries (found by
+        # bisecting over the limit): it passes at 14 and is refused at 13
+        monkeypatch.setattr(translation, "MAX_CLASSICAL_MEMO", 14)
+        assert eval_classical(psi, companion) is False
+        monkeypatch.setattr(translation, "MAX_CLASSICAL_MEMO", 13)
+        with pytest.raises(ResourceLimitError, match="exceeds 13 memo entries"):
             eval_classical(psi, companion)
+
+    @pytest.mark.parametrize("text", [PINNED_FORMULA, "forall x. exists y. Q(x, y)"])
+    def test_leaves_no_reference_cycle(self, text):
+        # every closure of a call, memoized shared nodes included, is freed
+        # by reference counting when it returns
+        struct = Structure(SIGX, RAT, ("m1", "m2"), {}, {
+            "P": {("m1",): rat(2), ("m2",): INF},
+            "Q": {args: rat(3) for args in product(("m1", "m2"), repeat=2)}})
+        psi = holds_sentence(translate(parse(text, SIGX)))
+        companion = to_classical(struct, [rat(1, 2), ZERO])
+        gc.collect()
+        gc.disable()
+        try:
+            eval_classical(psi, companion)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_graph_entry(self):
+        # no graph, or no entry of the graph at the arguments, at any arity
+        companion = to_classical(nullary(rat(2)))
+        for args in [(), (Var("x"),), (Var("x"), Var("x"))]:
+            for pred in ("R", "P") if args else ("R",):
+                with pytest.raises(UsageError, match=f"no graph entry for '{pred}'"):
+                    eval_classical(CRel(pred, args, G), companion, {"x": "m1", "g": INF})
 
     def test_unbound_variable(self):
         companion = to_classical(nullary(rat(2)))
@@ -424,12 +455,56 @@ def naive_eval(psi, companion, env):
     return holds(psi)
 
 
+SCOPES = [(kind, var) for kind, names in [(CExistsVal, VAL_VARS), (CForallVal, VAL_VARS),
+                                            (CExistsObj, OBJ_VARS), (CForallObj, OBJ_VARS)]
+          for var in names]
+
+
+@st.composite
+def shared_under_two_scopes(draw):
+    """One subformula object reused under two different quantifier scopes."""
+    shared = draw(classical_formulas)
+    (outer, x), (inner, y) = draw(st.lists(st.sampled_from(SCOPES), min_size=2, max_size=2,
+                                           unique=True))
+    return draw(st.sampled_from([CAnd, CImp]))(
+        outer(x, shared), inner(y, CAnd(draw(classical_atoms), shared)))
+
+
+@st.composite
+def shared_conjunctions(draw):
+    """A quantifier-free CAnd DAG: each level holds the one below twice."""
+    node = draw(classical_atoms)
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(classical_atoms)
+        node = draw(st.sampled_from([CAnd(CImp(side, node), node),
+                                     CAnd(node, CNot(CAnd(side, node)))]))
+    return node
+
+
+def assignments(data, companion):
+    env = {x: data.draw(st.sampled_from(companion.objects)) for x in OBJ_VARS}
+    env.update({g: data.draw(st.sampled_from(companion.values)) for g in VAL_VARS})
+    return env
+
+
 class TestEvalClassicalProperty:
     @settings(max_examples=200)
     @given(psi=guard_shapes(classical_formulas), companion=small_companions(), data=st.data())
     def test_matches_the_naive_full_domain_evaluator(self, psi, companion, data):
-        env = {x: data.draw(st.sampled_from(companion.objects)) for x in OBJ_VARS}
-        env.update({g: data.draw(st.sampled_from(companion.values)) for g in VAL_VARS})
+        env = assignments(data, companion)
+        assert eval_classical(psi, companion, env) == naive_eval(psi, companion, dict(env))
+
+    # shared nodes are memoized; the naive evaluator reads psi as a tree
+    @settings(max_examples=200)
+    @given(psi=shared_under_two_scopes(), companion=small_companions(), data=st.data())
+    def test_a_node_shared_by_two_scopes(self, psi, companion, data):
+        env = assignments(data, companion)
+        assert eval_classical(psi, companion, env) == naive_eval(psi, companion, dict(env))
+
+    @settings(max_examples=200)
+    @given(psi=shared_conjunctions(), companion=small_companions(), data=st.data())
+    def test_a_shared_conjunction_dag(self, psi, companion, data):
+        env = assignments(data, companion)
         assert eval_classical(psi, companion, env) == naive_eval(psi, companion, dict(env))
 
 
@@ -484,6 +559,31 @@ class TestCheckTranslation:
         for node in flat:
             tree_size.append(1 + sum(tree_size[k] for k in node.kids))
         assert tree_size[-1] == 120_641
+        struct = Structure(sig, RAT, ("m1",), {}, {"P": {(): rat(2)}, "S": {(): rat(3)}})
+        assert check_translation(phi, struct)
+
+    def test_a_wrong_side_clause_is_caught(self, monkeypatch):
+        # the check is independent of the direct evaluator: a companion whose
+        # tensor clause pins g to a instead of a * b disagrees on some pair
+        monkeypatch.setitem(translation._SIDE_CLAUSES, Tensor, lambda g, a, b: (CEqV(g, a),))
+        rng, sig, verdicts = make_rng(33001), Signature(predicates={"P": 1, "Q": 2}), []
+        while len(verdicts) < 200:  # the criterion-3 stream's first 200 pairs with a *
+            struct = random_structure(rng, sig, size=rng.randint(1, 3))
+            phi = random_core_sentence(rng, sig, depth=4, qdepth=2)
+            if any(isinstance(node, Tensor) for node in subformulas(phi)):
+                verdicts.append(check_translation(phi, struct))
+        assert not all(verdicts)
+
+    @pytest.mark.parametrize("depth", [100, 180])
+    def test_an_alternating_chain(self, depth):
+        # S /\ (S -> (S /\ ... P)): each level of phi nests two value
+        # quantifiers, and the deepest evaluation path runs through both and
+        # one support; at five frames per level 180 levels fit under the
+        # recursion limit and the test runner, at six they do not
+        sig = Signature(predicates={"P": 0, "S": 0})
+        phi = Atom("P", ())
+        for k in range(depth):
+            phi = (And if k % 2 == 0 else Imp)(Atom("S", ()), phi)
         struct = Structure(sig, RAT, ("m1",), {}, {"P": {(): rat(2)}, "S": {(): rat(3)}})
         assert check_translation(phi, struct)
 
