@@ -9,7 +9,11 @@ indices, its free variables a sorted subset of x and y), planned once
 (``semantics.plan``), and the checks feed the plan to the evaluator's
 bottom-up pass (``semantics.value_tables``): one table per member over
 the assignments of its free variables, built from the tables of its
-immediate subformulas.
+immediate subformulas.  The checks that read only sentences
+(``separating_sentence``, ``bounded_ediag``, ``sentence_family``) take a
+second plan of the same family, cut to its sentences and their
+subformulas; the embedding checks compare every member, open ones
+included, and take the whole family.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -219,12 +223,11 @@ def _compounds(members: List[Node], layers: List[range]):
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, ...],
-                 budget: int, depth: Optional[int]) -> Tuple[Step, ...]:
-    """The canonical enumeration cut to connective depth <= depth (depth
-    None: whole), planned for ``value_tables``.  A member's kids are
-    shallower and come before it, so they stay in; they index the cut
-    tuple.  The plan shares the enumeration's cache entry, so each
-    family is planned once."""
+                 budget: int, depth: Optional[int]) -> Tuple[Tuple[Step, ...], Tuple[Step, ...]]:
+    """Two plans for ``value_tables``: the canonical enumeration cut to
+    connective depth <= depth (depth None: whole), and that family cut to
+    its sentences and their subformulas, in family order.  Both share the
+    enumeration's cache entry, so each family is planned once."""
     members: List[Node] = []
     layers: List[range] = []
     layer = _atoms(predicates, constants)
@@ -236,19 +239,37 @@ def _enumeration(predicates: Tuple[Tuple[str, int], ...], constants: Tuple[str, 
         layers.append(range(start, len(members)))
         layer = _compounds(members, layers)
     depths: List[int] = []
-    at: Dict[int, int] = {}  # enumeration index -> index in the cut
-    kept: List[Node] = []
-    for i, member in enumerate(members):
+    for member in members:
         depths.append(max([depths[k] + 1 for k in member.kids], default=0))
-        if depth is None or depths[i] <= depth:
+    family = tuple(map(Step._make, plan(_kept(
+        members, [depth is None or d <= depth for d in depths]))))
+    # a member is kept iff it is a sentence or a kid of a kept member
+    keep = [not step.free for step in family]
+    for i in range(len(family) - 1, -1, -1):
+        if keep[i]:
+            for k in family[i].kids:
+                keep[k] = True
+    return family, tuple(_kept(family, keep))
+
+
+def _kept(members, keep: List[bool]) -> list:
+    """The members i with keep[i], their kids renumbered to index the
+    result.  Kids come before their member, and every kept member's kids
+    must be kept."""
+    at: Dict[int, int] = {}  # index in members -> index in the result
+    kept = []
+    for i, member in enumerate(members):
+        if keep[i]:
             at[i] = len(kept)
-            kept.append(member._replace(kids=tuple(at[k] for k in member.kids)))
-    return tuple(map(Step._make, plan(kept)))
+            kept.append(member._replace(kids=tuple([at[k] for k in member.kids])))
+    return kept
 
 
-def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[Step, ...]:
+def _family(sig: Signature, depth: Optional[int], budget: int,
+            sentences: bool = False) -> Tuple[Step, ...]:
     """The canonical enumeration over sig, cut to connective depth <= depth
-    (depth None: whole), after the checks every family entry point shares."""
+    (depth None: whole), after the checks every family entry point shares;
+    with sentences, only its sentences and their subformulas."""
     if budget < 1 or (depth is not None and depth < 0):
         raise UsageError(f"the formula family needs depth >= 0 and budget >= 1, "
                          f"got depth {depth} and budget {budget}")
@@ -256,8 +277,9 @@ def _family(sig: Signature, depth: Optional[int], budget: int) -> Tuple[Step, ..
         raise ResourceLimitError(f"formula-family depth {depth} exceeds {MAX_FAMILY_DEPTH}")
     if budget > MAX_FAMILY_BUDGET:
         raise ResourceLimitError(f"formula-family budget {budget} exceeds {MAX_FAMILY_BUDGET}")
-    return _enumeration(tuple(sorted(sig.predicates.items())), tuple(sig.constants()),
-                        budget, depth)
+    family, cut = _enumeration(tuple(sorted(sig.predicates.items())),
+                               tuple(sig.constants()), budget, depth)
+    return cut if sentences else family
 
 
 def formula_family(sig: Signature, depth: Optional[int] = None,
@@ -277,7 +299,7 @@ def formula_family(sig: Signature, depth: Optional[int] = None,
 
 def sentence_family(sig: Signature, depth: int,
                     budget: int = DEFAULT_FAMILY_BUDGET) -> List[Formula]:
-    return [m.formula for m in _family(sig, depth, budget) if not m.free]
+    return [m.formula for m in _family(sig, depth, budget, sentences=True) if not m.free]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +535,7 @@ def separating_sentence(
     if a.signature.predicates != b.signature.predicates or \
             a.signature.functions != b.signature.functions:
         raise UsageError("equivalence needs a common signature")
-    members = _family(a.signature, depth, budget)
+    members = _family(a.signature, depth, budget, sentences=True)
     top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
     for (member, here), (_, there) in _paired_tables(a, b, members):
         if not member.free and (here[0] == top_a) != (there[0] == top_b):
@@ -546,5 +568,5 @@ def bounded_ediag(
     expanded = Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
     top = ranks_of(expanded).INF
     return [member.formula
-            for member, table in _tables(expanded, _family(sig, depth, budget))
+            for member, table in _tables(expanded, _family(sig, depth, budget, sentences=True))
             if not member.free and table[0] == top]

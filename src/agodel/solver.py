@@ -546,8 +546,10 @@ def _pick_in_interval(lo, lo_strict, hi, hi_strict) -> Fraction:
 
 @dataclass
 class SolveStats:
-    """Search counters.  Each examined branch is one fm_solve call, and the
-    domain sizes tried run up to the model's size, or n_max without one."""
+    """Search counters.  Each examined branch is one fm_solve call, each
+    constant map is one up to renaming of elements (``_constant_maps``),
+    and the domain sizes tried run up to the model's size, or n_max
+    without one."""
 
     constant_maps_tried: int = 0
     branches_examined: int = 0
@@ -569,8 +571,9 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
     Each sentence is compiled separately; the sentences' branch sets are
     then joined on their shared atoms, and the combined branches are
     examined in the canonical order of their case tags, so the witness
-    is reproducible.  A NONE result is not a proof of unsatisfiability
-    beyond n_max elements.
+    is reproducible.  Per domain size, the constants take one map per
+    orbit under renaming of elements.  A NONE result is not a proof of
+    unsatisfiability beyond n_max elements.
     """
     _check_solver_signature(sig)
     for phi in theory:
@@ -580,7 +583,7 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
     constants = sig.constants()
     for n in range(1, n_max + 1):
         elements = element_names(sig, n)
-        for values in product(elements, repeat=len(constants)):
+        for values in _constant_maps(elements, len(constants)):
             stats.constant_maps_tried += 1
             const_map = dict(zip(constants, values))
             per_sentence = []
@@ -606,6 +609,21 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
                         )
                 return FindResult(struct, stats)
     return FindResult(None, stats)
+
+
+def _constant_maps(elements, k: int, used: int = 0):
+    """The maps of k constants into elements up to renaming of elements, in
+    lexicographic order: the first constant goes to the first element and
+    each further one to an element already used or to the next unused one
+    (a restricted-growth string).  Each is the lexicographically first map
+    of its orbit, so a sweep over them meets its first model or budget hit
+    where the sweep over all maps does."""
+    if k == 0:
+        yield ()
+        return
+    for i in range(min(used + 1, len(elements))):
+        for rest in _constant_maps(elements, k - 1, max(used, i + 1)):
+            yield (elements[i],) + rest
 
 
 def _merge_sentence_branches(per_sentence):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agodel import (
     INF, LEX2, RAT, ZERO, Atom, Delta, EmbeddingCandidate, GeneratedSubgroup,
@@ -19,7 +19,7 @@ from agodel.modeltheory import (
     FAMILY_CACHE_SIZE, MAX_FAMILY_BUDGET, diagram_signature, separating_sentence,
 )
 from agodel.semantics import ranks_of
-from agodel.syntax import App
+from agodel.syntax import App, Forall, Var
 from conftest import formula_depth, make_rng, oracle, random_structure
 
 SIGP = Signature(predicates={"P": 0})
@@ -210,6 +210,48 @@ class TestFormulaFamily:
         info = modeltheory._enumeration.cache_info()
         assert info.maxsize == FAMILY_CACHE_SIZE
         assert info.currsize <= FAMILY_CACHE_SIZE
+
+
+class TestSentencePlan:
+    @pytest.mark.parametrize("sig", [
+        Signature(predicates={"P": 1, "Q": 0}),
+        Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "R": 0}),
+        Signature(predicates={"R": 2}),
+    ], ids=["P-Q", "P-Q-R-c-f", "R2"])
+    def test_sentences_and_their_subformulas_in_family_order(self, sig):
+        for budget in (7, 120, 600):
+            for depth in range(0, 4):
+                full = modeltheory._family(sig, depth, budget)
+                cut = modeltheory._family(sig, depth, budget, sentences=True)
+                # every sentence of the full family, in family order
+                assert [m.formula for m in cut if not m.free] == \
+                    [m.formula for m in full if not m.free]
+                # a subsequence of the full family, each kid kept and renumbered
+                order = {m.formula: i for i, m in enumerate(full)}
+                assert [order[m.formula] for m in cut] == sorted(order[m.formula] for m in cut)
+                needed = set()
+                for i, member in enumerate(cut):
+                    original = full[order[member.formula]]
+                    assert member[2:] == original[2:]  # free variables, kernel, moves
+                    assert [cut[k].formula for k in member.kids] == \
+                        [full[k].formula for k in original.kids]
+                    assert all(k < i for k in member.kids)
+                    needed.update(member.kids)
+                # and nothing else: each member is a sentence or a kept kid
+                assert all(not m.free or i in needed for i, m in enumerate(cut))
+
+    def test_open_members_no_sentence_contains_are_dropped(self):
+        sig = Signature(predicates={"P": 1, "Q": 0})
+        assert len(modeltheory._family(sig, 3, 600)) == 600
+        assert len(modeltheory._family(sig, 3, 600, sentences=True)) == 600 - 264
+
+    def test_subformulas_of_open_subformulas_are_kept(self):
+        # R(x, y) is in no sentence's kids, only in those of forall x. R(x, y)
+        sig = Signature(predicates={"R": 2})
+        cut = modeltheory._family(sig, 2, 600, sentences=True)
+        inner = Atom("R", (Var("x"), Var("y")))
+        assert Forall("y", Forall("x", inner)) in [m.formula for m in cut]
+        assert inner in [m.formula for m in cut]
 
 
 class TestEmbeddings:
@@ -441,13 +483,19 @@ def oracle_separating_sentence(a, b, depth, budget):
     return None
 
 
-def oracle_ediag(struct, depth, budget):
+def expanded(struct):
+    """struct over its diagram signature, each element named by its constant."""
     sig, names = diagram_signature(struct)
     funcs = dict(struct.funcs)
     for element, cname in names.items():
         funcs[cname] = {(): element}
-    expanded = Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
-    return [phi for phi in sentence_family(sig, depth, budget) if satisfies(expanded, phi)]
+    return Structure(sig, struct.backend, struct.universe, funcs, dict(struct.preds))
+
+
+def oracle_ediag(struct, depth, budget):
+    struct = expanded(struct)
+    return [phi for phi in sentence_family(struct.signature, depth, budget)
+            if satisfies(struct, phi)]
 
 
 def squared(struct):
@@ -506,6 +554,53 @@ class TestTablesAgainstOracle:
             oracle_separating_sentence(source, other, depth, budget)
         assert bounded_ediag(source, min(depth, 2), budget) == \
             oracle_ediag(source, min(depth, 2), budget)
+
+
+def full_family_separating(a, b, depth, budget):
+    """separating_sentence read off the tables of the whole family."""
+    members = modeltheory._family(a.signature, depth, budget)
+    top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
+    for (member, here), (_, there) in zip(modeltheory._tables(a, members),
+                                          modeltheory._tables(b, members)):
+        if not member.free and (here[0] == top_a) != (there[0] == top_b):
+            return member.formula
+    return None
+
+
+def full_family_ediag(struct, depth, budget):
+    """bounded_ediag read off the tables of the whole family."""
+    struct = expanded(struct)
+    top = ranks_of(struct).INF
+    return [member.formula for member, table in modeltheory._tables(
+                struct, modeltheory._family(struct.signature, depth, budget))
+            if not member.free and table[0] == top]
+
+
+SENTENCE_SIGS = [ORACLE_SIG, Signature(predicates={"P": 1, "Q": 0}),
+                 Signature(predicates={"R": 2})]
+
+
+class TestSentencePlanAgainstFullFamily:
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           sig=st.sampled_from(SENTENCE_SIGS), size=st.integers(1, 3),
+           depth=st.integers(0, 3), budget=st.sampled_from([4, 22, 61, 150, 600]))
+    # forall y. forall x. R(x, y) is in this family: a kept open member's kids
+    @example(seed=1, backend=RAT, sig=SENTENCE_SIGS[2], size=2, depth=2, budget=600)
+    def test_sentence_checks_match_the_whole_family(self, seed, backend, sig, size,
+                                                     depth, budget):
+        # each budget stops the enumeration inside a layer, expansions included
+        rng = make_rng(seed)
+        a = random_structure(rng, sig, size=size, backend=backend)
+        b = random_structure(rng, sig, size=size, backend=backend)
+        for x, y in ((a, b), (a, a), (expanded(a), expanded(b))):
+            expected = full_family_separating(x, y, depth, budget)
+            assert separating_sentence(x, y, depth, budget) == expected
+            assert bounded_elementary_equiv(x, y, depth, budget) == (expected is None)
+            assert sentence_family(x.signature, depth, budget) == [
+                phi for phi in formula_family(x.signature, depth, budget)
+                if not free_vars(phi)]
+        assert bounded_ediag(a, depth, budget) == full_family_ediag(a, depth, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agodel import (
-    INF, RAT, ZERO, And, App, Atom, Bot, Constraint, DArrow, DDArrow, Delta,
+    INF, RAT, ZERO, And, App, Atom, Bot, Constraint, ConstraintSystem, DArrow, DDArrow, Delta,
     Exists, Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power,
     ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     compile_inf,
     dump_structure, eval_formula, expand_derived, find_model, fm_solve, free_vars,
-    ground_sentence, models_theory, parse, parse_theory, rat, remark_lab,
+    ground_sentence, models_theory, parse, parse_theory, print_formula, rat, remark_lab,
 )
 from agodel import solver
 from agodel.syntax import nodes
@@ -470,6 +470,88 @@ class TestFindModel:
                 sat_count += 1
                 assert models_theory(result.structure, theory)
         assert sat_count >= 10
+
+
+SIG_CD = Signature(functions={"c": 0, "d": 0}, predicates={"P": 1, "Q": 0, "R": 2})
+
+
+def product_sweep(sig, theory, n_max):
+    """find_model spelled out over every map of the constants, in product
+    order: the dumped witness, "unsat", or the budget message."""
+    constants = sig.constants()
+    try:
+        for n in range(1, n_max + 1):
+            elements = solver.element_names(sig, n)
+            for values in product(elements, repeat=len(constants)):
+                const_map = dict(zip(constants, values))
+                per_sentence = []
+                for phi in theory:
+                    branches = compile_inf(ground_sentence(phi, elements, const_map))
+                    if not branches:
+                        break
+                    per_sentence.append(branches)
+                if len(per_sentence) < len(theory):
+                    continue
+                for system in sorted(solver._merge_sentence_branches(per_sentence),
+                                     key=ConstraintSystem.canonical_key):
+                    result = fm_solve(system.lins)
+                    if result.sat:
+                        return dump_structure(solver._witness_structure(
+                            sig, elements, const_map, system, result.witness))
+        return "unsat"
+    except ResourceLimitError as e:
+        return f"limit: {e}"
+
+
+def canonical_outcome(sig, theory, n_max):
+    try:
+        result = find_model(sig, theory, n_max)
+    except ResourceLimitError as e:
+        return f"limit: {e}", None
+    return (dump_structure(result.structure) if result.sat else "unsat"), result
+
+
+class TestConstantMaps:
+    def test_restricted_growth_strings(self):
+        # one map per set partition of the constants into at most n blocks
+        assert list(solver._constant_maps("abc", 3)) == [
+            tuple(s) for s in ("aaa", "aab", "aba", "abb", "abc")]
+        assert list(solver._constant_maps("ab", 3)) == [
+            tuple(s) for s in ("aaa", "aab", "aba", "abb")]
+        assert list(solver._constant_maps("abc", 1)) == [("a",)]
+        assert list(solver._constant_maps("abc", 0)) == [()]
+
+    def test_maps_tried_when_unsat(self):
+        theory = [parse("delta(P(c))", SIG_CD), parse("~delta(P(c))", SIG_CD)]
+        result = find_model(SIG_CD, theory, 3)
+        assert not result.sat
+        assert result.stats.constant_maps_tried == 1 + 2 + 2
+
+    def test_first_model_is_that_of_the_product_sweep(self):
+        rng = make_rng(2203)
+        outcomes = {"sat": 0, "unsat": 0, "limit": 0}
+        fewer = apart = 0
+        for _ in range(200):
+            theory, size = [], rng.randint(1, 3)
+            while len(theory) < size:
+                phi = random_formula(rng, SIG_CD, depth=rng.randint(1, 2), qdepth=2)
+                if not free_vars(phi):
+                    theory.append(phi)
+            expected = product_sweep(SIG_CD, theory, 3)
+            got, result = canonical_outcome(SIG_CD, theory, 3)
+            assert got == expected, [print_formula(phi) for phi in theory]
+            kind = got if got == "unsat" else "limit" if got.startswith("limit") else "sat"
+            outcomes[kind] += 1
+            if kind == "unsat":
+                fewer += result.stats.constant_maps_tried == 1 + 2 + 2
+            elif kind == "sat":
+                consts = result.structure.funcs
+                apart += consts["c"][()] != consts["d"][()]
+        # both verdicts occur, some models name two elements, and UNSAT
+        # theories skip the 9 other maps
+        assert outcomes["sat"] >= 50 and outcomes["unsat"] >= 20, outcomes
+        assert apart >= 5
+        assert fewer == outcomes["unsat"]
 
 
 class TestRemarkLab:
