@@ -320,12 +320,10 @@ def _tables(struct: Structure, members: Tuple[Step, ...]):
 
 @dataclass(frozen=True)
 class EmbeddingCandidate:
-    """Universe injection plus a group transport.
-
-    For the rat backend the transport is the exponent scaling
-    g -> g^exponent on the generated subgroup (exponent a positive
-    rational); exponent 1 is the identity transport and the only one
-    allowed for lex2 structures.
+    """Universe injection, refused on a repeated source or target, plus a
+    group transport: for rat the exponent scaling g -> g^exponent on the
+    generated subgroup (exponent a positive rational); exponent 1 is the
+    identity transport and the only one allowed for lex2 structures.
     """
 
     mapping: Tuple[Tuple[str, str], ...]  # sorted (source, target) pairs
@@ -334,11 +332,11 @@ class EmbeddingCandidate:
     def __post_init__(self):
         if self.exponent <= 0:
             raise UsageError("transport exponent must be positive")
+        if any(len(set(side)) != len(self.mapping) for side in zip(*self.mapping)):
+            raise UsageError("universe mapping must be an injective function")
 
     @staticmethod
     def make(h: Dict[str, str], exponent=Fraction(1)) -> "EmbeddingCandidate":
-        if len(set(h.values())) != len(h):
-            raise UsageError("universe mapping must be injective")
         return EmbeddingCandidate(tuple(sorted(h.items())), Fraction(exponent))
 
     @property
@@ -377,18 +375,18 @@ def check_embedding(
     depth: int,
     budget: int = DEFAULT_FAMILY_BUDGET,
 ) -> bool:
-    """Verify function commutation exactly and value transport over the
-    depth-bounded canonical family (surrogate for all formulas)."""
+    """Verify function commutation and every atomic value's transport exactly,
+    then value transport over the depth-bounded canonical family (surrogate
+    for all formulas); the injection is checked when the candidate is built."""
     _require_common(source, target)
     members = _family(source.signature, depth, budget)
     if source.backend is not RAT and candidate.exponent != 1:
         raise UsageError("non-identity transports are supported for rat only")
     h = candidate.h
-    if set(h) != set(source.universe):
+    if set(h) != set(source.universe) or not set(h.values()) <= set(target.universe):
         return False
-    if not set(h.values()) <= set(target.universe):
-        return False
-    if not _commutes(source, target, h):
+    if not _commutes(source, target, h) or \
+            _candidate_exponent(source, target, h, candidate.exponent) is None:
         return False
     return _transports(source, target, candidate, _paired_tables(source, target, members))
 
@@ -447,18 +445,19 @@ def _transports(source: Structure, target: Structure, candidate: EmbeddingCandid
     return True
 
 
-def _candidate_exponent(source: Structure, target: Structure, h: Dict[str, str]):
-    """Derive the unique exponent scaling compatible with the atomic tables.
+def _candidate_exponent(source: Structure, target: Structure, h: Dict[str, str],
+                        exponent: Optional[Fraction] = None):
+    """The exponent scaling under which every atomic table entry transports
+    exactly through h, or None when there is none.
 
-    The first pair of group values whose source is not the identity pins
-    the exponent: the ratio of the two values' exponents of the source's
-    least prime.  Every atomic pair must then transport exactly; pairs
-    before the pinning one are checked under exponent 1, which any
-    exponent maps alike.  Returns a Fraction, or None when no exponent
-    scaling can transport the atomic values.
+    A given exponent is checked as it is.  Without one (rat only), the
+    first pair of group values whose source is not the identity pins it:
+    the ratio of the two values' exponents of the source's least prime;
+    pairs before the pinning one are checked under exponent 1, which any
+    exponent maps alike.
     """
-    candidate = EmbeddingCandidate.make(h)
-    pinned = False
+    candidate = EmbeddingCandidate.make(h, Fraction(1) if exponent is None else exponent)
+    pinned = exponent is not None
     for name, table in source.preds.items():
         for args, tv in table.items():
             image = target.preds[name][tuple(h[a] for a in args)]
@@ -484,8 +483,8 @@ def search_embeddings(
     """All (injection, exponent scaling) pairs that pass check_embedding.
 
     Injections are enumerated in lexicographic order; the exponent for
-    each injection is pinned by the atomic value pairs.  A source
-    universe larger than the target yields no candidates.
+    each injection is pinned by the atomic value pairs (1 for lex2).  A
+    source universe larger than the target yields no candidates.
     """
     _require_common(source, target)
     members = _family(source.signature, depth, budget)
@@ -495,13 +494,9 @@ def search_embeddings(
     pairs = None  # both structures' tables, built for the first candidate
     for image in permutations(sorted(target.universe), len(source.universe)):
         h = dict(zip(sorted(source.universe), image))
-        if source.backend is RAT:
-            exponent = _candidate_exponent(source, target, h)
-            if exponent is None:
-                continue
-        else:
-            exponent = Fraction(1)
-        if not _commutes(source, target, h):
+        exponent = _candidate_exponent(source, target, h,
+                                       None if source.backend is RAT else Fraction(1))
+        if exponent is None or not _commutes(source, target, h):
             continue
         if pairs is None:
             pairs = list(_paired_tables(source, target, members))

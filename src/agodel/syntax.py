@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
@@ -586,7 +585,7 @@ def tokenize(text: str) -> List[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent over the precedence levels)
+# Parser (recursive descent, precedence climbing over the binary connectives)
 
 
 class _Parser:
@@ -614,10 +613,23 @@ class _Parser:
             self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
 
-    # formula := binary(_LEVEL_IFF); a quantifier is a primary whose body
-    # extends as far right as possible
-    def formula(self) -> Formula:
-        return self.binary(_LEVEL_IFF)
+    # formula := ~* postfix (binop formula)*, by precedence climbing: a right
+    # operand takes the connectives that bind tighter (or, right-associative,
+    # as tight); a quantifier is a primary whose body extends right
+    def formula(self, level: int = _LEVEL_IFF) -> Formula:
+        nots = 0
+        while self.peek().text == "~":
+            self.advance()
+            nots += 1
+        node = self.postfix()
+        for _ in range(nots):
+            node = Not(node)
+        while True:
+            op = _BINARY_TOKENS.get(self.peek().text)
+            if op is None or op[1] < level:
+                return node
+            self.advance()
+            node = op[0](node, self.formula(op[1] + (op[1] not in _RIGHT_ASSOCIATIVE)))
 
     def quantified(self) -> Formula:
         """A quantifier prefix and its body, read in a loop so that a long
@@ -640,25 +652,6 @@ class _Parser:
         for node, var in reversed(prefix):
             body = node(var, body)
         return body
-
-    def binary(self, level: int) -> Formula:
-        """Operands joined by the binary connectives of one precedence level."""
-        tighter = partial(self.binary, level + 1) if level < _LEVEL_TENSOR else self.unary
-        node = tighter()
-        while True:
-            op = _BINARY_TOKENS.get(self.peek().text)
-            if op is None or op[1] != level:
-                return node
-            self.advance()
-            if level in _RIGHT_ASSOCIATIVE:
-                return op[0](node, self.binary(level))
-            node = op[0](node, tighter())
-
-    def unary(self) -> Formula:
-        if self.peek().text == "~":
-            self.advance()
-            return Not(self.unary())
-        return self.postfix()
 
     def postfix(self) -> Formula:
         node = self.primary()

@@ -55,6 +55,14 @@ def random_structure(rng, sig, size=None, backend=RAT):
     return Structure(sig, backend, universe, funcs, preds)
 
 
+def reduct(struct, predicates):
+    """struct with only the named predicates: its reduct to that signature."""
+    sig = Signature(functions=dict(struct.signature.functions),
+                    predicates={name: struct.signature.predicates[name] for name in predicates})
+    return Structure(sig, struct.backend, struct.universe, dict(struct.funcs),
+                     {name: struct.preds[name] for name in predicates})
+
+
 def random_term(rng, sig, variables):
     choices = list(variables) + sig.constants()
     if not choices:

@@ -252,7 +252,7 @@ class TestTranslate:
 
 class TestResourceLimits:
     @pytest.mark.parametrize("formula", [
-        "(" * 120 + "S" + ")" * 120,
+        "(" * 1000 + "S" + ")" * 1000,
         " * ".join(["P"] * 3000),
     ], ids=["nested-parentheses", "long-product"])
     def test_deep_nesting_exits_3(self, files, capsys, formula):
@@ -263,11 +263,17 @@ class TestResourceLimits:
         assert "nesting exceeds the recursion limit" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("depth,code", [(50, 0), (150, 3)])
+    def test_nested_parentheses_within_the_limit(self, files, capsys):
+        # the parser takes three frames per parenthesis: 120 levels fit
+        struct = files("m.struct", STRUCT_PS)
+        code, out, err = run(capsys, "eval", "--formula", "(" * 120 + "S" + ")" * 120,
+                             "--structure", struct)
+        assert (code, out.strip(), err) == (0, "3", "")
+
+    @pytest.mark.parametrize("depth,code", [(50, 0), (150, 0), (400, 3)])
     def test_deep_translation_check(self, files, capsys, depth, code):
-        # the alternating chain S /\ (S -> (S /\ ... P)): 150 levels exceed
-        # the recursion limit in the recursive-descent parser (about 95 levels
-        # fit under the test runner) and exit 3
+        # the alternating chain S /\ (S -> (S /\ ... P)): 150 levels fit under
+        # the test runner's recursion limit, 400 exceed it and exit 3
         formula = "P"
         for k in range(depth):
             formula = f"S /\\ ({formula})" if k % 2 == 0 else f"S -> ({formula})"

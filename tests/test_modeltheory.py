@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from agodel import (
     INF, LEX2, RAT, ZERO, Atom, Delta, EmbeddingCandidate, GeneratedSubgroup,
     ResourceLimitError, Signature, Structure, UsageError, bounded_ediag,
-    bounded_elementary_equiv, check_embedding, factor_positive,
-    formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, print_formula,
+    bounded_elementary_equiv, check_embedding, factor_positive, find_model,
+    formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, one, print_formula,
     rat, satisfies, search_embeddings, sentence_family, tv_power,
 )
 from agodel import modeltheory
@@ -20,7 +20,9 @@ from agodel.modeltheory import (
 )
 from agodel.semantics import ranks_of
 from agodel.syntax import App, Forall, Var
-from conftest import formula_depth, make_rng, oracle, random_structure
+from conftest import (
+    formula_depth, make_rng, oracle, random_structure, random_truth_value, reduct,
+)
 
 SIGP = Signature(predicates={"P": 0})
 
@@ -458,11 +460,16 @@ ORACLE_SIG = Signature(functions={"c": 0, "f": 1}, predicates={"P": 1, "Q": 2, "
 
 
 def oracle_check_embedding(source, target, candidate, depth, budget):
-    """check_embedding spelled as one evaluation per formula and assignment."""
+    """check_embedding spelled as one evaluation per formula and assignment,
+    after every atomic table entry, each transported on its own."""
     h = candidate.h
     for name, table in source.funcs.items():
         for args, out in table.items():
             if target.funcs[name][tuple(h[a] for a in args)] != h[out]:
+                return False
+    for name, table in source.preds.items():
+        for args, tv in table.items():
+            if candidate.transport(tv) != target.preds[name][tuple(h[a] for a in args)]:
                 return False
     for phi in formula_family(source.signature, depth, budget):
         fv = sorted(free_vars(phi))
@@ -700,6 +707,88 @@ class TestCandidateExponent:
 
 
 # ---------------------------------------------------------------------------
+# One embedding definition: the check and the search share the atomic step
+
+SIGT = Signature(predicates={"T": 3})
+TERNARY = ("a", "b", "c")
+
+
+def ternary(value):
+    """T over a, b, c: the group identity everywhere except T(a, b, c) = value."""
+    return Structure(SIGT, value.backend, TERNARY, {}, {"T": {
+        args: value if args == TERNARY else one(value.backend)
+        for args in product(TERNARY, repeat=3)}})
+
+
+ONE_DEFINITION_SIG = Signature(predicates={"T": 3, "P": 1})
+
+
+def one_definition_pair(data, backend):
+    """(source, target): a random source over T/3 and P/1 and a target
+    that is a random structure, or the source with a clone or two added
+    (each reading its original's values), its group values raised to a
+    power (1 for lex2) and, at times, one entry redrawn."""
+    seed = data.draw(st.integers(0, 2**32))
+    rng = make_rng(seed)
+    source = random_structure(rng, ONE_DEFINITION_SIG, size=rng.randint(1, 3), backend=backend)
+    if data.draw(st.integers(0, 3)) == 0:
+        return source, random_structure(rng, ONE_DEFINITION_SIG, size=rng.randint(1, 3),
+                                        backend=backend)
+    original = {m: m for m in source.universe}
+    for i in range(rng.randint(0, 3 - len(source.universe))):
+        original[f"clone{i}"] = rng.choice(source.universe)
+    power = rng.randint(1, 3) if backend is RAT else 1
+    target = substructure(source, original)
+    preds = {name: {args: tv_power(tv, power) if tv.is_elem else tv
+                    for args, tv in table.items()}
+             for name, table in target.preds.items()}
+    if rng.random() < 0.5:
+        name = rng.choice(sorted(preds))
+        preds[name][rng.choice(sorted(preds[name]))] = random_truth_value(rng, backend)
+    return source, Structure(ONE_DEFINITION_SIG, backend, target.universe, {}, preds)
+
+
+class TestOneEmbeddingDefinition:
+    @pytest.mark.parametrize("here,there", [(rat(2), rat(3)), (lex2(2, 1), lex2(3, 1))],
+                             ids=["rat", "lex2"])
+    def test_ternary_entry_is_checked_exactly(self, here, there):
+        # every atom of the family repeats a variable in T's three places,
+        # so only the exact atomic check reads T(a, b, c)
+        source, target = ternary(here), ternary(there)
+        identity = EmbeddingCandidate.make({m: m for m in TERNARY})
+        for depth in range(3):
+            assert not check_embedding(source, target, identity, depth)
+            assert identity.mapping not in {
+                c.mapping for c in search_embeddings(source, target, depth)}
+            assert check_embedding(source, source, identity, depth)
+
+    @pytest.mark.parametrize("mapping", [(("a", "c"), ("b", "c")), (("a", "c"), ("a", "d"))],
+                             ids=["repeated-target", "repeated-source"])
+    def test_candidate_is_an_injective_function(self, mapping):
+        # the only guard: a -> c, b -> c transports every value of {a, b}
+        # (P = 2 on both) into {c} (P = 2), so a check would accept it
+        with pytest.raises(UsageError, match="injective"):
+            EmbeddingCandidate(mapping)
+
+    @settings(max_examples=150)
+    @given(data=st.data(), backend=st.sampled_from([RAT, LEX2]), depth=st.integers(0, 2))
+    def test_search_is_the_check_at_the_pinned_exponent(self, data, backend, depth):
+        # (h, e) is found exactly when the atomic step gives e for h and the
+        # check accepts h with e, for every injection h
+        source, target = one_definition_pair(data, backend)
+        budget = 200
+        found = {c.mapping: c.exponent for c in search_embeddings(source, target, depth, budget)}
+        fixed = None if backend is RAT else Fraction(1)
+        for image in permutations(target.universe, len(source.universe)):
+            h = dict(zip(source.universe, image))
+            exponent = modeltheory._candidate_exponent(source, target, h, fixed)
+            accepted = exponent is not None and check_embedding(
+                source, target, EmbeddingCandidate.make(h, exponent), depth, budget)
+            assert found.get(EmbeddingCandidate.make(h).mapping) == \
+                (exponent if accepted else None), h
+
+
+# ---------------------------------------------------------------------------
 # The paper's AEC axioms as properties of the bounded checks
 
 AEC_SIG = Signature(predicates={"P": 1, "R": 2})
@@ -827,3 +916,34 @@ class TestAECAxioms:
             sorted(re.sub(r"\bc_\w+", lambda name: renamed[name.group()], print_formula(phi))
                    for phi in bounded_ediag(a, depth, budget))
 
+
+# ---------------------------------------------------------------------------
+# Robinson amalgamation over a common reduct, bounded
+
+AMALGAM_L1 = Signature(predicates={"P": 1, "Q": 2})
+AMALGAM_L2 = Signature(predicates={"P": 1, "R": 1})
+
+
+class TestAmalgamation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_theories_of_two_models_with_isomorphic_reducts_are_jointly_satisfied(self, seed):
+        # M1 over {P, Q} and M2 over {P, R} share their P up to a random
+        # renaming; the amalgam N is M2 plus Q moved along an isomorphism
+        # of the {P}-reducts, so its reducts carry M1's and M2's theories
+        rng = make_rng(seed)
+        m1 = random_structure(rng, AMALGAM_L1, size=2)
+        renamed = dict(zip(m1.universe, rng.sample(m1.universe, 2)))
+        m2 = Structure(AMALGAM_L2, RAT, m1.universe, {}, {
+            "P": {(renamed[a],): tv for (a,), tv in m1.preds["P"].items()},
+            "R": random_structure(rng, AMALGAM_L2, size=2).preds["R"]})
+        found = search_embeddings(reduct(m1, ["P"]), reduct(m2, ["P"]), 2)
+        h = next(c for c in found if c.exponent == 1)
+        joint = Signature(predicates={**AMALGAM_L1.predicates, **AMALGAM_L2.predicates})
+        n = Structure(joint, RAT, m2.universe, {}, {**m2.preds, "Q": {
+            tuple(h.h[a] for a in args): h.transport(tv) for args, tv in m1.preds["Q"].items()}})
+        assert check_embedding(m1, reduct(n, ["P", "Q"]), h, 2)
+        t1 = [phi for phi in sentence_family(AMALGAM_L1, 2) if satisfies(m1, phi)]
+        t2 = [phi for phi in sentence_family(AMALGAM_L2, 2) if satisfies(m2, phi)]
+        assert t1 and t2
+        assert all(satisfies(n, phi) for phi in t1 + t2)
+        assert find_model(joint, t1 + t2, 2).sat
