@@ -326,10 +326,12 @@ class EmbeddingCandidate:
     identity transport and the only one allowed for lex2 structures.
     """
 
-    mapping: Tuple[Tuple[str, str], ...]  # sorted (source, target) pairs
+    mapping: Tuple[Tuple[str, str], ...]  # (source, target) pairs, stored sorted
     exponent: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # sorted, so that candidates for one map compare and hash alike
+        object.__setattr__(self, "mapping", tuple(sorted(self.mapping)))
         if self.exponent <= 0:
             raise UsageError("transport exponent must be positive")
         if any(len(set(side)) != len(self.mapping) for side in zip(*self.mapping)):
@@ -337,7 +339,7 @@ class EmbeddingCandidate:
 
     @staticmethod
     def make(h: Dict[str, str], exponent=Fraction(1)) -> "EmbeddingCandidate":
-        return EmbeddingCandidate(tuple(sorted(h.items())), Fraction(exponent))
+        return EmbeddingCandidate(tuple(h.items()), Fraction(exponent))
 
     @property
     def h(self) -> Dict[str, str]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd, lcm
-from operator import index, itemgetter
+from operator import index
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, UsageError
@@ -212,11 +212,16 @@ def _join(left, right):
     a in left, b in right whose tags agree on their shared atoms; tags is
     the union of both.
 
-    A branch is a tuple (tags, lins, ...).  Every branch of one side tags
-    the same atoms (those of its subformula or sentences), so the right
-    side is grouped once by its tags on the shared atoms, and each left
-    branch meets only its own group: conflicting pairs are never visited.
-    Pairs come out left-major, each group in the order of ``right``.
+    A branch is a tuple (tags, lins, ...) whose tags are one int, the
+    bitset form of a partial assignment (Knuth, TAOCP 4A, 7.1.3): atom
+    number i holds its stratum kind + 1 in bits 2i and 2i + 1, and 0
+    there means untagged.  Every branch of one side tags the same atoms
+    (those of its subformula or sentences), so the bits of the shared
+    atoms come from the first branch of each side.  The right side is
+    grouped once by its tags on them (tags & shared), each left branch
+    meets only its own group, and a pair's union is a | b: conflicting
+    pairs are never visited.  Pairs come out left-major, each group in
+    the order of ``right``.
 
     count is the number of pairs, summed from the group sizes before any
     pair is built (Selinger et al., SIGMOD 1979), when len(left) *
@@ -226,17 +231,37 @@ def _join(left, right):
     count = len(left) * len(right)
     if not count:
         return 0, ()
-    shared = left[0][0].keys() & right[0][0].keys()
+    shared = _tagged_bits(left[0][0]) & _tagged_bits(right[0][0])
     if not shared:
-        return count, (({**a[0], **b[0]}, a, b) for a in left for b in right)
-    strata = itemgetter(*shared)
-    groups: Dict[object, list] = {}
+        return count, ((a[0] | b[0], a, b) for a in left for b in right)
+    groups: Dict[int, list] = {}
     for b in right:
-        groups.setdefault(strata(b[0]), []).append(b)
+        groups.setdefault(b[0] & shared, []).append(b)
     if count > MAX_BRANCHES:
-        count = sum(len(groups.get(strata(a[0]), ())) for a in left)
-    return count, (({**a[0], **b[0]}, a, b)
-                   for a in left for b in groups.get(strata(a[0]), ()))
+        count = sum(len(groups.get(a[0] & shared, ())) for a in left)
+    return count, ((a[0] | b[0], a, b)
+                   for a in left for b in groups.get(a[0] & shared, ()))
+
+
+def _tagged_bits(tags: int) -> int:
+    """Both bits of every atom that the packed tags tag."""
+    low = (1 << (tags.bit_length() | 1) + 1) // 3  # bits 0, 2, 4, ... up to the top atom
+    return ((tags | tags >> 1) & low) * 3
+
+
+def _pack(tags: Dict[AtomKey, int], number: Dict[AtomKey, int]) -> int:
+    """Dict tags as one int, atom key k at number[k]."""
+    return sum(kind + 1 << 2 * number[key] for key, kind in tags.items())
+
+
+def _unpack(tags: int, atoms: Sequence[AtomKey]) -> Dict[AtomKey, int]:
+    """Packed tags as a dict, atom number i being atoms[i]."""
+    out = {}
+    for key in atoms:
+        if tags & 3:
+            out[key] = (tags & 3) - 1
+        tags >>= 2
+    return out
 
 
 class _Symbolic:
@@ -301,9 +326,13 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     # connective, once per case of the order between its two operands.
     # A subformula that recurs in phi is compiled once.  Inside the call an
     # atom is its number in the sorted list of phi's atoms, so a form over
-    # numbers lists its atoms in key order too.
+    # numbers lists its atoms in key order too, and tags are packed in one
+    # int by those numbers (see _join); only the returned "= inf" branches
+    # get dict tags.
     node_list = nodes(phi)
-    atoms = sorted({_atom_key(node) for node, _, _ in node_list if type(node) is Atom})
+    atom_at = {k: _atom_key(node) for k, (node, _, _) in enumerate(node_list)
+               if type(node) is Atom}
+    atoms = sorted(set(atom_at.values()))
     number = {key: i for i, key in enumerate(atoms)}
     pairs: Dict[tuple, list] = {}   # (form1, form2) -> order cases
     splits: Dict[tuple, tuple] = {}  # reduced difference -> its cases, both signs
@@ -346,19 +375,19 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
         return cases
 
     compiled: List[list] = []
-    for node, kids, _ in node_list:
+    for k, (node, kids, _) in enumerate(node_list):
         kind = type(node)
         if kind is Atom:
-            i = number[_atom_key(node)]
+            i = number[atom_at[k]]
             out = [
-                ({i: K_ZERO}, [], _SYM_Z),
-                ({i: K_ELEM}, [], (K_ELEM, ((i, 1),))),
-                ({i: K_INF}, [], _SYM_I),
+                (K_ZERO + 1 << 2 * i, [], _SYM_Z),
+                (K_ELEM + 1 << 2 * i, [], (K_ELEM, ((i, 1),))),
+                (K_INF + 1 << 2 * i, [], _SYM_I),
             ]
         elif kind in QUANTIFIER_CONNECTIVE:
             raise UsageError("compile expects a ground sentence; run ground_sentence() first")
         elif not kids:
-            out = [({}, [], TRUTH[kind](_Symbolic, node, 0))]
+            out = [(0, [], TRUTH[kind](_Symbolic, node, 0))]
         elif len(kids) == 1:
             truth = TRUTH[kind]
             out = [(tags, lins, truth(_Symbolic, node, 0, v))
@@ -384,8 +413,7 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
     systems = {}
     for tags, lins, v in compiled[-1]:
         if v == _SYM_I:
-            keyed = {atoms[i]: tag for i, tag in tags.items()}
-            system = ConstraintSystem(keyed, list(dict.fromkeys(lins)))
+            system = ConstraintSystem(_unpack(tags, atoms), list(dict.fromkeys(lins)))
             systems.setdefault(system.canonical_key(), system)
     return [systems[key] for key in sorted(systems)]
 
@@ -627,16 +655,20 @@ def _constant_maps(elements, k: int, used: int = 0):
 
 
 def _merge_sentence_branches(per_sentence):
-    # one combined system per pair, so the pair count is the branch count
-    merged = [ConstraintSystem({}, [])]
+    # one combined system per pair, so the pair count is the branch count;
+    # the theory's atoms are numbered once, and the join runs on packed tags
+    atoms = sorted({key for branches in per_sentence for system in branches[:1]
+                    for key in system.tags})
+    number = {key: i for i, key in enumerate(atoms)}
+    merged = [(0, [])]
     for branches in per_sentence:
-        count, joined = _join(merged, branches)
+        packed = [(_pack(system.tags, number), system.lins) for system in branches]
+        count, joined = _join(merged, packed)
         if count > MAX_BRANCHES:
             raise ResourceLimitError(f"combined case-branch count exceeds budget "
                                      f"{MAX_BRANCHES}: {count} branch pairs")
-        merged = [ConstraintSystem(tags, list(dict.fromkeys(a.lins + b.lins)))
-                  for tags, a, b in joined]
-    return merged
+        merged = [(tags, list(dict.fromkeys(a[1] + b[1]))) for tags, a, b in joined]
+    return [ConstraintSystem(_unpack(tags, atoms), lins) for tags, lins in merged]
 
 
 def _witness_structure(sig, elements, const_map, system, witness) -> Structure:

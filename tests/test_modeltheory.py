@@ -770,6 +770,13 @@ class TestOneEmbeddingDefinition:
         with pytest.raises(UsageError, match="injective"):
             EmbeddingCandidate(mapping)
 
+    def test_candidates_for_one_map_are_equal(self):
+        # the mapping is stored sorted, whatever the order of its pairs
+        given = EmbeddingCandidate((("b", "d"), ("a", "c")))
+        made = EmbeddingCandidate.make({"a": "c", "b": "d"})
+        assert given == made and given.mapping == (("a", "c"), ("b", "d"))
+        assert len({given, made}) == 1
+
     @settings(max_examples=150)
     @given(data=st.data(), backend=st.sampled_from([RAT, LEX2]), depth=st.integers(0, 2))
     def test_search_is_the_check_at_the_pinned_exponent(self, data, backend, depth):

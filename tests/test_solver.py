@@ -13,8 +13,10 @@ from agodel import (
     compile_inf,
     dump_structure, eval_formula, expand_derived, find_model, fm_solve, free_vars,
     ground_sentence, models_theory, parse, parse_theory, print_formula, rat, remark_lab,
+    similarity_axioms,
 )
 from agodel import solver
+from agodel.semantics import ORDERED
 from agodel.syntax import nodes
 from agodel.values import K_ELEM, K_INF, K_ZERO
 from conftest import make_rng, random_formula
@@ -199,11 +201,23 @@ def count_joined_pairs(monkeypatch):
     return yielded
 
 
+def packed(tags):
+    """Tags {atom number: kind} as the solver packs them: kind + 1 in bits
+    2i and 2i + 1 for atom number i."""
+    return sum(kind + 1 << 2 * i for i, kind in tags.items())
+
+
+def unpacked(tags):
+    """The tags {atom number: kind} of packed tags, read field by field."""
+    return {i: (tags >> 2 * i & 3) - 1 for i in range(tags.bit_length()) if tags >> 2 * i & 3}
+
+
 # Branch lists for the join's pair count: every branch of a side tags that
 # side's atoms, the two sides share none, all or some of their atoms, and
-# the tags take one, two or all three strata.
+# the tags take one, two or all three strata.  "apart" numbers its atoms
+# far from 0, so the top set bit of a side's tags varies.
 JOIN_SHAPES = {"disjoint": ((0, 1), (2, 3)), "shared": ((0, 1, 2), (0, 1, 2)),
-               "overlapping": ((0, 1, 2), (1, 2, 3))}
+               "overlapping": ((0, 1, 2), (1, 2, 3)), "apart": ((3, 9), (9, 14))}
 
 
 @st.composite
@@ -214,19 +228,23 @@ def branch_lists(draw):
     for atoms in (atoms_left, atoms_right):
         tag_rows = draw(st.lists(st.tuples(*[st.sampled_from(strata)] * len(atoms)),
                                  max_size=12))
-        sides.append([(dict(zip(atoms, row)), [], i) for i, row in enumerate(tag_rows)])
+        sides.append([(packed(dict(zip(atoms, row))), [], i) for i, row in enumerate(tag_rows)])
     return sides
 
 
 class TestJoinCount:
     @settings(max_examples=300)
     @given(sides=branch_lists(), budget=st.integers(-1, 150))
-    @example(sides=([], [({0: K_ZERO}, [], 0)]), budget=-1)
-    @example(sides=([({0: K_ELEM}, [], 0)], []), budget=-1)
+    @example(sides=([], [(packed({0: K_ZERO}), [], 0)]), budget=-1)
+    @example(sides=([(packed({0: K_ELEM}), [], 0)], []), budget=-1)
     def test_count_is_the_number_of_pairs_when_it_exceeds_the_budget(self, sides, budget):
         left, right = sides
-        agreeing = [({**a[0], **b[0]}, a, b) for a in left for b in right
-                    if all(a[0][k] == b[0][k] for k in a[0].keys() & b[0].keys())]
+        agreeing = []
+        for a in left:
+            for b in right:
+                tags_a, tags_b = unpacked(a[0]), unpacked(b[0])
+                if all(tags_a[k] == tags_b[k] for k in tags_a.keys() & tags_b.keys()):
+                    agreeing.append((packed({**tags_a, **tags_b}), a, b))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "MAX_BRANCHES", budget)
             count, pairs = solver._join(left, right)
@@ -287,16 +305,47 @@ class TestJoinProperty:
 
 # Atom values off the fixed GRID: 0, inf, the powers 2^k for k in [-3, 3], and 3/2.
 OFF_GRID = [ZERO, INF, rat(3, 2)] + [rat(Fraction(2) ** k) for k in range(-3, 4)]
+OFF_GRID_VALUATIONS = st.tuples(*[st.sampled_from(OFF_GRID)] * len(NULLARY_KEYS))
+ORDERED_BINARY = {name: kind for name, kind in BINARY.items() if kind in ORDERED}
+
+
+@st.composite
+def products(draw, depth=2):
+    """Group-valued terms over P, Q, R: products, powers up to ^5, inverses."""
+    op = draw(st.sampled_from(["leaf", "tensor", "power", "inv"] if depth else ["leaf"]))
+    if op == "leaf":
+        return draw(st.sampled_from([Atom("P"), Atom("Q"), Atom("R"), One()]))
+    if op == "tensor":
+        return Tensor(draw(products(depth - 1)), draw(products(depth - 1)))
+    if op == "power":
+        return Power(draw(products(depth - 1)), draw(st.integers(1, 5)))
+    return Inv(draw(products(depth - 1)))
+
+
+@st.composite
+def ordered_over_products(draw):
+    """An ordered connective between two products: its order cases split
+    on linear forms with coefficients other than 1."""
+    kind = ORDERED_BINARY[draw(st.sampled_from(sorted(ORDERED_BINARY)))]
+    return kind(draw(products()), draw(products()))
 
 
 class TestCompiledBranchesProperty:
-    @settings(max_examples=300)
-    @given(phi=nullary_formulas(depth=3),
-           values=st.tuples(*[st.sampled_from(OFF_GRID)] * len(NULLARY_KEYS)))
-    def test_branch_union_is_the_inf_set_off_the_grid(self, phi, values):
+    @staticmethod
+    def assert_union_is_the_inf_set(phi, values):
         valuation = dict(zip(NULLARY_KEYS, values))
         in_union = any(b.holds_for(valuation) for b in compile_inf(phi))
         assert in_union == grid_eval(phi, valuation).is_inf, valuation
+
+    @settings(max_examples=300)
+    @given(phi=nullary_formulas(depth=3), values=OFF_GRID_VALUATIONS)
+    def test_branch_union_is_the_inf_set_off_the_grid(self, phi, values):
+        self.assert_union_is_the_inf_set(phi, values)
+
+    @settings(max_examples=300)
+    @given(phi=ordered_over_products(), values=OFF_GRID_VALUATIONS)
+    def test_ordered_connectives_over_products_off_the_grid(self, phi, values):
+        self.assert_union_is_the_inf_set(phi, values)
 
 
 def check_witness(constraints, witness):
@@ -451,6 +500,24 @@ class TestFindModel:
         monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
         result = find_model(sig, theory, 1)
         assert result.sat and models_theory(result.structure, theory)
+
+    @pytest.mark.parametrize("sig, text, stops_at, pairs", [
+        (Signature(predicates={"R": 2}), "forall x. exists y. R(x, y) ==> R(y, x)", 3, 55009),
+        (Signature(predicates={"e": 2}, equality="e"),
+         "exists x. exists y. ~delta(e(x, y)) /\\ (one ==> e(x, y))", 2, 184605),
+    ], ids=["forall-exists-R", "similarity-gap"])
+    def test_default_budget_hits(self, sig, text, stops_at, pairs):
+        # the other two budget hits of the benchmark's ladder: below
+        # stops_at the search ends without one, and from it on every
+        # search stops there, at one And node
+        theory = [parse(text, sig)]
+        if sig.equality:
+            theory = similarity_axioms(sig) + theory
+        find_model(sig, theory, stops_at - 1)
+        for n_max in (stops_at, 3):
+            with pytest.raises(ResourceLimitError,
+                               match=rf"budget 20000: And with {pairs} operand pairs$"):
+                find_model(sig, theory, n_max)
 
     def test_soundness_random_suite(self):
         rng = make_rng(29)
