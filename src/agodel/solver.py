@@ -1,12 +1,13 @@
 """Finite-domain model finding for sentence sets.
 
 Pipeline: ground all quantifiers over n named elements, compile the
-condition "sentence evaluates to absolute truth" into a disjunction of
-constraint systems, and decide each system by Fourier-Motzkin
-elimination on integer rows; rationals appear only in the rebuilt
-witness.  Compilation runs bottom-up over the ground sentence's node
-list (``syntax.nodes``), so a subformula object that recurs is compiled
-once.
+condition "every sentence evaluates to absolute truth" into a
+disjunction of constraint systems in one ``compile_inf`` call per
+theory, and decide each system by Fourier-Motzkin elimination on
+integer rows; rationals appear only in the rebuilt witness.  Each
+sentence compiles bottom-up over its node list (``syntax.nodes``), so a
+subformula object that recurs is compiled once, and the sentences'
+branches are joined on their shared atoms.
 
 Each ground atom is an unknown ranging over the three strata of the
 carrier: a case tag picks the stratum (zero / group element / inf), and
@@ -50,9 +51,9 @@ from .values import (
 AtomKey = Tuple[str, Tuple[str, ...]]
 
 # Case branches multiply with the nesting of connectives and quantifiers, so
-# compile_inf and find_model refuse to build more branches than this, and
-# fm_solve refuses to derive more comparisons than MAX_FM_CONSTRAINTS in one
-# elimination step.
+# compile_inf refuses to build more branches than this, for a subformula or
+# a theory's join, and fm_solve refuses to derive more comparisons than
+# MAX_FM_CONSTRAINTS in one elimination step.
 MAX_BRANCHES = 20000
 MAX_FM_CONSTRAINTS = 100000
 
@@ -249,11 +250,6 @@ def _tagged_bits(tags: int) -> int:
     return ((tags | tags >> 1) & low) * 3
 
 
-def _pack(tags: Dict[AtomKey, int], number: Dict[AtomKey, int]) -> int:
-    """Dict tags as one int, atom key k at number[k]."""
-    return sum(kind + 1 << 2 * number[key] for key, kind in tags.items())
-
-
 def _unpack(tags: int, atoms: Sequence[AtomKey]) -> Dict[AtomKey, int]:
     """Packed tags as a dict, atom number i being atoms[i]."""
     out = {}
@@ -311,28 +307,33 @@ _BELOW = [([], -1)]
 _ABOVE = [([], 1)]
 
 
-def compile_inf(phi: Formula) -> List[ConstraintSystem]:
-    """Branches whose union of solution sets is exactly {valuations: phi = INF}.
+def compile_inf(*sentences: Formula) -> List[ConstraintSystem]:
+    """Branches whose union of solution sets is exactly {valuations: every
+    sentence = INF}, in canonical order (``ConstraintSystem.canonical_key``).
 
-    Raises ResourceLimitError when some subformula has more than
-    MAX_BRANCHES branches.  Each pair of operand branches makes at least
-    one branch, so a binary node is refused on its pair count before its
-    join is built; an ordered one is also checked per pair, for its
-    order splits.
+    The sentences compile in order, and one that is never INF ends the
+    call with [] before a later one compiles; then their "= inf" branches
+    are joined, starting from ``compile_inf()``'s one empty branch.
+    Raises ResourceLimitError when a subformula has more than MAX_BRANCHES
+    branches, or the join more pairs.  Each pair of operand branches
+    makes at least one branch, so a binary node is refused on its pair
+    count before its join is built; an ordered one is also checked per
+    pair, for its order splits.
     """
     # Each node's branches are [(tags, lins, sym_value)].  A connective's
     # value is its truth function from semantics.TRUTH, run on the symbolic
     # algebra once per joined pair of operand branches and, for an ORDERED
     # connective, once per case of the order between its two operands.
-    # A subformula that recurs in phi is compiled once.  Inside the call an
-    # atom is its number in the sorted list of phi's atoms, so a form over
+    # A subformula that recurs in a sentence is compiled once.  An atom is
+    # its number in the sorted list of the call's atoms, so a form over
     # numbers lists its atoms in key order too, and tags are packed in one
-    # int by those numbers (see _join); only the returned "= inf" branches
-    # get dict tags.
-    node_list = nodes(phi)
-    atom_at = {k: _atom_key(node) for k, (node, _, _) in enumerate(node_list)
-               if type(node) is Atom}
-    atoms = sorted(set(atom_at.values()))
+    # int by those numbers (see _join); only the returned branches get dict
+    # tags.  A sentence's "= inf" branches all tag its atoms, so their kinds
+    # in number order sort the branches as canonical_key does.
+    node_lists = [nodes(phi) for phi in sentences]
+    atom_at = [{k: _atom_key(node) for k, (node, _, _) in enumerate(node_list)
+                if type(node) is Atom} for node_list in node_lists]
+    atoms = sorted({key for at in atom_at for key in at.values()})
     number = {key: i for i, key in enumerate(atoms)}
     pairs: Dict[tuple, list] = {}   # (form1, form2) -> order cases
     splits: Dict[tuple, tuple] = {}  # reduced difference -> its cases, both signs
@@ -374,48 +375,67 @@ def compile_inf(phi: Formula) -> List[ConstraintSystem]:
         pairs[v1[1], v2[1]] = cases
         return cases
 
-    compiled: List[list] = []
-    for k, (node, kids, _) in enumerate(node_list):
-        kind = type(node)
-        if kind is Atom:
-            i = number[atom_at[k]]
-            out = [
-                (K_ZERO + 1 << 2 * i, [], _SYM_Z),
-                (K_ELEM + 1 << 2 * i, [], (K_ELEM, ((i, 1),))),
-                (K_INF + 1 << 2 * i, [], _SYM_I),
-            ]
-        elif kind in QUANTIFIER_CONNECTIVE:
-            raise UsageError("compile expects a ground sentence; run ground_sentence() first")
-        elif not kids:
-            out = [(0, [], TRUTH[kind](_Symbolic, node, 0))]
-        elif len(kids) == 1:
-            truth = TRUTH[kind]
-            out = [(tags, lins, truth(_Symbolic, node, 0, v))
-                   for tags, lins, v in compiled[kids[0]]]
-        else:
-            truth = TRUTH[kind]
-            ordered = kind in ORDERED
-            out = []
-            left, right = kids
-            count, joined = _join(compiled[left], compiled[right])
-            if count > MAX_BRANCHES:
-                raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}: "
-                                         f"{kind.__name__} with {count} operand pairs")
-            for tags, (_, lins1, v1), (_, lins2, v2) in joined:
-                lins = lins1 + lins2
-                for extra, rel in order_cases(v1, v2) if ordered else _UNSPLIT:
-                    out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
-                if len(out) > MAX_BRANCHES:
+    per_sentence = []
+    for node_list, at in zip(node_lists, atom_at):
+        compiled: List[list] = []
+        for k, (node, kids, _) in enumerate(node_list):
+            kind = type(node)
+            if kind is Atom:
+                i = number[at[k]]
+                out = [
+                    (K_ZERO + 1 << 2 * i, [], _SYM_Z),
+                    (K_ELEM + 1 << 2 * i, [], (K_ELEM, ((i, 1),))),
+                    (K_INF + 1 << 2 * i, [], _SYM_I),
+                ]
+            elif kind in QUANTIFIER_CONNECTIVE:
+                raise UsageError("compile expects a ground sentence; run ground_sentence() first")
+            elif not kids:
+                out = [(0, [], TRUTH[kind](_Symbolic, node, 0))]
+            elif len(kids) == 1:
+                truth = TRUTH[kind]
+                out = [(tags, lins, truth(_Symbolic, node, 0, v))
+                       for tags, lins, v in compiled[kids[0]]]
+            else:
+                truth = TRUTH[kind]
+                ordered = kind in ORDERED
+                out = []
+                left, right = kids
+                count, joined = _join(compiled[left], compiled[right])
+                if count > MAX_BRANCHES:
                     raise ResourceLimitError(f"case-branch count exceeds budget {MAX_BRANCHES}: "
-                                             f"{kind.__name__} with at least {len(out)} branches")
-        compiled.append(out)
+                                             f"{kind.__name__} with {count} operand pairs")
+                for tags, (_, lins1, v1), (_, lins2, v2) in joined:
+                    lins = lins1 + lins2
+                    for extra, rel in order_cases(v1, v2) if ordered else _UNSPLIT:
+                        out.append((tags, lins + extra, truth(_Symbolic, node, rel, v1, v2)))
+                    if len(out) > MAX_BRANCHES:
+                        raise ResourceLimitError(
+                            f"case-branch count exceeds budget {MAX_BRANCHES}: "
+                            f"{kind.__name__} with at least {len(out)} branches")
+            compiled.append(out)
 
-    systems = {}
-    for tags, lins, v in compiled[-1]:
-        if v == _SYM_I:
-            system = ConstraintSystem(_unpack(tags, atoms), list(dict.fromkeys(lins)))
-            systems.setdefault(system.canonical_key(), system)
-    return [systems[key] for key in sorted(systems)]
+        shifts = sorted({2 * number[key] for key in at.values()})
+        systems = {}
+        for tags, lins, v in compiled[-1]:
+            if v == _SYM_I:
+                lins = list(dict.fromkeys(lins))
+                key = (tuple(tags >> shift & 3 for shift in shifts),
+                       tuple(sorted((c.coeffs, c.const, c.rel) for c in lins)))
+                systems.setdefault(key, (tags, lins))
+        if not systems:
+            return []
+        per_sentence.append([systems[key] for key in sorted(systems)])
+
+    # one combined branch per pair, so the pair count is the branch count
+    merged = [(0, [])]
+    for branches in per_sentence:
+        count, joined = _join(merged, branches)
+        if count > MAX_BRANCHES:
+            raise ResourceLimitError(f"combined case-branch count exceeds budget "
+                                     f"{MAX_BRANCHES}: {count} branch pairs")
+        merged = [(tags, list(dict.fromkeys(a[1] + b[1]))) for tags, a, b in joined]
+    return sorted((ConstraintSystem(_unpack(tags, atoms), lins) for tags, lins in merged),
+                  key=ConstraintSystem.canonical_key)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +616,11 @@ class FindResult:
 def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindResult:
     """Iterative-deepening search for a finite rational-backend model.
 
-    Each sentence is compiled separately; the sentences' branch sets are
-    then joined on their shared atoms, and the combined branches are
-    examined in the canonical order of their case tags, so the witness
-    is reproducible.  Per domain size, the constants take one map per
-    orbit under renaming of elements.  A NONE result is not a proof of
-    unsatisfiability beyond n_max elements.
+    Per domain size, the constants take one map per orbit under renaming
+    of elements.  Per map, one ``compile_inf`` call compiles and joins
+    the ground theory, and its branches are examined in their canonical
+    order, so the witness is reproducible.  A NONE result is not a proof
+    of unsatisfiability beyond n_max elements.
     """
     _check_solver_signature(sig)
     for phi in theory:
@@ -614,17 +633,8 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
         for values in _constant_maps(elements, len(constants)):
             stats.constant_maps_tried += 1
             const_map = dict(zip(constants, values))
-            per_sentence = []
-            for phi in theory:
-                grounded = ground_sentence(phi, elements, const_map)
-                branches = compile_inf(grounded)
-                if not branches:
-                    break
-                per_sentence.append(branches)
-            if len(per_sentence) < len(theory):
-                continue  # some sentence is never inf under this constant map
-            combined = _merge_sentence_branches(per_sentence)
-            for system in sorted(combined, key=ConstraintSystem.canonical_key):
+            grounded = [ground_sentence(phi, elements, const_map) for phi in theory]
+            for system in compile_inf(*grounded):
                 stats.branches_examined += 1
                 result = fm_solve(system.lins)
                 if not result.sat:
@@ -652,23 +662,6 @@ def _constant_maps(elements, k: int, used: int = 0):
     for i in range(min(used + 1, len(elements))):
         for rest in _constant_maps(elements, k - 1, max(used, i + 1)):
             yield (elements[i],) + rest
-
-
-def _merge_sentence_branches(per_sentence):
-    # one combined system per pair, so the pair count is the branch count;
-    # the theory's atoms are numbered once, and the join runs on packed tags
-    atoms = sorted({key for branches in per_sentence for system in branches[:1]
-                    for key in system.tags})
-    number = {key: i for i, key in enumerate(atoms)}
-    merged = [(0, [])]
-    for branches in per_sentence:
-        packed = [(_pack(system.tags, number), system.lins) for system in branches]
-        count, joined = _join(merged, packed)
-        if count > MAX_BRANCHES:
-            raise ResourceLimitError(f"combined case-branch count exceeds budget "
-                                     f"{MAX_BRANCHES}: {count} branch pairs")
-        merged = [(tags, list(dict.fromkeys(a[1] + b[1]))) for tags, a, b in joined]
-    return [ConstraintSystem(_unpack(tags, atoms), lins) for tags, lins in merged]
 
 
 def _witness_structure(sig, elements, const_map, system, witness) -> Structure:

@@ -109,6 +109,8 @@ def parse_signature(text: str) -> Signature:
                     raise UsageError(f"duplicate symbol {name!r}")
                 table[name] = arity
             elif parts[0] == "equality" and len(parts) == 2:
+                if equality is not None:
+                    raise UsageError("duplicate 'equality' line")
                 equality = parts[1]
             else:
                 raise UsageError(f"unrecognized declaration {line!r}")

@@ -62,13 +62,20 @@ def grid_eval(phi, valuation):
     return eval_formula(phi, struct)
 
 
-def branch_union_matches_eval(phi, atom_names):
-    branches = compile_inf(phi)
+def branch_union_matches_eval(phi, atom_names, *others):
+    """Whether the union of compile_inf(phi, *others)'s branches is the set
+    of grid valuations at which every one of the sentences is INF."""
+    branches = compile_inf(phi, *others)
+    # canonical order, each comparison listed once, and the branches of one
+    # sentence pairwise distinct (the join of several may repeat a key)
+    order = [b.canonical_key() for b in branches]
+    assert order == sorted(order) and all(len(set(b.lins)) == len(b.lins) for b in branches)
+    assert others or len(set(order)) == len(order)
     keys = [(name, ()) for name in atom_names]
     for values in product(GRID, repeat=len(keys)):
         valuation = dict(zip(keys, values))
         in_union = any(b.holds_for(valuation) for b in branches)
-        is_inf = grid_eval(phi, valuation).is_inf
+        is_inf = all(grid_eval(psi, valuation).is_inf for psi in (phi, *others))
         if in_union != is_inf:
             return False, valuation
     return True, None
@@ -96,6 +103,9 @@ class TestCompile:
 
     def test_bot_is_empty_disjunction(self):
         assert compile_inf(Bot()) == []
+
+    def test_no_sentence_is_one_empty_branch(self):
+        assert compile_inf() == [ConstraintSystem({}, [])]
 
     def test_non_ground_rejected(self):
         with pytest.raises(UsageError):
@@ -287,6 +297,12 @@ class TestJoinProperty:
     def test_branch_union_is_the_inf_set(self, phi):
         ok, valuation = branch_union_matches_eval(phi, ["P", "Q", "R"])
         assert ok, f"{phi} disagrees at {valuation}"
+
+    @JOIN_SETTINGS
+    @given(phi=nullary_formulas(), psi=nullary_formulas())
+    def test_two_sentence_branch_union_is_the_joint_inf_set(self, phi, psi):
+        ok, valuation = branch_union_matches_eval(phi, ["P", "Q", "R"], psi)
+        assert ok, f"{phi} and {psi} disagree at {valuation}"
 
     @JOIN_SETTINGS
     @given(phi=nullary_formulas(), psi=nullary_formulas())
@@ -501,6 +517,16 @@ class TestFindModel:
         result = find_model(sig, theory, 1)
         assert result.sat and models_theory(result.structure, theory)
 
+    def test_sentences_compile_in_order(self):
+        # a sentence that is never INF ends the call before any later
+        # sentence compiles, so only the order decides whether the search
+        # meets the budget hit of fe at n = 3
+        fe = parse("forall x. exists y. P(x) ==> P(y)", SIG1)
+        result = find_model(SIG1, [Bot(), fe], 3)
+        assert not result.sat and result.stats.constant_maps_tried == 3
+        with pytest.raises(ResourceLimitError, match=r"And with 151649 operand pairs$"):
+            find_model(SIG1, [fe, Bot()], 3)
+
     @pytest.mark.parametrize("sig, text, stops_at, pairs", [
         (Signature(predicates={"R": 2}), "forall x. exists y. R(x, y) ==> R(y, x)", 3, 55009),
         (Signature(predicates={"e": 2}, equality="e"),
@@ -544,7 +570,8 @@ SIG_CD = Signature(functions={"c": 0, "d": 0}, predicates={"P": 1, "Q": 0, "R": 
 
 def product_sweep(sig, theory, n_max):
     """find_model spelled out over every map of the constants, in product
-    order: the dumped witness, "unsat", or the budget message."""
+    order, with each sentence compiled alone and the branches joined here:
+    the dumped witness, "unsat", or the budget message."""
     constants = sig.constants()
     try:
         for n in range(1, n_max + 1):
@@ -559,8 +586,7 @@ def product_sweep(sig, theory, n_max):
                     per_sentence.append(branches)
                 if len(per_sentence) < len(theory):
                     continue
-                for system in sorted(solver._merge_sentence_branches(per_sentence),
-                                     key=ConstraintSystem.canonical_key):
+                for system in dict_join(per_sentence):
                     result = fm_solve(system.lins)
                     if result.sat:
                         return dump_structure(solver._witness_structure(
@@ -568,6 +594,22 @@ def product_sweep(sig, theory, n_max):
         return "unsat"
     except ResourceLimitError as e:
         return f"limit: {e}"
+
+
+def dict_join(per_sentence):
+    """The sentences' branch lists joined left to right on dict tags: pairs
+    whose tags agree, the union of their tags and their comparisons
+    deduplicated in order, sorted by canonical_key.  Over the budget, the
+    combined refusal."""
+    merged = [ConstraintSystem({}, [])]
+    for branches in per_sentence:
+        merged = [ConstraintSystem({**a.tags, **b.tags}, list(dict.fromkeys(a.lins + b.lins)))
+                  for a in merged for b in branches
+                  if all(a.tags[k] == b.tags[k] for k in a.tags.keys() & b.tags.keys())]
+        if len(merged) > solver.MAX_BRANCHES:
+            raise ResourceLimitError(f"combined case-branch count exceeds budget "
+                                     f"{solver.MAX_BRANCHES}: {len(merged)} branch pairs")
+    return sorted(merged, key=ConstraintSystem.canonical_key)
 
 
 def canonical_outcome(sig, theory, n_max):

@@ -218,6 +218,12 @@ class TestSignatureFiles:
         with pytest.raises(UsageError):
             parse_signature("pred P/1\nfn P/0\n")
 
+    @pytest.mark.parametrize("second", ["f", "e"])
+    def test_repeated_equality_line_rejected(self, second):
+        text = f"pred e/2\npred f/2\nequality e\nequality {second}\n"
+        with pytest.raises(UsageError, match=r"^signature line 4: duplicate 'equality' line$"):
+            parse_signature(text)
+
     def test_equality_must_be_binary(self):
         with pytest.raises(UsageError):
             parse_signature("pred e/1\nequality e\n")
