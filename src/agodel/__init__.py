@@ -12,7 +12,7 @@ from .errors import (
     UnknownSymbolError, UsageError,
 )
 from .values import (
-    INF, LEX2, RAT, ZERO, GroupBackend, TruthValue, backend_by_name, elem,
+    INF, LEX2, RAT, ZERO, GroupBackend, TruthValue, backend_by_name,
     format_truth_value, lex2, one, parse_truth_value, rat, tv_compare, tv_inv,
     tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )

@@ -34,7 +34,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd, lcm
-from operator import index
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, UsageError
@@ -44,8 +43,7 @@ from .syntax import (
     Term, Top, Var, children, free_vars, nodes, print_formula, rebuild,
 )
 from .values import (
-    K_ELEM, K_INF, K_ZERO, LEX2, MAX_POWER_BITS, RAT, TruthValue, lex2, one, rat,
-    tv_compare, tv_inv, tv_mul, tv_power,
+    K_ELEM, K_INF, K_ZERO, LEX2, MAX_POWER_BITS, RAT, TruthValue, lex2, rat,
 )
 
 AtomKey = Tuple[str, Tuple[str, ...]]
@@ -80,11 +78,6 @@ class Constraint:
     const: int
     rel: str
 
-    @staticmethod
-    def make(coeffs: Dict[object, int], const: int, rel: str) -> "Constraint":
-        items = tuple(sorted((v, index(c)) for v, c in coeffs.items() if c))
-        return Constraint(items, index(const), rel)
-
 
 class ConstraintSystem(NamedTuple):
     """One case branch: stratum tags for atoms plus linear comparisons."""
@@ -98,34 +91,6 @@ class ConstraintSystem(NamedTuple):
         tag_part = tuple(sorted(self.tags.items()))
         lin_part = tuple(sorted((c.coeffs, c.const, c.rel) for c in self.lins))
         return (tag_part, lin_part)
-
-    def holds_for(self, valuation: Dict[AtomKey, TruthValue]) -> bool:
-        """Membership of a concrete valuation in this branch's solution set.
-
-        Comparisons are evaluated directly in the group: an exponent form
-        sum(c_i * x_i) REL 0 holds iff prod(v_i ** c_i) REL identity.
-        """
-        for atom, tag in self.tags.items():
-            if valuation[atom].kind != tag:
-                return False
-        for cons in self.lins:
-            if cons.const != 0:
-                raise UsageError("concrete membership needs homogeneous constraints")
-            value = None
-            for var, n in cons.coeffs:
-                factor = tv_power(valuation[var], abs(n))
-                if n < 0:
-                    factor = tv_inv(factor)
-                value = factor if value is None else tv_mul(value, factor)
-            backend = value.backend if value is not None else RAT
-            cmp = tv_compare(value, one(backend)) if value is not None else 0
-            if cons.rel == "<" and not cmp < 0:
-                return False
-            if cons.rel == "<=" and not cmp <= 0:
-                return False
-            if cons.rel == "=" and not cmp == 0:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

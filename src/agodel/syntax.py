@@ -27,10 +27,11 @@ quantifiers loosest (the body extends as far right as possible).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    get_args,
 )
 
 from .errors import (
@@ -120,19 +121,73 @@ def parse_signature(text: str) -> Signature:
 
 
 # ---------------------------------------------------------------------------
+# Nodes
+#
+# Each term, formula and companion node type is declared once, by ``declare``:
+# its fields in order, each with the type it holds, named as an annotation
+# would name it.  Those types are read: ``children`` and ``rebuild`` take a
+# formula's fields that hold a Formula as its subformulas, and the companion
+# reads its nodes' names and parts off theirs.
+
+
+class Syntax:
+    """The base of every node type.  Nodes are immutable, so they can be
+    dict keys and be shared between formulas."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: nodes are immutable")
+
+    def __repr__(self):
+        shown = []
+        for name in self._fields:
+            shown.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):  # copy and pickle rebuild a node through its __init__
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+def declare(name: str, doc: Optional[str] = None, /, *, defaults: tuple = (),
+            check: Optional[Callable] = None, **fields: str) -> type:
+    """The node type name, with a slot for each of fields, in order, and an
+    ``__init__`` (positional; defaults for the last fields; check(node)
+    runs last), ``__eq__`` and ``__hash__`` generated for them.  Equality
+    keeps class identity and the hash is the field tuple's, as for a frozen
+    dataclass; each adds one frame per nesting level."""
+    kind = type(name, (Syntax,), {
+        "__slots__": tuple(fields), "__doc__": doc, "__annotations__": fields,
+        # the caller's module, where pickle looks the type up (as for namedtuple)
+        "__module__": sys._getframe(1).f_globals["__name__"], "_fields": tuple(fields)})
+    # the slots' own setters: a node refuses assignment through setattr
+    env = {f"_set_{f}": getattr(kind, f).__set__ for f in fields}
+    env.update(_defaults=defaults, _check=check)
+    params = [f", {f}" for f in fields]
+    for i in range(1, len(defaults) + 1):
+        params[-i] += f"=_defaults[{-i}]"
+    body = "".join(f"    _set_{f}(self, {f})\n" for f in fields)
+    mine, theirs = (" ".join(f"{who}.{f}," for f in fields) for who in ("self", "other"))
+    exec(f"def __init__(self{''.join(params)}):\n{body}"
+         f"    {'_check(self)' if check else 'pass'}\n"
+         f"def __eq__(self, other):\n"
+         f"    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n"
+         f"    return NotImplemented\n"
+         f"def __hash__(self):\n"
+         f"    return hash(({mine}))\n", env)
+    kind.__init__, kind.__eq__, kind.__hash__ = env["__init__"], env["__eq__"], env["__hash__"]
+    return kind
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class App:
-    func: str
-    args: Tuple["Term", ...] = ()
-
+Var = declare("Var", name="str")
+App = declare("App", func="str", args="Tuple[Term, ...]", defaults=((),))
 
 Term = Union[Var, App]
 
@@ -147,122 +202,36 @@ def term_vars(t: Term) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Formulas
+# Formulas: an atom is a leaf, whose arguments are terms
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+def _positive_exponent(phi) -> None:
+    if phi.n < 1:
+        raise UsageError(f"power exponent must be >= 1, got {phi.n}")
 
 
-@dataclass(frozen=True)
-class One:
-    pass
-
-
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: Tuple[Term, ...] = ()
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Tensor:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Inv:
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Power:
-    body: "Formula"
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise UsageError(f"power exponent must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class DArrow:
-    """The => connective: INF when left < right < INF, otherwise right."""
-
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class DDArrow:
-    """The ==> connective: asserts strict order between the sides."""
-
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Delta:
-    """Crispness projection: INF when the body is INF, otherwise ZERO."""
-
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class LukImp:
-    """The ->l connective: INF when left <= right, else right * left^-1."""
-
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
-
+Bot = declare("Bot")
+One = declare("One")
+Top = declare("Top")
+Atom = declare("Atom", pred="str", args="Tuple[Term, ...]", defaults=((),))
+And = declare("And", left="Formula", right="Formula")
+Imp = declare("Imp", left="Formula", right="Formula")
+Tensor = declare("Tensor", left="Formula", right="Formula")
+Inv = declare("Inv", body="Formula")
+Or = declare("Or", left="Formula", right="Formula")
+Not = declare("Not", body="Formula")
+Iff = declare("Iff", left="Formula", right="Formula")
+Power = declare("Power", body="Formula", n="int", check=_positive_exponent)
+DArrow = declare("DArrow", "The => connective: INF when left < right < INF, otherwise right.",
+                 left="Formula", right="Formula")
+DDArrow = declare("DDArrow", "The ==> connective: asserts strict order between the sides.",
+                  left="Formula", right="Formula")
+Delta = declare("Delta", "Crispness projection: INF when the body is INF, otherwise ZERO.",
+                body="Formula")
+LukImp = declare("LukImp", "The ->l connective: INF when left <= right, else right * left^-1.",
+                 left="Formula", right="Formula")
+Forall = declare("Forall", var="str", body="Formula")
+Exists = declare("Exists", var="str", body="Formula")
 
 Formula = Union[
     Bot, One, Top, Atom, And, Imp, Tensor, Inv, Or, Not, Iff, Power,
@@ -304,52 +273,31 @@ QUANTIFIER_CONNECTIVE = {Forall: And, Exists: Or}
 # would halve the nesting depth that fits under the recursion limit.
 
 
-def _no_children(phi):
-    return ()
+def _traversal(kind: type) -> Tuple[Callable, Callable]:
+    """(children, rebuild) of a formula type, generated from its declaration."""
+    kids = [f for f in kind._fields if kind.__annotations__[f] == "Formula"]
+    args = ", ".join(f"kids[{kids.index(f)}]" if f in kids else f"phi.{f}" for f in kind._fields)
+    env = {"kind": kind}
+    exec(f"def children(phi):\n    return ({''.join(f'phi.{f}, ' for f in kids)})\n"
+         f"def rebuild(phi, kids):\n    return {f'kind({args})' if kids else 'phi'}\n", env)
+    return env["children"], env["rebuild"]
 
 
-def _body(phi):
-    return (phi.body,)
-
-
-def _unchanged(phi, kids):
-    return phi
-
-
-def _retyped(phi, kids):
-    return type(phi)(*kids)
-
-
-def _rebuild_power(phi, kids):
-    return Power(kids[0], phi.n)
-
-
-def _rebuild_quantifier(phi, kids):
-    return type(phi)(phi.var, kids[0])
-
-
-# node type -> (children, rebuild).  Atoms are leaves: their arguments are terms.
-_SHAPES = {
-    **dict.fromkeys((Bot, One, Top, Atom), (_no_children, _unchanged)),
-    **dict.fromkeys(BINARY_SYNTAX, (attrgetter("left", "right"), _retyped)),
-    **dict.fromkeys((Inv, Not, Delta), (_body, _retyped)),
-    Power: (_body, _rebuild_power),
-    Forall: (_body, _rebuild_quantifier),
-    Exists: (_body, _rebuild_quantifier),
-}
+# formula type -> (children, rebuild)
+_TRAVERSAL = {kind: _traversal(kind) for kind in get_args(Formula)}
 
 
 def children(phi: Formula) -> Tuple[Formula, ...]:
     """The immediate subformulas of phi, left to right."""
     try:
-        return _SHAPES[type(phi)][0](phi)
+        return _TRAVERSAL[type(phi)][0](phi)
     except KeyError:
         raise UsageError(f"not a formula: {phi!r}") from None
 
 
 def rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
     """phi with its immediate subformulas replaced by kids, in children order."""
-    return _SHAPES[type(phi)][1](phi, kids)
+    return _TRAVERSAL[type(phi)][1](phi, kids)
 
 
 class Node(NamedTuple):
@@ -379,8 +327,8 @@ def _list(phi: Formula, out: List[Node], at: Dict[int, int]) -> int:
     got = at.get(key)
     if got is None:
         kind = type(phi)
-        shape = _SHAPES.get(kind)
-        if shape is None:
+        traversal = _TRAVERSAL.get(kind)
+        if traversal is None:
             raise UsageError(f"not a formula: {phi!r}")
         kids: Tuple[int, ...] = ()
         free: Tuple[str, ...] = ()
@@ -391,7 +339,7 @@ def _list(phi: Formula, out: List[Node], at: Dict[int, int]) -> int:
             if names:
                 free = tuple(sorted(names))
         else:
-            for kid in shape[0](phi):
+            for kid in traversal[0](phi):
                 k = _list(kid, out, at)
                 kids += (k,)
                 below = out[k][2]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
-from operator import attrgetter, eq, itemgetter, le
+from operator import eq, itemgetter, le
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple,
     Union, get_args,
@@ -33,7 +33,7 @@ from .errors import ResourceLimitError, UsageError
 from .semantics import Ranks, Structure, eval_term, plan, ranks_of, value_tables
 from .syntax import (
     CORE_NODES, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv,
-    One, Tensor, Term, Var, children, expand_derived, nodes, print_term,
+    One, Tensor, Term, Var, children, declare, expand_derived, nodes, print_term,
     term_vars,
 )
 from .values import INF, ZERO, TruthValue, one, order_key
@@ -41,94 +41,28 @@ from .values import INF, ZERO, TruthValue, one, order_key
 # ---------------------------------------------------------------------------
 # Classical (two-sorted) formulas
 
+# A companion node's field that holds a str names it; its other fields, in
+# order, are its parts, which it is printed and compiled from.
+
 # Value-sort terms
-
-
-@dataclass(frozen=True)
-class VVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class VConst:
-    which: str  # "0" | "1" | "inf"
-
-
-@dataclass(frozen=True)
-class VMul:
-    left: "ValueTerm"
-    right: "ValueTerm"
-
-
-@dataclass(frozen=True)
-class VInv:
-    arg: "ValueTerm"
-
+VVar = declare("VVar", name="str")
+VConst = declare("VConst", which="str")  # "0" | "1" | "inf"
+VMul = declare("VMul", left="ValueTerm", right="ValueTerm")
+VInv = declare("VInv", arg="ValueTerm")
 
 ValueTerm = Union[VVar, VConst, VMul, VInv]
 
-
-@dataclass(frozen=True)
-class CRel:
-    """Graph atom R(args..., value): the table of R maps args to value."""
-
-    pred: str
-    args: Tuple[Term, ...]
-    value: ValueTerm
-
-
-@dataclass(frozen=True)
-class CLe:
-    left: ValueTerm
-    right: ValueTerm
-
-
-@dataclass(frozen=True)
-class CEqV:
-    left: ValueTerm
-    right: ValueTerm
-
-
-@dataclass(frozen=True)
-class CAnd:
-    left: "ClassicalFormula"
-    right: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CImp:
-    left: "ClassicalFormula"
-    right: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CNot:
-    body: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CForallObj:
-    var: str
-    body: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CExistsObj:
-    var: str
-    body: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CForallVal:
-    var: str
-    body: "ClassicalFormula"
-
-
-@dataclass(frozen=True)
-class CExistsVal:
-    var: str
-    body: "ClassicalFormula"
-
+CRel = declare("CRel", "Graph atom R(args..., value): the table of R maps args to value.",
+               pred="str", args="Tuple[Term, ...]", value="ValueTerm")
+CLe = declare("CLe", left="ValueTerm", right="ValueTerm")
+CEqV = declare("CEqV", left="ValueTerm", right="ValueTerm")
+CAnd = declare("CAnd", left="ClassicalFormula", right="ClassicalFormula")
+CImp = declare("CImp", left="ClassicalFormula", right="ClassicalFormula")
+CNot = declare("CNot", body="ClassicalFormula")
+CForallObj = declare("CForallObj", var="str", body="ClassicalFormula")
+CExistsObj = declare("CExistsObj", var="str", body="ClassicalFormula")
+CForallVal = declare("CForallVal", var="str", body="ClassicalFormula")
+CExistsVal = declare("CExistsVal", var="str", body="ClassicalFormula")
 
 ClassicalFormula = Union[
     CRel, CLe, CEqV, CAnd, CImp, CNot, CForallObj, CExistsObj, CForallVal, CExistsVal,
@@ -136,24 +70,24 @@ ClassicalFormula = Union[
 
 
 class _Shape(NamedTuple):
-    """How one classical node type is printed, traversed and compiled."""
+    """How one classical node type is printed and compiled."""
 
-    keyword: str                 # print keyword; empty for a leaf, printed as its label
-    parts: Callable              # node -> its subformulas and terms, in print order
+    keyword: str                 # print keyword; empty for a leaf, printed as its name
     build: Callable              # (node, param, closures of its parts, runtime) -> closure
     param: object = None         # build's parameter
-    label: Optional[str] = None  # field holding a name, printed before the parts
 
 
-def _no_parts(node):
-    return ()
+def _declared(kind: type) -> Tuple[Optional[str], Callable]:
+    """(name field or None, node -> its parts) of a companion node type,
+    generated from its declaration; a tuple of terms is spread."""
+    types = kind.__annotations__
+    label = next((f for f in kind._fields if types[f] == "str"), None)
+    parts = "".join(f"*node.{f}, " if types[f].startswith("Tuple") else f"node.{f}, "
+                    for f in kind._fields if f != label)
+    env: Dict[str, Callable] = {}
+    exec(f"def parts(node):\n    return ({parts})\n", env)
+    return label, env["parts"]
 
-
-def _body(node):
-    return (node.body,)
-
-
-_pair = attrgetter("left", "right")
 
 # ---------------------------------------------------------------------------
 # Translation
@@ -554,21 +488,22 @@ def _support(var: str, lefts, guard: Callable, project: Callable, rt: _Runtime) 
 # One row per classical node type.  The parameter of a quantifier is its
 # sort and whether every instance must hold; of a comparison, its operator.
 _SHAPES = {
-    CRel: _Shape("rel", lambda n: (*n.args, n.value), _rel, label="pred"),
-    CLe: _Shape("le", _pair, _compare, le),
-    CEqV: _Shape("eqv", _pair, _compare, eq),
-    CAnd: _Shape("and", _pair, _and),
-    CImp: _Shape("imp", _pair, _imp),
-    CNot: _Shape("not", _body, _not),
-    CForallObj: _Shape("forall-obj", _body, _quantifier, ("objects", True), "var"),
-    CExistsObj: _Shape("exists-obj", _body, _quantifier, ("objects", False), "var"),
-    CForallVal: _Shape("forall-val", _body, _quantifier, ("values", True), "var"),
-    CExistsVal: _Shape("exists-val", _body, _quantifier, ("values", False), "var"),
-    VVar: _Shape("", _no_parts, _var, label="name"),
-    VConst: _Shape("", _no_parts, _const, label="which"),
-    VMul: _Shape("mul", _pair, _mul),
-    VInv: _Shape("inv", lambda t: (t.arg,), _inv),
+    CRel: _Shape("rel", _rel),
+    CLe: _Shape("le", _compare, le),
+    CEqV: _Shape("eqv", _compare, eq),
+    CAnd: _Shape("and", _and),
+    CImp: _Shape("imp", _imp),
+    CNot: _Shape("not", _not),
+    CForallObj: _Shape("forall-obj", _quantifier, ("objects", True)),
+    CExistsObj: _Shape("exists-obj", _quantifier, ("objects", False)),
+    CForallVal: _Shape("forall-val", _quantifier, ("values", True)),
+    CExistsVal: _Shape("exists-val", _quantifier, ("values", False)),
+    VVar: _Shape("", _var),
+    VConst: _Shape("", _const),
+    VMul: _Shape("mul", _mul),
+    VInv: _Shape("inv", _inv),
 }
+_PARTS = {kind: _declared(kind) for kind in _SHAPES}  # node type -> (name field, parts)
 _FORMULAS = frozenset(get_args(ClassicalFormula))
 _TERMS = frozenset(get_args(ValueTerm))
 _LEAVES = frozenset((VVar, VConst))
@@ -578,13 +513,6 @@ _ON_TERMS = frozenset((CRel, CLe, CEqV, VMul, VInv))  # whose operands are value
 
 def _leaf_names(leaf) -> FrozenSet[str]:
     return frozenset((leaf.name,)) if type(leaf) is VVar else _NO_NAMES
-
-
-def _shape(node) -> _Shape:
-    try:
-        return _SHAPES[type(node)]
-    except KeyError:
-        raise UsageError(f"not a classical formula: {node!r}") from None
 
 
 def _closure(part, closures: Dict[int, Callable], rt: _Runtime, kinds=_FORMULAS,
@@ -632,10 +560,10 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
         key = id(node)
         if key in free:
             continue
-        shape = _SHAPES.get(type(node))
-        if shape is None:
+        declared = _PARTS.get(type(node))
+        if declared is None:
             raise UsageError(f"not a classical formula: {node!r}")
-        parts = shape.parts(node)
+        parts = declared[1](node)
         if key not in expanded:
             expanded.add(key)
             todo.append(node)
@@ -658,9 +586,9 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
                 else:
                     raise UsageError(f"not a classical formula: {part!r}")
             names = names | got if names else got
-        if shape.label == "var":
+        if declared[0] == "var":  # a quantifier
             names = names - {node.var}
-            if shape.param[0] == "objects":
+            if _SHAPES[type(node)].param[0] == "objects":
                 object_names.add(node.var)
         elif type(node) in _LEAVES:  # psi itself
             names = _leaf_names(node)
@@ -678,7 +606,7 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
         shape = _SHAPES[kind]
         kinds, sort = (_TERMS, "value term") if kind in _ON_TERMS else (_FORMULAS, "classical formula")
         kids = []
-        for part in (node.value,) if kind is CRel else shape.parts(node):
+        for part in (node.value,) if kind is CRel else _PARTS[kind][1](node):
             fn = closures.get(id(part))
             kids.append(fn if fn is not None and type(part) in kinds
                         else _closure(part, closures, rt, kinds, sort))
@@ -802,9 +730,12 @@ def print_classical(psi: ClassicalFormula) -> str:
     with value terms  g | 0 | 1 | inf | (mul s t) | (inv s),
     which print_classical prints too.
     """
-    shape = _shape(psi)
-    words = [] if shape.label is None else [getattr(psi, shape.label)]
-    for part in shape.parts(psi):
+    shape = _SHAPES.get(type(psi))
+    if shape is None:
+        raise UsageError(f"not a classical formula: {psi!r}")
+    label, parts = _PARTS[type(psi)]
+    words = [] if label is None else [getattr(psi, label)]
+    for part in parts(psi):
         words.append(_print_obj_term(part) if isinstance(part, (Var, App))
                      else print_classical(part))
     if not shape.keyword:

@@ -228,10 +228,6 @@ ZERO = TruthValue(K_ZERO)
 INF = TruthValue(K_INF)
 
 
-def elem(payload, backend: GroupBackend = RAT) -> TruthValue:
-    return TruthValue(K_ELEM, payload, backend)
-
-
 def one(backend: GroupBackend = RAT) -> TruthValue:
     return TruthValue(K_ELEM, backend.identity(), backend)
 

@@ -10,11 +10,12 @@ import pytest
 from agodel import (
     INF, RAT, ZERO, And, App, Atom, Bot, DArrow, DDArrow, Delta, Exists,
     Forall, Iff, Imp, Inv, LukImp, Not, One, Or, Power, Signature, Structure,
-    Tensor, Top, Var, elem, eval_term, free_vars, lex2, one, rat, tv_compare,
-    tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
+    Tensor, Top, TruthValue, UsageError, Var, eval_term, free_vars, lex2, one, rat,
+    tv_compare, tv_inv, tv_max, tv_min, tv_mul, tv_power, tv_resid,
 )
 from agodel.semantics import plan, ranks_of, value_tables
 from agodel.syntax import CORE_NODES, children, nodes
+from agodel.values import K_ELEM
 
 # values used by grid checks and random tables
 RAT_POOL = [ZERO, rat(1, 2), rat(1), rat(2), INF]
@@ -33,7 +34,7 @@ def random_truth_value(rng, backend=RAT):
     if roll < 0.3:
         return INF
     if backend is RAT:
-        return elem(rng.choice(RAT_ELEMS), RAT)
+        return TruthValue(K_ELEM, rng.choice(RAT_ELEMS), RAT)
     return lex2(rng.choice(RAT_ELEMS), rng.choice(RAT_ELEMS))
 
 
@@ -267,3 +268,33 @@ def pytest_configure(config):
 
     settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
     settings.load_profile("tier1")
+
+
+def holds_for(branch, valuation):
+    """Membership of a concrete valuation in a case branch's solution set:
+    acceptance criterion 4's oracle for ``compile_inf``.
+
+    Comparisons are evaluated directly in the group: an exponent form
+    sum(c_i * x_i) REL 0 holds iff prod(v_i ** c_i) REL identity.
+    """
+    for atom, tag in branch.tags.items():
+        if valuation[atom].kind != tag:
+            return False
+    for cons in branch.lins:
+        if cons.const != 0:
+            raise UsageError("concrete membership needs homogeneous constraints")
+        value = None
+        for var, n in cons.coeffs:
+            factor = tv_power(valuation[var], abs(n))
+            if n < 0:
+                factor = tv_inv(factor)
+            value = factor if value is None else tv_mul(value, factor)
+        backend = value.backend if value is not None else RAT
+        cmp = tv_compare(value, one(backend)) if value is not None else 0
+        if cons.rel == "<" and not cmp < 0:
+            return False
+        if cons.rel == "<=" and not cmp <= 0:
+            return False
+        if cons.rel == "=" and not cmp == 0:
+            return False
+    return True

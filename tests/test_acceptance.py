@@ -19,7 +19,7 @@ from agodel import (
 )
 from agodel.errors import ResourceLimitError
 from conftest import (
-    RAT_POOL, make_rng, random_core_sentence, random_formula,
+    RAT_POOL, holds_for, make_rng, random_core_sentence, random_formula,
     random_structure, similarity_closure,
 )
 
@@ -136,7 +136,7 @@ def test_criterion_4_solver_soundness_and_ground_completeness():
             valuation = dict(zip(keys, values))
             preds = {name: {(): valuation[(name, ())]} for name in atoms}
             struct = Structure(sig3, RAT, ("m1",), {}, preds)
-            in_union = any(b.holds_for(valuation) for b in branches)
+            in_union = any(holds_for(b, valuation) for b in branches)
             assert in_union == eval_formula(phi, struct).is_inf, (phi, values)
             checked += 1
 

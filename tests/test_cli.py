@@ -499,6 +499,24 @@ class TestHarness:
         assert runs[0][1]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--formula", "P", "--structure", "m.struct", "--sig", "BAD"],
+        ["eval", "--formula", "P", "--structure", "BAD"],
+        ["solve", "--theory", "BAD", "--sig", "s.txt"],
+        ["entails", "--theory", "t.txt", "--formula", "P", "--pool", "m.struct", "BAD"],
+        ["embed", "--from", "BAD", "--to", "m.struct"],
+        ["embed", "--from", "m.struct", "--to", "BAD"],
+    ], ids=["sig", "structure", "theory", "pool", "from", "to"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, argv):
+        texts = {"m.struct": STRUCT_P2.encode(), "s.txt": SIG0.encode(), "t.txt": b"P\n",
+                 "BAD": b"pred P = 2 \xff\xe9\n"}
+        for name, data in texts.items():
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, *[str(tmp_path / a) if a in texts else a for a in argv])
+        assert code == 2
+        assert err.startswith(f"error: cannot read {tmp_path / 'BAD'}: ")
+        assert out == ""
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -667,5 +685,37 @@ class TestExitCodeProperty:
                       "--max-domain", "1"],
         }[command]
         if with_sig and command != "solve":
+            argv += ["--sig", paths["--sig"]]
+        assert main(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=300)
+    @given(command=st.sampled_from(["similarity", "ultrametric", "embed", "equiv", "ediag",
+                                    "translate", "entails"]),
+           structure=_file_text(FUZZ_STRUCTS, FUZZ_STRUCT_WORDS),
+           other=_file_text(FUZZ_STRUCTS, FUZZ_STRUCT_WORDS),
+           signature=_file_text([FUZZ_SIG], FUZZ_SIG_WORDS),
+           theory=_file_text([FUZZ_THEORY], FUZZ_THEORY_WORDS),
+           formula=st.sampled_from(FUZZ_THEORY), depth=st.integers(0, 2),
+           with_sig=st.booleans())
+    def test_every_file_exits_0_to_3_on_the_other_commands(
+            self, fuzz_dir, command, structure, other, signature, theory, formula, depth,
+            with_sig):
+        paths = {}
+        for flag, text in (("--structure", structure), ("--other", other),
+                           ("--sig", signature), ("--theory", theory)):
+            paths[flag] = str(fuzz_dir / flag.strip("-"))
+            Path(paths[flag]).write_text(text)
+        one, two = paths["--structure"], paths["--other"]
+        argv = {
+            "similarity": ["similarity", "--structure", one],
+            "ultrametric": ["ultrametric", "--structure", one],
+            "embed": ["embed", "--from", one, "--to", two, "--depth", str(depth)],
+            "equiv": ["equiv", "--from", one, "--to", two, "--depth", str(depth)],
+            "ediag": ["ediag", "--structure", one, "--depth", str(depth)],
+            "translate": ["translate", "--formula", formula, "--structure", one, "--check"],
+            "entails": ["entails", "--theory", paths["--theory"], "--formula", formula,
+                        "--pool", one, two],
+        }[command]
+        if with_sig:
             argv += ["--sig", paths["--sig"]]
         assert main(argv) in (0, 1, 2, 3)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from operator import index
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from agodel import solver
 from agodel.semantics import ORDERED
 from agodel.syntax import nodes
 from agodel.values import K_ELEM, K_INF, K_ZERO
-from conftest import make_rng, random_formula
+from conftest import holds_for, make_rng, random_formula
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
 SIG1 = Signature(predicates={"P": 1})
@@ -27,6 +28,13 @@ SIG12 = Signature(predicates={f"A{i}": 0 for i in range(12)})
 TWELVE_ARROWS = " \\/ ".join(f"(A{i} ==> A{(i + 1) % 12})" for i in range(12))
 
 GRID = [ZERO, rat(1, 2), rat(1), rat(2), INF]
+
+
+def make_constraint(coeffs, const, rel):
+    """The Constraint sum(coeffs) + const REL 0: int coefficients (a
+    Fraction raises TypeError), sorted by their variables' natural order."""
+    items = tuple(sorted((v, index(c)) for v, c in coeffs.items() if c))
+    return Constraint(items, index(const), rel)
 
 
 class TestGround:
@@ -74,7 +82,7 @@ def branch_union_matches_eval(phi, atom_names, *others):
     keys = [(name, ()) for name in atom_names]
     for values in product(GRID, repeat=len(keys)):
         valuation = dict(zip(keys, values))
-        in_union = any(b.holds_for(valuation) for b in branches)
+        in_union = any(holds_for(b, valuation) for b in branches)
         is_inf = all(grid_eval(psi, valuation).is_inf for psi in (phi, *others))
         if in_union != is_inf:
             return False, valuation
@@ -350,7 +358,7 @@ class TestCompiledBranchesProperty:
     @staticmethod
     def assert_union_is_the_inf_set(phi, values):
         valuation = dict(zip(NULLARY_KEYS, values))
-        in_union = any(b.holds_for(valuation) for b in compile_inf(phi))
+        in_union = any(holds_for(b, valuation) for b in compile_inf(phi))
         assert in_union == grid_eval(phi, valuation).is_inf, valuation
 
     @settings(max_examples=300)
@@ -377,44 +385,44 @@ def check_witness(constraints, witness):
 
 class TestFourierMotzkin:
     def test_cycle_unsat(self):
-        result = fm_solve([Constraint.make({"x": 1, "y": -1}, 0, "<"),
-                           Constraint.make({"y": 1, "x": -1}, 0, "<")])
+        result = fm_solve([make_constraint({"x": 1, "y": -1}, 0, "<"),
+                           make_constraint({"y": 1, "x": -1}, 0, "<")])
         assert not result.sat
         assert "0 < 0" in result.certificate
 
     def test_single_lower_bound(self):
-        result = fm_solve([Constraint.make({"x": -1}, 0, "<")])
+        result = fm_solve([make_constraint({"x": -1}, 0, "<")])
         assert result.sat
         assert result.witness["x"] == 1
 
     def test_equality_substitution(self):
-        constraints = [Constraint.make({"x": 1, "y": -1}, 0, "<"),
-                       Constraint.make({"x": 2, "y": -1}, 0, "=")]
+        constraints = [make_constraint({"x": 1, "y": -1}, 0, "<"),
+                       make_constraint({"x": 2, "y": -1}, 0, "=")]
         result = fm_solve(constraints)
         assert result.sat
         check_witness(constraints, result.witness)
 
     def test_equality_with_non_unit_coefficient(self):
         # 2x - 3y = 0 makes x = 3y/2, which is not an integer form in y
-        constraints = [Constraint.make({"x": 2, "y": -3}, 0, "="),
-                       Constraint.make({"x": 1, "y": -1}, 0, "<")]
+        constraints = [make_constraint({"x": 2, "y": -3}, 0, "="),
+                       make_constraint({"x": 1, "y": -1}, 0, "<")]
         result = fm_solve(constraints)
         assert result.sat
         check_witness(constraints, result.witness)
         assert result.witness["x"].denominator == 2
 
     def test_inconsistent_equalities(self):
-        result = fm_solve([Constraint.make({"x": 1}, 0, "="),
-                           Constraint.make({"x": 1}, -1, "=")])
+        result = fm_solve([make_constraint({"x": 1}, 0, "="),
+                           make_constraint({"x": 1}, -1, "=")])
         assert not result.sat
 
     def test_constant_contradiction(self):
-        result = fm_solve([Constraint.make({}, 1, "<=")])
+        result = fm_solve([make_constraint({}, 1, "<=")])
         assert not result.sat
 
     def test_nonstrict_chain_sat(self):
-        constraints = [Constraint.make({"x": 1, "y": -1}, 0, "<="),
-                       Constraint.make({"y": 1, "x": -1}, 0, "<=")]
+        constraints = [make_constraint({"x": 1, "y": -1}, 0, "<="),
+                       make_constraint({"y": 1, "x": -1}, 0, "<=")]
         result = fm_solve(constraints)
         assert result.sat
         check_witness(constraints, result.witness)
@@ -424,7 +432,7 @@ class TestFourierMotzkin:
         # n-1 upper bounds, so the first elimination squares the count
         n = 14
         constraints = [
-            Constraint.make({f"x{i}": 1, f"x{j}": -1}, -1, "<")
+            make_constraint({f"x{i}": 1, f"x{j}": -1}, -1, "<")
             for i in range(n) for j in range(n) if i != j
         ]
         monkeypatch.setattr(solver, "MAX_FM_CONSTRAINTS", 200)
@@ -440,7 +448,7 @@ class TestFourierMotzkin:
             constraints = []
             for _ in range(rng.randint(1, 4)):
                 coeffs = {v: rng.randint(-12, 12) for v in names}
-                constraints.append(Constraint.make(
+                constraints.append(make_constraint(
                     coeffs, rng.randint(-2, 2), rng.choice(["<", "<=", "="])))
             result = fm_solve(constraints)
             grid_sat = any(

@@ -1,5 +1,9 @@
 """Grammar, expansion, binding analysis."""
 
+import pickle
+from itertools import combinations
+from typing import get_args
+
 import pytest
 
 from agodel import (
@@ -9,7 +13,10 @@ from agodel import (
     expand_derived, free_vars, parse, parse_signature, parse_theory,
     print_formula, substitute,
 )
-from agodel.syntax import children, rebuild
+from agodel.syntax import Formula, Syntax, Term, children, rebuild
+from agodel.translation import (
+    CLe, CNot, ClassicalFormula, VConst, VMul, VVar, ValueTerm,
+)
 from conftest import formula_depth, is_core, make_rng, random_formula, subformulas
 
 SIG = Signature(
@@ -127,6 +134,70 @@ class TestTraversal:
         assert rebuild(Power(p, 3), [q]) == Power(q, 3)
         assert rebuild(Forall("x", p), [q]) == Forall("x", q)
         assert rebuild(LukImp(p, q), [q, p]) == LukImp(q, p)
+
+
+# Every node type, read off the declaration; and a fresh value of each
+# declared field type, so two nodes built alike are equal but not identical.
+NODE_TYPES = sorted(Syntax.__subclasses__(), key=lambda kind: kind.__name__)
+FIELD_VALUES = {
+    "str": lambda: "x",
+    "int": lambda: 2,
+    "Tuple[Term, ...]": lambda: (App("f", (Var("x"),)), Var("y")),
+    "Formula": lambda: And(Atom("P", (Var("x"),)), Bot()),
+    "ValueTerm": lambda: VMul(VVar("g"), VConst("1")),
+    "ClassicalFormula": lambda: CNot(CLe(VVar("g"), VConst("inf"))),
+}
+
+
+def build(kind):
+    return kind(*[FIELD_VALUES[kind.__annotations__[f]]() for f in kind._fields])
+
+
+class TestNodes:
+    def test_every_node_type_is_declared_on_the_base(self):
+        unions = (Formula, Term, ClassicalFormula, ValueTerm)
+        assert set(NODE_TYPES) == {kind for union in unions for kind in get_args(union)}
+        assert len(NODE_TYPES) == 34
+
+    def test_equal_fields_under_different_types_compare_unequal(self):
+        # positional values every constructor takes, Power's exponent included
+        for a, b in combinations(NODE_TYPES, 2):
+            if len(a._fields) == len(b._fields):
+                values = (1, 2, 3)[:len(a._fields)]
+                assert a(*values) != b(*values), (a, b)
+        assert Var("x") != VVar("x") and And(Bot(), One()) != Or(Bot(), One())
+
+    @pytest.mark.parametrize("kind", NODE_TYPES, ids=lambda kind: kind.__name__)
+    def test_equal_nodes_compare_and_hash_equal(self, kind):
+        node, twin = build(kind), build(kind)
+        assert node == twin and not node != twin and hash(node) == hash(twin)
+        assert node is not twin
+        assert pickle.loads(pickle.dumps(node)) == node
+
+    @pytest.mark.parametrize("kind", NODE_TYPES, ids=lambda kind: kind.__name__)
+    def test_assignment_raises(self, kind):
+        node = build(kind)
+        for name in (*kind._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        for name in kind._fields:
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert node == build(kind)
+
+    @pytest.mark.parametrize("kind", get_args(Formula), ids=lambda kind: kind.__name__)
+    def test_rebuild_from_children_of_each_formula_type(self, kind):
+        phi = build(kind)
+        assert rebuild(phi, children(phi)) == phi
+
+    def test_power_exponent_below_one_raises(self):
+        with pytest.raises(UsageError, match="power exponent must be >= 1, got 0"):
+            Power(Atom("P"), 0)
+
+    def test_defaults_and_repr(self):
+        assert Atom("P") == Atom("P", ()) and App("c") == App("c", ())
+        assert repr(And(Atom("P"), Power(Bot(), 2))) == \
+            "And(left=Atom(pred='P', args=()), right=Power(body=Bot(), n=2))"
 
 
 class TestExpand:
