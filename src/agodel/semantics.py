@@ -5,28 +5,30 @@ finite nonempty universe and every predicate symbol by a total table of
 truth values.  Finiteness makes every structure safe: quantifier values
 are finite minima and maxima, so evaluation is exact and total.
 
-Every connective, core or derived, has one truth function in ``TRUTH``,
-written against a small algebra interface.  The one evaluator runs in two
-steps over a formula's DAG node list (``syntax.nodes``): ``plan`` picks
-each node's kernel once per list, and ``value_tables`` runs the kernels
-on value ranks, one table per subformula over the assignments of its free
-variables; the solver runs the truth functions on symbolic values over
-the same list.  ``Ranks``, the one interned value sort, which the
-classical companion's evaluator (``translation``) runs on too, encodes
-every value so that it orders natively.  So a quantifier is min or max of
-each run of cells, and the connectives that only choose among their
-operands, 0 and inf (And and Or among them) get one comprehension each,
-derived from ``TRUTH`` at import; the rest run their truth function per
-cell.
+Every connective, core or derived, is defined once, as the text of one
+expression over a small algebra interface; its truth function in
+``TRUTH``, the set ``ORDERED`` and its rank kernel are compiled from that
+text at import.  The one evaluator runs in two steps over a formula's DAG
+node list (``syntax.nodes``): ``plan`` picks each node's kernel once per
+list, and ``value_tables`` runs the kernels on value ranks, one table per
+subformula over the assignments of its free variables; the solver runs
+the truth functions on symbolic values over the same list.  ``Ranks``,
+the one interned value sort, which the classical companion's evaluator
+(``translation``) runs on too, encodes every value so that it orders
+natively.  So a quantifier is min or max of each run of cells, and the
+connectives that only choose among their operands, 0 and inf (And and Or
+among them) get one comprehension each: their definition read on ranks,
+where the algebra's tests are comparisons.  The rest run their truth
+function per cell.
 ``syntax.expand_derived`` gives derived connectives by definition, and
 the test suite checks the two agree.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from itertools import chain, product
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -111,31 +113,42 @@ class Structure:
 # ---------------------------------------------------------------------------
 # Truth functions
 
-# The truth function of every connective, written once.  Each one reads its
-# operands only through an algebra V -- the constants ZERO, ONE and INF, the
-# stratum tests is_zero and is_inf, and mul, inv and power -- and through
-# rel, the sign (-1, 0 or 1) of the comparison between the two operands of
-# an ORDERED connective (0 for the others).  The evaluator runs them on value
-# ranks; the solver runs them on symbolic values, once per order case.
-TRUTH = {
-    Bot: lambda V, phi, rel: V.ZERO,
-    One: lambda V, phi, rel: V.ONE,
-    Top: lambda V, phi, rel: V.INF,
-    And: lambda V, phi, rel, a, b: a if rel <= 0 else b,
-    Or: lambda V, phi, rel, a, b: b if rel < 0 else a,
-    Imp: lambda V, phi, rel, a, b: V.INF if rel <= 0 else b,
-    Iff: lambda V, phi, rel, a, b: V.INF if rel == 0 else a if rel < 0 else b,
-    DArrow: lambda V, phi, rel, a, b: V.INF if rel < 0 and not V.is_inf(b) else b,
-    DDArrow: lambda V, phi, rel, a, b: (
-        V.INF if rel < 0 else V.ZERO if rel == 0 and V.is_inf(a) else b),
-    LukImp: lambda V, phi, rel, a, b: V.INF if rel <= 0 else V.mul(b, V.inv(a)),
-    Tensor: lambda V, phi, rel, a, b: V.mul(a, b),
-    Inv: lambda V, phi, rel, a: V.inv(a),
-    Not: lambda V, phi, rel, a: V.INF if V.is_zero(a) else V.ZERO,
-    Delta: lambda V, phi, rel, a: V.INF if V.is_inf(a) else V.ZERO,
-    Power: lambda V, phi, rel, a: V.power(a, phi.n),
+# The truth function of every connective, written once, as an expression
+# over its operands a and b (one per Formula field of its node), the node
+# phi, rel -- the sign (-1, 0 or 1) of a against b for an ORDERED
+# connective, 0 for the others -- and an algebra V: the constants ZERO, ONE
+# and INF, the stratum tests is_zero and is_inf, and mul, inv and power.
+# TRUTH compiles each to a function of (V, phi, rel, *operands), which the
+# evaluator runs on value ranks and the solver on symbolic values, once per
+# order case; ORDERED holds the connectives that read rel; ``_kernel``
+# reads each on ranks.
+_TRUTH_TEXT = {
+    Bot: "V.ZERO",
+    One: "V.ONE",
+    Top: "V.INF",
+    And: "a if rel <= 0 else b",
+    Or: "b if rel < 0 else a",
+    Imp: "V.INF if rel <= 0 else b",
+    Iff: "V.INF if rel == 0 else a if rel < 0 else b",
+    DArrow: "V.INF if rel < 0 and not V.is_inf(b) else b",
+    DDArrow: "V.INF if rel < 0 else V.ZERO if rel == 0 and V.is_inf(a) else b",
+    LukImp: "V.INF if rel <= 0 else V.mul(b, V.inv(a))",
+    Tensor: "V.mul(a, b)",
+    Inv: "V.inv(a)",
+    Not: "V.INF if V.is_zero(a) else V.ZERO",
+    Delta: "V.INF if V.is_inf(a) else V.ZERO",
+    Power: "V.power(a, phi.n)",
 }
-ORDERED = frozenset((And, Or, Imp, Iff, DArrow, DDArrow, LukImp))
+
+
+def _operands(kind) -> Tuple[str, ...]:
+    """a, then b: one per Formula field of kind's declaration."""
+    return ("a", "b")[:[kind.__annotations__[f] for f in kind._fields].count("Formula")]
+
+
+TRUTH = {kind: eval(f"lambda {', '.join(('V', 'phi', 'rel', *_operands(kind)))}: {text}")
+         for kind, text in _TRUTH_TEXT.items()}
+ORDERED = frozenset(kind for kind, text in _TRUTH_TEXT.items() if re.search(r"\brel\b", text))
 
 
 class Between:
@@ -279,88 +292,16 @@ def eval_term(t: Term, struct: Structure, env: Assignment) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rank kernels, derived from TRUTH
-#
-# Most truth functions only choose: the result is one of the operands a
-# and b, 0 or inf.  TRUTH is probed on the names a, b, 0 and I (inf), for
-# each order sign of the operands and each stratum they lie in; the
-# shortest expression over the encoded values a, b and I that agrees with
-# every probe is compiled, once, into one list comprehension.
+# Rank kernels, read off the truth table
 
-
-_ZERO, _MID, _INF = 0, 1, 2  # the strata of a rank: 0, strictly between, inf
-
-
-def _cases(kind, arity: int) -> Optional[list]:
-    """(rel, strata, names) for every case ranks can meet: names are those
-    of a, b, 0 and I that equal TRUTH[kind]'s result there.  None when
-    TRUTH[kind] has no kernel: the probe has no ONE, mul, inv or power
-    and phi is None, so a truth function that leaves the sort or reads its
-    node (the exponent of Power) raises AttributeError."""
-    operands = ("a", "b")[:arity]
-    cases = []
-    for rel in (-1, 0, 1) if kind in ORDERED else (0,):
-        for levels in product((_ZERO, _MID, _INF), repeat=arity):
-            if arity == 2 and levels != (_MID, _MID) and \
-                    (levels[0] > levels[1]) - (levels[0] < levels[1]) != rel:
-                continue  # no two ranks in these strata compare so
-            strata = {"0": _ZERO, "I": _INF, **dict(zip(operands, levels))}
-            probe = SimpleNamespace(ZERO="0", INF="I", is_zero=lambda x: strata[x] == _ZERO,
-                                    is_inf=lambda x: strata[x] == _INF)
-            try:
-                got = TRUTH[kind](probe, None, rel, *operands)
-            except AttributeError:
-                return None
-            # a rank is its stratum's bound, or itself (a equals b when rel is 0)
-            rank = {x: {_ZERO: "0", _INF: "I"}.get(level, "a" if rel == 0 else x)
-                    for x, level in strata.items()}
-            cases.append((rel, strata, frozenset(x for x in strata if rank[x] == rank[got])))
-    return cases
-
-
-# the tests an expression may branch on: (text, holds(rel, strata))
-_TESTS = (
-    ("a < b", lambda rel, strata: rel < 0),
-    ("a <= b", lambda rel, strata: rel <= 0),
-    ("a == b", lambda rel, strata: rel == 0),
-    *((f"{x} == {bound}", lambda rel, strata, x=x, level=level: strata.get(x) == level)
-      for x in "ab" for bound, level in (("0", _ZERO), ("I", _INF))),
+# the rank algebra's definitions: rel is the sign of a against b, I the rank of inf
+_ON_RANKS = (
+    (r"rel (<=|<|==) 0", r"a \1 b"),
+    (r"V\.is_inf\((\w+)\)", r"\1 == I"),
+    (r"V\.is_zero\((\w+)\)", r"\1 == 0"),
+    (r"V\.INF\b", "I"),
+    (r"V\.ZERO\b", "0"),
 )
-
-
-def _expression(cases: list, depth: int) -> Optional[str]:
-    """The shortest expression, with tests nested at most depth deep, that
-    gives every case one of its names; None when there is none."""
-    common = frozenset.intersection(*[names for _, _, names in cases])
-    if common:
-        return min(common)
-    best = None
-    for text, holds in _TESTS if depth else ():
-        yes = [case for case in cases if holds(*case[:2])]
-        no = [case for case in cases if not holds(*case[:2])]
-        if yes and no:
-            then, other = _expression(yes, depth - 1), _expression(no, depth - 1)
-            if then and other:
-                found = f"({then} if {text} else {other})"
-                if best is None or len(found) < len(best):
-                    best = found
-    return best
-
-
-def _derived(kind, arity: int):
-    """The kernel of TRUTH[kind] on encoded values; None when it has none.
-    Encoded values order natively, so the kernel is exact on any."""
-    cases = _cases(kind, arity)
-    if cases is None:
-        return None
-    expression = next(filter(None, (_expression(cases, depth) for depth in range(len(_TESTS)))))
-    operands = "".join(", " + x for x in "AB"[:arity])
-    loop = ("", " for a in A", " for a, b in zip(A, B)")[arity]
-    name = f"{kind.__name__}_kernel"
-    namespace: Dict[str, object] = {}
-    exec(f"def {name}(P, phi, free{operands}):\n    I = P.I\n    return [{expression}{loop}]\n",
-         namespace)
-    return namespace[name]
 
 
 def _memoized(truth, kind):
@@ -393,13 +334,27 @@ def _lattice_fold(pick):
 
 
 def _kernel(kind):
-    """The kernel of a node of type kind."""
+    """The kernel of a node of type kind.  A truth function that only
+    chooses among its operands, 0 and inf reads no V once ``_ON_RANKS``
+    is inlined into its text, and is compiled, once, into one list
+    comprehension; one that leaves the sort or reads its node (the
+    exponent of Power) runs per cell."""
     lattice = QUANTIFIER_CONNECTIVE.get(kind)
     if lattice:
         return _lattice_fold(min if lattice is And else max)  # the chain's inf and sup
-    truth = TRUTH[kind]
-    arity = truth.__code__.co_argcount - 3  # after V, phi and rel
-    return _derived(kind, arity) or (_memoized(truth, kind) if arity else _constant(truth))
+    operands = _operands(kind)
+    expression = _TRUTH_TEXT[kind]
+    for pattern, replacement in _ON_RANKS:
+        expression = re.sub(pattern, replacement, expression)
+    if re.search(r"\b(V|phi|rel)\b", expression):
+        return _memoized(TRUTH[kind], kind) if operands else _constant(TRUTH[kind])
+    tables = "".join(", " + x.upper() for x in operands)
+    loop = ("", " for a in A", " for a, b in zip(A, B)")[len(operands)]
+    name = f"{kind.__name__}_kernel"
+    namespace: Dict[str, object] = {}
+    exec(f"def {name}(P, phi, free{tables}):\n    I = P.I\n    return [{expression}{loop}]\n",
+         namespace)
+    return namespace[name]
 
 
 _KERNELS = {kind: _kernel(kind) for kind in (*TRUTH, *QUANTIFIER_CONNECTIVE)}
@@ -466,10 +421,10 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
     Each node's step is decided from its type and its kids' steps alone:
     its order (its axes, then a quantifier's variable) and its kernel.  A
     quantifier is min or max of each run of n cells, a connective whose
-    truth function only chooses runs its derived comprehension
-    (``_derived``: And keeps the smaller operand, Or the larger), and an
-    atom over distinct variables reads its predicate's row off
-    ``Ranks.row``.  Every other node runs its truth function per cell.
+    truth function only chooses runs its comprehension (``_kernel``: And
+    keeps the smaller operand, Or the larger), and an atom over distinct
+    variables reads its predicate's row off ``Ranks.row``.  Every other
+    node runs its truth function per cell.
     """
     steps: List[tuple] = []
     for phi, kids, free in nodes:

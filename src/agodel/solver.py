@@ -635,6 +635,10 @@ def _witness_structure(sig, elements, const_map, system, witness) -> Structure:
     denominators = [v.denominator for v in witness.values()]
     scale = lcm(*denominators) if denominators else 1
     exponents = {var: int(v * scale) for var, v in witness.items()}
+    # 2 ** e has |e| + 1 bits: refuse an exponent past the bound before any value is built
+    largest = max(map(abs, exponents.values()), default=0)
+    if largest > MAX_POWER_BITS:
+        raise ResourceLimitError(f"witness exponent {largest} would exceed {MAX_POWER_BITS} bits")
 
     # equal values share one object, so the witness re-check hashes each once
     made: Dict[Tuple[int, int], TruthValue] = {}

@@ -499,8 +499,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # OP | INT | IDENT | EOF
     text: str
     line: int

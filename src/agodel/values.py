@@ -55,14 +55,11 @@ class GroupBackend:
     UsageError), ``parse(text)``, ``format(a)`` and ``bits(a)``: a lower
     bound on log2 of the numerators and denominators, so that
     ``n * bits(a)`` bounds the size of ``power(a, n)`` from below.
-    ``compare`` is Python's order on payloads, which is the group order of
-    both backends (tuples compare lexicographically).
+    Python's order on payloads is the group order of both backends
+    (tuples compare lexicographically).
     """
 
     name: str = "?"
-
-    def compare(self, a: Payload, b: Payload) -> int:
-        return (a > b) - (a < b)
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
@@ -260,7 +257,7 @@ def tv_compare(a: TruthValue, b: TruthValue) -> int:
     if a.kind != b.kind:
         return (a.kind > b.kind) - (a.kind < b.kind)
     if a.kind == K_ELEM:
-        return a.backend.compare(a.payload, b.payload)
+        return (a.payload > b.payload) - (a.payload < b.payload)
     return 0
 
 

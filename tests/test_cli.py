@@ -179,6 +179,21 @@ class TestSolve:
                          "--max-domain", "1")
         assert code == 0
 
+    @pytest.mark.parametrize("n, code", [(40, 0), (60, 3)])
+    def test_witness_exponent_bound(self, files, capsys, monkeypatch, n, code):
+        # the witness sets Q = 2^(2n + 1): 2^81 fits 100 bits, 2^121 does not
+        sig = files("s.txt", SIG0)
+        theory = files("t.txt", f"one ==> P^{n}\nP^{n} ==> Q\nQ ==> P^{n + 1}\n")
+        monkeypatch.setattr(solver, "MAX_POWER_BITS", 100)
+        got, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                            "--max-domain", "1")
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == "resource limit: witness exponent 121 would exceed 100 bits\n"
+        else:
+            assert f"pred Q = {2 ** (2 * n + 1)}\n" in out
+
     def test_unwritable_out_exits_2(self, files, capsys, tmp_path):
         theory = files("t.txt", "P\n")
         sig = files("s.txt", "pred P/0\n")

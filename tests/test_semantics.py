@@ -1,5 +1,6 @@
 """Evaluation, satisfaction, similarity/ultrametric, structure files."""
 
+import ast
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
@@ -140,6 +141,33 @@ class TestTruthTable:
                     rel = order if node in ORDERED else 0
                     got = TRUTH[node](algebra, node(Atom("P"), Atom("Q")), rel, ra, rb)
                     assert decode(got) == reference(a, b), (node, a, b)
+
+    def test_choosing_connectives_get_a_comprehension(self):
+        # a rewrite onto ranks that stops matching would leave its
+        # connective on the slower per-cell path, with the same tables
+        choosing = {Bot, Top, And, Or, Imp, Iff, DArrow, DDArrow, Not, Delta}
+        assert set(TRUTH) == choosing | {One, Tensor, Inv, LukImp, Power}
+        for kind in TRUTH:
+            comprehension = semantics._KERNELS[kind].__name__ == kind.__name__ + "_kernel"
+            assert comprehension == (kind in choosing), kind
+
+    def test_ordered_is_read_off_the_texts(self):
+        assert ORDERED == {And, Or, Imp, Iff, DArrow, DDArrow, LukImp}
+
+    def test_texts_read_only_the_algebra_interface(self):
+        algebra = {"ZERO", "ONE", "INF", "is_zero", "is_inf", "mul", "inv", "power"}
+        for kind, text in semantics._TRUTH_TEXT.items():
+            read, bases = set(), set()
+            for node in ast.walk(ast.parse(text, mode="eval")):
+                if isinstance(node, ast.Attribute):
+                    assert isinstance(node.value, ast.Name), (kind, text)
+                    read.add(f"{node.value.id}.{node.attr}")
+                    bases.add(node.value)
+                elif isinstance(node, ast.Name) and node not in bases:
+                    read.add(node.id)
+            operands = set("ab"[:arity_of(kind)])
+            allowed = {f"V.{name}" for name in algebra} | {"rel", "phi.n"} | operands
+            assert read <= allowed, (kind, read - allowed)
 
 
 class TestDerivedTablesAgreeWithExpansion:
