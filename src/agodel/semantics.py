@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, filterfalse, islice, product
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -90,15 +90,25 @@ class Structure:
             raise UsageError(f"tables for undeclared symbols: {sorted(extra)}")
 
     def _check_total(self, name: str, table: Mapping, arity: int) -> None:
-        # as many keys as the product has tuples, and every tuple among them
-        if len(table) == len(self.universe) ** arity and all(
-                map(table.__contains__, product(self.universe, repeat=arity))):
+        # as many keys as the product has tuples, and every tuple among them;
+        # n ** arity is computed only when it can be at most len(table) (n is 1
+        # or 2 ** arity <= len(table)), and the product only when a key is as long
+        universe = self.universe
+        n = len(universe)
+        if ((n == 1 or arity < len(table).bit_length()) and len(next(iter(table), ())) == arity
+                and len(table) == n ** arity
+                and all(map(table.__contains__, product(universe, repeat=arity)))):
             return
-        expected = set(product(self.universe, repeat=arity))
-        keys = set(table)
-        missing = sorted(expected - keys)[:3]
-        alien = sorted(keys - expected)[:3]
-        detail = []
+        # the first three of each kind in sorted order, read off the keys; the
+        # missing ones are searched for only when every key has the arity, so
+        # the search meets at most len(table) tuples that are there
+        members = set(universe)
+        alien = sorted(k for k in table if len(k) != arity or not members.issuperset(k))[:3]
+        missing = []
+        if table and all(len(k) == arity for k in table):
+            missing = list(islice(filterfalse(table.__contains__,
+                                              product(sorted(universe), repeat=arity)), 3))
+        detail = [] if table else ["it has no entries"]
         if missing:
             detail.append(f"missing entries e.g. {missing}")
         if alien:
@@ -615,8 +625,7 @@ def check_similarity(struct: Structure) -> bool:
     return all(satisfies(struct, ax) for ax in similarity_axioms(struct.signature))
 
 
-@dataclass
-class UltrametricReport:
+class UltrametricReport(NamedTuple):
     """Pointwise verdicts for d = e^-1 over all pairs and triples."""
 
     identity_violations: List[Tuple[str, str]]

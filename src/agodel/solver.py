@@ -23,13 +23,13 @@ note: a finite system of integer-coefficient strict and non-strict
 linear comparisons is satisfiable in some totally ordered abelian group
 iff it is satisfiable over the rationals (divisible hull), so UNSAT
 verdicts hold over every totally ordered abelian group; NONE_UP_TO
-only means no model with at most n_max elements was found.
+only means no model with at most n_max elements was found.  The
+records are NamedTuples, so a constraint is its own sort and dedupe key.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -51,9 +51,12 @@ AtomKey = Tuple[str, Tuple[str, ...]]
 # Case branches multiply with the nesting of connectives and quantifiers, so
 # compile_inf refuses to build more branches than this, for a subformula or
 # a theory's join, and fm_solve refuses to derive more comparisons than
-# MAX_FM_CONSTRAINTS in one elimination step.
+# MAX_FM_CONSTRAINTS in one elimination step.  find_model refuses to search
+# a domain larger than MAX_DOMAIN elements: over 30 times the largest that
+# the test suite or the benchmark reaches (3).
 MAX_BRANCHES = 20000
 MAX_FM_CONSTRAINTS = 100000
+MAX_DOMAIN = 100
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +75,7 @@ def _add_forms(f, g, sign: int = 1):
     return tuple(sorted(item for item in out.items() if item[1]))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     coeffs: Tuple[Tuple[object, int], ...]
     const: int
     rel: str
@@ -88,9 +90,7 @@ class ConstraintSystem(NamedTuple):
     lins: List[Constraint]
 
     def canonical_key(self):
-        tag_part = tuple(sorted(self.tags.items()))
-        lin_part = tuple(sorted((c.coeffs, c.const, c.rel) for c in self.lins))
-        return (tag_part, lin_part)
+        return (tuple(sorted(self.tags.items())), tuple(sorted(self.lins)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +186,9 @@ def _join(left, right):
     atoms come from the first branch of each side.  The right side is
     grouped once by its tags on them (tags & shared), each left branch
     meets only its own group, and a pair's union is a | b: conflicting
-    pairs are never visited.  Pairs come out left-major, each group in
-    the order of ``right``.
+    pairs are never visited.  With no shared atom the one group is all of
+    ``right``.  Pairs come out left-major, each group in the order of
+    ``right``.
 
     count is the number of pairs, summed from the group sizes before any
     pair is built (Selinger et al., SIGMOD 1979), when len(left) *
@@ -198,8 +199,6 @@ def _join(left, right):
     if not count:
         return 0, ()
     shared = _tagged_bits(left[0][0]) & _tagged_bits(right[0][0])
-    if not shared:
-        return count, ((a[0] | b[0], a, b) for a in left for b in right)
     groups: Dict[int, list] = {}
     for b in right:
         groups.setdefault(b[0] & shared, []).append(b)
@@ -354,12 +353,10 @@ def compile_inf(*sentences: Formula) -> List[ConstraintSystem]:
                 ]
             elif kind in QUANTIFIER_CONNECTIVE:
                 raise UsageError("compile expects a ground sentence; run ground_sentence() first")
-            elif not kids:
-                out = [(0, [], TRUTH[kind](_Symbolic, node, 0))]
-            elif len(kids) == 1:
+            elif len(kids) < 2:
                 truth = TRUTH[kind]
-                out = [(tags, lins, truth(_Symbolic, node, 0, v))
-                       for tags, lins, v in compiled[kids[0]]]
+                out = [(tags, lins, truth(_Symbolic, node, 0, *v))
+                       for tags, lins, *v in (compiled[kids[0]] if kids else [(0, [])])]
             else:
                 truth = TRUTH[kind]
                 ordered = kind in ORDERED
@@ -407,8 +404,7 @@ def compile_inf(*sentences: Formula) -> List[ConstraintSystem]:
 # Fourier-Motzkin on integer rows
 
 
-@dataclass
-class FMResult:
+class FMResult(NamedTuple):
     sat: bool
     witness: Optional[Dict[object, Fraction]] = None
     certificate: Optional[str] = None
@@ -448,16 +444,13 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
         work = [_combine(var, abs(coeffs[var]), row, -sign * row[0][var], eq, row[2])
                 if var in row[0] else row for row in work]
 
-    for coeffs, cst, rel in list(work):
-        if not coeffs and rel == "=" and cst != 0:
-            return FMResult(False, certificate=f"0 = {cst} is false")
-
-    inequalities = [(coeffs, cst, rel) for coeffs, cst, rel in work if coeffs or rel != "="]
-
+    # the equalities left are constant rows, checked with the inequalities
     def constant_check(items):
         for coeffs, cst, rel in items:
             if coeffs:
                 continue
+            if rel == "=" and cst:
+                return f"0 = {cst} is false"
             if rel == "<" and not cst < 0:
                 return f"0 < {-cst} is false" if cst else "0 < 0 is false"
             if rel == "<=" and not cst <= 0:
@@ -465,11 +458,11 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
         return None
 
     while True:
-        cert = constant_check(inequalities)
+        cert = constant_check(work)
         if cert is not None:
             return FMResult(False, certificate=cert)
         lower_count, upper_count = Counter(), Counter()
-        for coeffs, _, _ in inequalities:
+        for coeffs, _, _ in work:
             for v, c in coeffs.items():
                 (upper_count if c > 0 else lower_count)[v] += 1
         variables = lower_count.keys() | upper_count.keys()
@@ -478,7 +471,7 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
         # eliminate the variable with the cheapest lower*upper product
         var = min(variables, key=lambda v: (lower_count[v] * upper_count[v], v))
         lowers, uppers, new = [], [], []
-        for row in inequalities:
+        for row in work:
             c = row[0].get(var, 0)
             (new if c == 0 else uppers if c > 0 else lowers).append(row)
         eliminations.append((var, lowers, uppers))
@@ -490,7 +483,7 @@ def fm_solve(constraints: Sequence[Constraint]) -> FMResult:
             raise ResourceLimitError(
                 f"Fourier-Motzkin constraint count exceeds budget {MAX_FM_CONSTRAINTS}"
             )
-        inequalities = new
+        work = new
 
     # feasible: rebuild a witness, last eliminated variable first; variables
     # that dropped out unconstrained default to 0 and are overwritten below
@@ -557,8 +550,7 @@ def _pick_in_interval(lo, lo_strict, hi, hi_strict) -> Fraction:
 # Model search
 
 
-@dataclass
-class SolveStats:
+class SolveStats(NamedTuple):
     """Search counters.  Each examined branch is one fm_solve call, each
     constant map is one up to renaming of elements (``_constant_maps``),
     and the domain sizes tried run up to the model's size, or n_max
@@ -568,8 +560,7 @@ class SolveStats:
     branches_examined: int = 0
 
 
-@dataclass
-class FindResult:
+class FindResult(NamedTuple):
     structure: Optional[Structure]
     stats: SolveStats
 
@@ -585,22 +576,26 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
     of elements.  Per map, one ``compile_inf`` call compiles and joins
     the ground theory, and its branches are examined in their canonical
     order, so the witness is reproducible.  A NONE result is not a proof
-    of unsatisfiability beyond n_max elements.
+    of unsatisfiability beyond n_max elements.  Raises ResourceLimitError
+    when the search reaches a size above MAX_DOMAIN, so a model smaller than
+    that is found whatever n_max is.
     """
     _check_solver_signature(sig)
     for phi in theory:
         if free_vars(phi):
             raise UsageError(f"theory contains a non-sentence: {print_formula(phi)}")
-    stats = SolveStats()
+    maps = branches = 0
     constants = sig.constants()
     for n in range(1, n_max + 1):
+        if n > MAX_DOMAIN:
+            raise ResourceLimitError(f"domain size {n} exceeds the bound {MAX_DOMAIN}")
         elements = element_names(sig, n)
         for values in _constant_maps(elements, len(constants)):
-            stats.constant_maps_tried += 1
+            maps += 1
             const_map = dict(zip(constants, values))
             grounded = [ground_sentence(phi, elements, const_map) for phi in theory]
             for system in compile_inf(*grounded):
-                stats.branches_examined += 1
+                branches += 1
                 result = fm_solve(system.lins)
                 if not result.sat:
                     continue
@@ -610,8 +605,8 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
                         raise AssertionError(
                             f"solver produced a non-model for {print_formula(phi)}"
                         )
-                return FindResult(struct, stats)
-    return FindResult(None, stats)
+                return FindResult(struct, SolveStats(maps, branches))
+    return FindResult(None, SolveStats(maps, branches))
 
 
 def _constant_maps(elements, k: int, used: int = 0):
@@ -667,14 +662,13 @@ def _witness_structure(sig, elements, const_map, system, witness) -> Structure:
 # The non-archimedean reproduction lab
 
 
-@dataclass
-class RemarkLabReport:
+class RemarkLabReport(NamedTuple):
     n: int
     standard_ok: bool
     lex_ok: bool
     standard_structure: Structure
     lex_structure: Structure
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
 
 
 def remark_theory_fragment(n: int) -> Tuple[Signature, List[Formula]]:

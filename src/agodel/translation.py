@@ -15,12 +15,12 @@ instance.  The companion's value sort must contain every witness the
 equivalence needs, i.e. the value of every subformula of phi under
 every assignment; ``check_translation`` reads that exact set off the
 direct evaluator's value tables and seeds the sort with it, so the
-check never reports a wrong answer.
+check never reports a wrong answer.  ``Translation`` and
+``ClassicalStructure`` are NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import count
 from operator import eq, itemgetter, le
@@ -93,8 +93,7 @@ def _declared(kind: type) -> Tuple[Optional[str], Callable]:
 # Translation
 
 
-@dataclass
-class Translation:
+class Translation(NamedTuple):
     """A classical formula with its distinguished free value variable."""
 
     formula: ClassicalFormula
@@ -183,8 +182,7 @@ def holds_sentence(trans: Translation) -> ClassicalFormula:
 # Classical structures
 
 
-@dataclass
-class ClassicalStructure:
+class ClassicalStructure(NamedTuple):
     """Finite two-sorted companion: object sort, value sort, graphs.
 
     ``to_classical`` gives ``values`` sorted ascending with 0, 1 and inf
@@ -720,6 +718,13 @@ def _print_obj_term(t: Term) -> str:
     return f"({t.func} {' '.join(_print_obj_term(a) for a in t.args)})"
 
 
+# The text prints the companion's DAG as a tree, and each quantifier's two
+# clauses hold its body, so the text doubles with each nested quantifier;
+# print_classical refuses a text longer than this: over 10 times the longest
+# the test suite prints (66,326 characters).
+MAX_PRINTED_CHARS = 1_000_000
+
+
 def print_classical(psi: ClassicalFormula) -> str:
     """Parenthesized prefix form, one token per operator.
 
@@ -728,16 +733,36 @@ def print_classical(psi: ClassicalFormula) -> str:
            | (forall-obj x A) | (exists-obj x A)
            | (forall-val g A) | (exists-val g A)
     with value terms  g | 0 | 1 | inf | (mul s t) | (inv s),
-    which print_classical prints too.
+    which print_classical prints too.  Raises ResourceLimitError, before
+    any text is built, when the text would be longer than
+    MAX_PRINTED_CHARS.
     """
-    shape = _SHAPES.get(type(psi))
-    if shape is None:
-        raise UsageError(f"not a classical formula: {psi!r}")
+    if _printed_size(psi, {}) > MAX_PRINTED_CHARS:
+        raise ResourceLimitError(f"companion text exceeds {MAX_PRINTED_CHARS} characters")
+    return _print(psi)
+
+
+def _print(psi) -> str:
+    shape = _SHAPES[type(psi)]  # _printed_size has checked every node
     label, parts = _PARTS[type(psi)]
     words = [] if label is None else [getattr(psi, label)]
     for part in parts(psi):
-        words.append(_print_obj_term(part) if isinstance(part, (Var, App))
-                     else print_classical(part))
-    if not shape.keyword:
-        return words[0]
-    return f"({shape.keyword} {' '.join(words)})"
+        words.append(_print_obj_term(part) if isinstance(part, (Var, App)) else _print(part))
+    return f"({shape.keyword} {' '.join(words)})" if shape.keyword else words[0]
+
+
+def _printed_size(psi, sizes: Dict[int, int]) -> int:
+    """len(_print(psi)), each distinct node sized once (sizes: id -> size)."""
+    got = sizes.get(id(psi))
+    if got is None:
+        shape = _SHAPES.get(type(psi))
+        if shape is None:
+            raise UsageError(f"not a classical formula: {psi!r}")
+        label, parts = _PARTS[type(psi)]
+        lengths = [] if label is None else [len(getattr(psi, label))]
+        for part in parts(psi):
+            lengths.append(len(_print_obj_term(part)) if isinstance(part, (Var, App))
+                           else _printed_size(part, sizes))
+        got = sizes[id(psi)] = (len(shape.keyword) + sum(lengths) + len(lengths) + 2
+                                if shape.keyword else lengths[0])
+    return got

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agodel import cli, modeltheory, solver
+import agodel
+from agodel import cli, modeltheory, solver, translation
 from agodel.cli import COMMANDS, main
 
 SIG0 = "pred P/0\npred Q/0\n"
@@ -88,6 +91,27 @@ class TestEval:
         assert code == 2
         assert "structure line 2: duplicate 'backend' line" in err
         assert time.perf_counter() - start < 1
+
+    def test_non_total_table_exits_2_at_once(self, files, capsys):
+        # one line of P/20 over {a, b}: the first missing entries are found
+        # from the keys, without building the 2^20 tuples of the product
+        sig = files("s.txt", "pred P/20\n")
+        struct = files("m.struct", "backend rat\nuniverse a b\npred P" + " a" * 20 + " = 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--formula", "one", "--sig", sig,
+                             "--structure", struct)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert f"missing entries e.g. [{('a',) * 19 + ('b',)}, " in err
+        # a key of another arity: no power 2^100000 and no missing entry is computed
+        sig = files("s.txt", "pred P/100000\n")
+        struct = files("m.struct", "backend rat\nuniverse a b\npred P = 1\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--formula", "one", "--sig", sig,
+                           "--structure", struct)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.endswith("table for 'P' is not total: unknown entries e.g. [()]\n")
 
     def test_small_power(self, files, capsys):
         struct = files("m.struct", STRUCT_P2)
@@ -204,6 +228,15 @@ class TestSolve:
         assert out == ""
         assert "cannot write" in err
         assert "Traceback" not in err
+
+    def test_domain_above_the_bound_exits_3(self, files, capsys, monkeypatch):
+        theory = files("t.txt", "P /\\ ~P\n")
+        sig = files("s.txt", SIG0)
+        monkeypatch.setattr(solver, "MAX_DOMAIN", 5)
+        code, out, err = run(capsys, "solve", "--theory", theory, "--sig", sig,
+                             "--max-domain", "6")
+        assert (code, out) == (3, "")
+        assert "domain size 6 exceeds the bound 5" in err
 
     def test_lex2_backend_rejected(self, files, capsys):
         theory = files("t.txt", "P\n")
@@ -345,6 +378,19 @@ class TestResourceLimits:
                            "P" + " ==> S" * arrows, "--structure", struct)
         assert code == 0
         assert out.strip() == "translation-agrees"
+
+    @pytest.mark.parametrize("depth, length", [(8, 40_805), (12, 665_189)])
+    def test_companion_text_bound(self, files, capsys, monkeypatch, depth, length):
+        # the text doubles with each nested quantifier: refused before any is printed
+        monkeypatch.setattr(translation, "MAX_PRINTED_CHARS", 100_000)
+        sig = files("s.txt", "pred P/1\n")
+        formula = "".join(f"forall x{i}. " for i in range(depth)) + "P(x0)"
+        code, out, err = run(capsys, "translate", "--formula", formula, "--sig", sig)
+        if length <= 100_000:
+            assert (code, len(out), err) == (0, length + 1, "")
+        else:
+            assert (code, out) == (3, "")
+            assert "companion text exceeds 100000 characters" in err
 
     def test_oversize_derived_expansion_exits_3(self, files, capsys):
         struct = files("m.struct", STRUCT_PS)
@@ -556,6 +602,19 @@ class TestHarness:
         assert code == 2
         assert argv[-2] in err  # refused for the value, before any file is read
         assert "Traceback" not in err
+
+    def test_readme_names_every_limit(self):
+        # the exit-3 paragraph names each module-level MAX_* limit as module.NAME
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if p.startswith("Exit codes:"))
+        named = set(re.findall(r"`(\w+\.MAX_\w+)`", paragraph))
+        declared = set()
+        for path in Path(agodel.__file__).parent.glob("*.py"):
+            for stmt in ast.parse(path.read_text()).body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+                declared.update(f"{path.stem}.{t.id}" for t in targets
+                                if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+        assert declared and named == declared
 
     def test_readme_lists_every_command(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -645,6 +645,18 @@ class TestStructureFiles:
             load_structure(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("table, detail", [
+        ({}, "it has no entries"),
+        ({("m1", "m1"): INF}, "missing entries e.g. [('m1', 'm2'), ('m2', 'm1'), ('m2', 'm2')]"),
+        # a key of another arity: the missing entries are not searched for
+        ({("m1",): INF, ("m1", "m9"): INF}, "unknown entries e.g. [('m1',), ('m1', 'm9')]"),
+    ], ids=["empty", "missing", "other-arity"])
+    def test_non_total_table_names_entries(self, table, detail):
+        sig = Signature(predicates={"P": 2})
+        with pytest.raises(UsageError) as err:
+            Structure(sig, RAT, ("m1", "m2"), {}, {"P": table})
+        assert str(err.value) == f"table for 'P' is not total: {detail}"
+
     def test_value_of_another_backend(self):
         with pytest.raises(UsageError, match=r"'P' at \('m2',\) uses backend lex2"):
             Structure(SIG1, RAT, ("m1", "m2"), {}, {"P": {("m1",): INF, ("m2",): lex2(1, 2)}})

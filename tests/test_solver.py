@@ -420,6 +420,17 @@ class TestFourierMotzkin:
         result = fm_solve([make_constraint({}, 1, "<=")])
         assert not result.sat
 
+    def test_constant_equalities(self):
+        # one check reads every constant row: 0 = 0 holds, 0 = 2 refutes
+        below = make_constraint({"x": 1}, 0, "<")
+        result = fm_solve([make_constraint({}, 0, "="), below])
+        assert result.sat and result.witness["x"] < 0
+        result = fm_solve([below, make_constraint({}, 2, "=")])
+        assert (result.sat, result.certificate) == (False, "0 = 2 is false")
+        # an equality that substitution reduces to a false constant
+        result = fm_solve([make_constraint({"x": 1}, 0, "="), make_constraint({"x": 2}, -1, "=")])
+        assert (result.sat, result.certificate) == (False, "0 = -1 is false")
+
     def test_nonstrict_chain_sat(self):
         constraints = [make_constraint({"x": 1, "y": -1}, 0, "<="),
                        make_constraint({"y": 1, "x": -1}, 0, "<=")]
@@ -524,6 +535,24 @@ class TestFindModel:
         monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
         result = find_model(sig, theory, 1)
         assert result.sat and models_theory(result.structure, theory)
+
+    def test_domain_bound(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_DOMAIN", 5)
+        contradiction = [parse("P /\\ ~P", SIG0)]
+        with pytest.raises(ResourceLimitError, match=r"^domain size 6 exceeds the bound 5$"):
+            find_model(SIG0, contradiction, 6)
+        assert not find_model(SIG0, contradiction, 5).sat
+        # a model below the bound is found whatever n_max is
+        result = find_model(SIG0, [parse("P", SIG0)], 6)
+        assert result.sat and len(result.structure.universe) == 1
+
+    def test_records_are_named_tuples(self):
+        result = find_model(SIG0, [parse("P", SIG0)], 2)
+        assert result == (result.structure, result.stats)
+        assert result.stats == solver.SolveStats(1, 1)
+        assert solver.SolveStats._fields == ("constant_maps_tried", "branches_examined")
+        with pytest.raises(AttributeError):
+            result.stats.branches_examined = 0
 
     def test_sentences_compile_in_order(self):
         # a sentence that is never INF ends the call before any later
