@@ -12,8 +12,9 @@ the assignments of its free variables, built from the tables of its
 immediate subformulas.  The checks that read only sentences
 (``separating_sentence``, ``bounded_ediag``, ``sentence_family``) take a
 second plan of the same family, cut to its sentences and their
-subformulas; the embedding checks compare every member, open ones
-included, and take the whole family.
+subformulas.  The embedding checks take the whole family and compare every
+member, open ones included, except for a map onto the target, where the
+atomic step decides and no table is built.
 
 For the rational backend, the subgroup of truth values a structure can
 realize is generated by its atomic table values: min, max, the
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations, product
+from math import perm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ResourceLimitError, UsageError
@@ -47,6 +49,10 @@ MAX_FAMILY_DEPTH = 8
 # are kept, so a family is refused above this: over ten times the largest budget
 # in the test suite and the benchmark (600).
 MAX_FAMILY_BUDGET = 10_000
+# The injections an embedding search may sweep, math.perm(|target|, |source|):
+# over 4,000 times the largest count in the test suite (24) and the benchmark
+# (6), and 12-19 microseconds each on a 2-vCPU host, so under 2 s in all.
+MAX_INJECTIONS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +385,16 @@ def check_embedding(
 ) -> bool:
     """Verify function commutation and every atomic value's transport exactly,
     then value transport over the depth-bounded canonical family (surrogate
-    for all formulas); the injection is checked when the candidate is built."""
+    for all formulas); the injection is checked when the candidate is built.
+
+    The transport g -> g^k (k > 0) fixes 0, 1 and inf and is an
+    order-preserving group automorphism, so it commutes with every family
+    connective; by induction on formulas, every quantifier-free member
+    transports once the atoms do and h commutes with the functions.  A map
+    onto the target is an isomorphism up to the transport, so there the
+    quantifiers transport too and no table is built; any other map compares
+    the whole family.
+    """
     _require_common(source, target)
     members = _family(source.signature, depth, budget)
     if source.backend is not RAT and candidate.exponent != 1:
@@ -390,7 +405,8 @@ def check_embedding(
     if not _commutes(source, target, h) or \
             _candidate_exponent(source, target, h, candidate.exponent) is None:
         return False
-    return _transports(source, target, candidate, _paired_tables(source, target, members))
+    return len(h) == len(target.universe) or \
+        _transports(source, target, candidate, _paired_tables(source, target, members))
 
 
 def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
@@ -484,14 +500,22 @@ def search_embeddings(
 ) -> List[EmbeddingCandidate]:
     """All (injection, exponent scaling) pairs that pass check_embedding.
 
-    Injections are enumerated in lexicographic order; the exponent for
-    each injection is pinned by the atomic value pairs (1 for lex2).  A
-    source universe larger than the target yields no candidates.
+    Injections are enumerated in lexicographic order, at most
+    MAX_INJECTIONS of them; the exponent for each injection is pinned by
+    the atomic value pairs (1 for lex2).  A source universe larger than
+    the target yields no candidates.  As in check_embedding, the family is
+    compared only when the injections are not onto: the atomic step
+    decides an onto map, by induction on formulas.
     """
     _require_common(source, target)
     members = _family(source.signature, depth, budget)
     if len(source.universe) > len(target.universe):
         return []
+    injections = perm(len(target.universe), len(source.universe))
+    if injections > MAX_INJECTIONS:
+        raise ResourceLimitError(f"embedding search over {injections} injections "
+                                 f"exceeds {MAX_INJECTIONS}")
+    onto = len(source.universe) == len(target.universe)
     found = []
     pairs = None  # both structures' tables, built for the first candidate
     for image in permutations(sorted(target.universe), len(source.universe)):
@@ -500,10 +524,10 @@ def search_embeddings(
                                        None if source.backend is RAT else Fraction(1))
         if exponent is None or not _commutes(source, target, h):
             continue
-        if pairs is None:
-            pairs = list(_paired_tables(source, target, members))
         candidate = EmbeddingCandidate.make(h, exponent)
-        if _transports(source, target, candidate, pairs):
+        if pairs is None and not onto:
+            pairs = list(_paired_tables(source, target, members))
+        if onto or _transports(source, target, candidate, pairs):
             found.append(candidate)
     return found
 

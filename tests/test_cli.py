@@ -451,7 +451,32 @@ class TestModelTheoryCommands:
         code, out, _ = run(capsys, "embed", "--from", a, "--to", b,
                            "--depth", "2")
         assert code == 0
-        assert "T: g^2" in out
+        assert out == "h: m1->m1; T: g^2\n"
+
+    def test_embed_quantifier_separates_a_proper_extension(self, files, capsys):
+        # a -> a passes the atomic step (P(a) = 1/2 on both sides, exponent 1),
+        # but exists x. P(x) is 1/2 in the source and 2 in the target
+        a = files("a.struct", "backend rat\nuniverse a\npred P a = 1/2\n")
+        b = files("b.struct", "backend rat\nuniverse a b\npred P a = 1/2\npred P b = 2\n")
+        assert run(capsys, "embed", "--from", a, "--to", b, "--depth", "0") == \
+            (0, "h: a->a; T: g^1\n", "")
+        code, out, _ = run(capsys, "embed", "--from", a, "--to", b, "--depth", "1")
+        assert code == 1
+        assert out == "none\n"
+
+    def test_embed_over_too_many_injections_exits_3_at_once(self, files, capsys):
+        # 9 * 8 * ... * 3 = 181,440 injections of 7 elements into 9
+        def struct(n):
+            names = [f"m{i}" for i in range(n)]
+            return "backend rat\nuniverse " + " ".join(names) + "\n" + "".join(
+                f"pred P {m} = 2\n" for m in names)
+        a, b = files("a.struct", struct(7)), files("b.struct", struct(9))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "embed", "--from", a, "--to", b, "--depth", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert f"181440 injections exceeds {modeltheory.MAX_INJECTIONS}" in err
 
     def test_embed_none(self, files, capsys):
         a = files("a.struct", "backend rat\nuniverse m1\npred P = 2\npred Q = 3\n")

@@ -801,27 +801,36 @@ class TestOneEmbeddingDefinition:
 AEC_SIG = Signature(predicates={"P": 1, "R": 2})
 
 
-def extension(rng, struct, prefix, clone=True):
+def extension(rng, struct, prefix, clones=1, most=4, power=None, redraw=0):
     """(copy, candidate): struct renamed onto fresh names in a random
-    order, with a clone of one element added while it has fewer than four
-    (when clone is set), and every group value raised to a power of 1-3.
-    The candidate maps each element to its new name with that power as
-    exponent: collapsing the clone onto its original preserves every
-    formula's value, so the candidate embeds struct into the copy at every
-    depth, and without a clone it is an isomorphism."""
+    order, with up to clones clones of random elements added while it has
+    fewer than most elements, and every group value raised to power (a
+    random power of 1-3 when None).  A clone reads its original's entries
+    and function images; then each entry that involves a clone is redrawn
+    with probability redraw.  The candidate maps each element to its new
+    name with that power as exponent: collapsing a clone onto its original
+    preserves every formula's value, so with redraw 0 the candidate embeds
+    struct into the copy at every depth, and without a clone it is an
+    isomorphism."""
     order = rng.sample(range(len(struct.universe)), len(struct.universe))
     names = {m: f"{prefix}{i}" for i, m in zip(order, struct.universe)}
     original = {name: m for m, name in names.items()}
-    if clone and len(struct.universe) < 4:
-        original[f"{prefix}clone"] = rng.choice(struct.universe)
-    power = rng.randint(1, 3)
+    for i in range(min(clones, most - len(struct.universe))):
+        original[f"{prefix}clone{i}"] = rng.choice(struct.universe)
+    if power is None:
+        power = rng.randint(1, 3)
+    funcs = {name: {args: names[struct.funcs[name][tuple(original[a] for a in args)]]
+                    for args in product(original, repeat=arity)}
+             for name, arity in struct.signature.functions.items()}
     preds = {}
     for name, arity in struct.signature.predicates.items():
         preds[name] = {}
         for args in product(original, repeat=arity):
             tv = struct.preds[name][tuple(original[a] for a in args)]
+            if redraw and not set(args) <= set(names.values()) and rng.random() < redraw:
+                tv = random_truth_value(rng, struct.backend)
             preds[name][args] = tv_power(tv, power) if tv.is_elem else tv
-    copy = Structure(struct.signature, RAT, tuple(original), {}, preds)
+    copy = Structure(struct.signature, struct.backend, tuple(original), funcs, preds)
     return copy, EmbeddingCandidate.make(names, Fraction(power))
 
 
@@ -895,7 +904,7 @@ class TestAECAxioms:
         # into) and C a random structure
         rng = make_rng(seed)
         a = random_structure(rng, AEC_SIG, size=size)
-        copy, iso = extension(rng, a, "n", clone=False)
+        copy, iso = extension(rng, a, "n", clones=0)
         b = extension(rng, a, "k")[0]
         c = random_structure(rng, AEC_SIG, size=other)
         budget = 200
@@ -922,6 +931,109 @@ class TestAECAxioms:
         assert sorted(print_formula(phi) for phi in bounded_ediag(copy, depth, budget)) == \
             sorted(re.sub(r"\bc_\w+", lambda name: renamed[name.group()], print_formula(phi))
                    for phi in bounded_ediag(a, depth, budget))
+
+
+# ---------------------------------------------------------------------------
+# The embedding checks against the comparison of the whole family
+
+
+def passes_atomic_step(source, target, candidate):
+    h = candidate.h
+    return modeltheory._commutes(source, target, h) and \
+        modeltheory._candidate_exponent(source, target, h, candidate.exponent) is not None
+
+
+def full_comparison_pairs(source, target, depth, budget):
+    """Both structures' tables of the whole family, built once per pair."""
+    members = modeltheory._family(source.signature, depth, budget)
+    return list(modeltheory._paired_tables(source, target, members))
+
+
+def full_comparison_check(source, target, candidate, pairs):
+    """check_embedding with every member of the family compared, onto maps
+    included: the atomic step, then _transports over pairs."""
+    return passes_atomic_step(source, target, candidate) and \
+        modeltheory._transports(source, target, candidate, pairs)
+
+
+def full_comparison_search(source, target, pairs):
+    """search_embeddings with full_comparison_check as its check."""
+    fixed = None if source.backend is RAT else Fraction(1)
+    found = []
+    for image in permutations(sorted(target.universe), len(source.universe)):
+        h = dict(zip(sorted(source.universe), image))
+        exponent = modeltheory._candidate_exponent(source, target, h, fixed)
+        if exponent is not None:
+            candidate = EmbeddingCandidate.make(h, exponent)
+            if full_comparison_check(source, target, candidate, pairs):
+                found.append(candidate)
+    return found
+
+
+# Seeds per backend and depth.  Among them the full comparison accepts 59-97
+# candidates of maps that are not onto, and at depth 1 or 2 refuses 32-35 such
+# maps that pass the atomic step, so both outcomes of the comparison are drawn
+# (floors below).
+SHORTCUT_SEEDS = 80
+SHORTCUT_ACCEPTED = 50
+SHORTCUT_REFUTED = 25
+# at budget 600 the family holds every connective, quantifiers included
+SHORTCUT_SIG = Signature(functions={"f": 1}, predicates={"P": 1, "R": 2})
+
+
+class TestEmbeddingShortcuts:
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("backend", [RAT, LEX2], ids=["rat", "lex2"])
+    def test_checks_match_the_full_comparison(self, backend, depth):
+        # onto maps: renamed copies, scaled by 1, 2 or 1/2 for rat; other
+        # maps: the source planted in a target 1-2 elements larger, its new
+        # elements clones with none, some or all of their entries redrawn
+        budget = 600
+        accepted = 0  # candidates of maps that are not onto, accepted
+        refuted = 0  # maps that are not onto, past the atomic step, then refused
+        for seed in range(SHORTCUT_SEEDS):
+            rng = make_rng(seed)
+            source = random_structure(rng, SHORTCUT_SIG, size=rng.randint(1, 3),
+                                      backend=backend)
+            for extra in (0, rng.randint(1, 2)):
+                scale = rng.choice([1, 2, Fraction(1, 2)]) if backend is RAT else 1
+                redraw = rng.choice([0, 0, 0.25, 1])
+                # exponent 1/2 maps the squared source into a copy of the source
+                target, planted = extension(rng, source, "t", clones=extra, most=5,
+                                            power=1 if scale < 1 else scale, redraw=redraw)
+                here = squared(source) if scale < 1 else source
+                exponent = Fraction(scale)
+                pairs = full_comparison_pairs(here, target, depth, budget)
+                for image in permutations(target.universe, len(here.universe)):
+                    candidate = EmbeddingCandidate.make(dict(zip(here.universe, image)),
+                                                        exponent)
+                    verdict = full_comparison_check(here, target, candidate, pairs)
+                    assert check_embedding(here, target, candidate, depth, budget) == verdict, \
+                        (seed, extra, candidate)
+                    if extra and not verdict and passes_atomic_step(here, target, candidate):
+                        refuted += 1
+                expected = full_comparison_search(here, target, pairs)
+                assert search_embeddings(here, target, depth, budget) == expected, (seed, extra)
+                if redraw == 0 or not extra:  # the planted map embeds
+                    planted_map = EmbeddingCandidate.make(planted.h, exponent)
+                    assert check_embedding(here, target, planted_map, depth, budget)
+                    assert planted_map.mapping in [c.mapping for c in expected]
+                if extra:
+                    accepted += len(expected)
+        assert accepted >= SHORTCUT_ACCEPTED
+        assert refuted >= (SHORTCUT_REFUTED if depth else 0)
+
+    def test_searches_above_the_injection_bound_are_refused(self, monkeypatch):
+        # 3 into 3 is 3! = 6 injections, at the bound; 3 into 4 is 4 * 3 * 2 = 24
+        monkeypatch.setattr(modeltheory, "MAX_INJECTIONS", 6)
+        rng = make_rng(5)
+        three = random_structure(rng, AEC_SIG, size=3)
+        four = random_structure(rng, AEC_SIG, size=4)
+        assert search_embeddings(three, three, 1) == \
+            full_comparison_search(three, three, full_comparison_pairs(three, three, 1, 600))
+        with pytest.raises(ResourceLimitError, match="24 injections exceeds 6"):
+            search_embeddings(three, four, 1)
+        assert search_embeddings(four, three, 1) == []
 
 
 # ---------------------------------------------------------------------------
