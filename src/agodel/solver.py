@@ -124,22 +124,21 @@ def ground_sentence(
     ``const_map``; element occurrences are nullary term applications
     named after the element.
     """
-    const_map = const_map or {}
-    instances = [App(el, ()) for el in elements]
+    return _ground(phi, {}, const_map or {}, [App(el, ()) for el in elements])
 
-    def go(node: Formula, env: Dict[str, Term]) -> Formula:
-        kind = type(node)
-        if kind is Atom:
-            return Atom(node.pred, tuple(_ground_term(t, const_map, env) for t in node.args))
-        if kind in QUANTIFIER_CONNECTIVE:
-            parts = [go(node.body, {**env, node.var: el}) for el in instances]
-            return reduce(QUANTIFIER_CONNECTIVE[kind], parts)
-        kids = []
-        for kid in children(node):
-            kids.append(go(kid, env))
-        return rebuild(node, kids)
 
-    return go(phi, {})
+def _ground(node: Formula, env: Dict[str, Term], const_map: Dict[str, str],
+            instances: Sequence[Term]) -> Formula:
+    # a module-level function: a nested one that calls itself would leave a
+    # reference cycle on every call
+    kind = type(node)
+    if kind is Atom:
+        return Atom(node.pred, tuple(_ground_term(t, const_map, env) for t in node.args))
+    if kind in QUANTIFIER_CONNECTIVE:
+        parts = [_ground(node.body, {**env, node.var: el}, const_map, instances)
+                 for el in instances]
+        return reduce(QUANTIFIER_CONNECTIVE[kind], parts)
+    return rebuild(node, [_ground(kid, env, const_map, instances) for kid in children(node)])
 
 
 def _ground_term(t: Term, const_map: Dict[str, str], env: Dict[str, Term]) -> Term:

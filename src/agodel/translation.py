@@ -100,13 +100,14 @@ class Translation(NamedTuple):
     value_var: str
 
 
-_CONSTANT_VALUES = {Bot: "0", One: "1"}
+# Each value constant is one node, shared by every companion.
+_INF = VConst("inf")
+_CONSTANT_VALUES = {Bot: VConst("0"), One: VConst("1")}
 
 # The clauses that pin g, the value of a connective, to a, b, its operands' values.
 _SIDE_CLAUSES = {
     And: lambda g, a, b: (CImp(CLe(a, b), CEqV(g, a)), CImp(CLe(b, a), CEqV(g, b))),
-    Imp: lambda g, a, b: (CImp(CLe(a, b), CEqV(g, VConst("inf"))),
-                          CImp(CNot(CLe(a, b)), CEqV(g, b))),
+    Imp: lambda g, a, b: (CImp(CLe(a, b), CEqV(g, _INF)), CImp(CNot(CLe(a, b)), CEqV(g, b))),
     Tensor: lambda g, a, b: (CEqV(g, VMul(a, b)),),
     Inv: lambda g, a: (CEqV(g, VInv(a)),),
 }
@@ -122,60 +123,73 @@ def translate(phi: Formula) -> Translation:
     parents' clauses.  A node that recurs in phi (``expand_derived``
     shares repeated operands) is translated once and its translation
     recurs, so the companion of a DAG is a DAG of the same order of size.
+    Each value variable and each constant is one ``VVar`` or ``VConst``
+    object wherever it occurs, so the evaluator compiles one leaf per name.
     A derived node anywhere in phi raises UsageError.
     """
-    counter = [0]
-    names: Dict[int, str] = {id(phi): "g"}  # id of a node -> its value variable
-    done: Dict[int, ClassicalFormula] = {}  # id of a node -> its translation
+    return Translation(_Translator(phi).go(phi), "g")
 
-    def fresh() -> str:
-        counter[0] += 1
-        return f"g{counter[0]}"
 
-    def var_of(node: Formula) -> str:
-        return names.get(id(node)) or names.setdefault(id(node), fresh())
+class _Translator:
+    """One translate call: the value variable and the translation of each
+    node met so far.  Its methods call each other through self, so a call
+    leaves no reference cycle behind."""
 
-    def go(node: Formula) -> ClassicalFormula:
+    __slots__ = ("names", "done", "counter")
+
+    def __init__(self, root: Formula):
+        self.names: Dict[int, VVar] = {id(root): VVar("g")}  # id of a node -> its variable
+        self.done: Dict[int, ClassicalFormula] = {}           # id of a node -> its translation
+        self.counter = count(1)
+
+    def fresh(self) -> VVar:
+        return VVar(f"g{next(self.counter)}")
+
+    def var_of(self, node: Formula) -> VVar:
+        got = self.names.get(id(node))
+        if got is None:
+            got = self.names[id(node)] = self.fresh()
+        return got
+
+    def go(self, node: Formula) -> ClassicalFormula:
         key = id(node)
-        if key not in done:
-            done[key] = clause(node, names[key])
-        return done[key]
+        got = self.done.get(key)
+        if got is None:
+            got = self.done[key] = self.clause(node, self.names[key])
+        return got
 
-    def clause(node: Formula, g: str) -> ClassicalFormula:
+    def clause(self, node: Formula, v: VVar) -> ClassicalFormula:
         kind = type(node)
         if kind in _CONSTANT_VALUES:
-            return CEqV(VVar(g), VConst(_CONSTANT_VALUES[kind]))
+            return CEqV(v, _CONSTANT_VALUES[kind])
         if kind is Atom:
-            return CRel(node.pred, node.args, VVar(g))
+            return CRel(node.pred, node.args, v)
         if kind in QUANTIFIER_CONNECTIVE:
-            # g is the greatest lower bound (forall) or the least upper bound
-            # (exists) of the instance values g1; only the order flips.
+            # v is the greatest lower bound (forall) or the least upper bound
+            # (exists) of the instance values v1; only the order flips.
             order = CLe if kind is Forall else (lambda s, t: CLe(t, s))
-            g1, g2 = var_of(node.body), fresh()
-            v, v1, v2 = VVar(g), VVar(g1), VVar(g2)
-            body = go(node.body)  # shared by both clauses below
-            bound = CForallObj(node.var, CForallVal(g1, CImp(body, order(v, v1))))
-            approx = CForallVal(g2, CImp(order(v, v2), CExistsObj(
-                node.var, CExistsVal(g1, CAnd(body, order(v1, v2))))))
+            v1, v2 = self.var_of(node.body), self.fresh()
+            body = self.go(node.body)  # shared by both clauses below
+            bound = CForallObj(node.var, CForallVal(v1.name, CImp(body, order(v, v1))))
+            approx = CForallVal(v2.name, CImp(order(v, v2), CExistsObj(
+                node.var, CExistsVal(v1.name, CAnd(body, order(v1, v2))))))
             return CAnd(bound, approx)
         if kind not in _SIDE_CLAUSES:
             raise UsageError("translate requires a core-only formula; run expand_derived first")
         kids = children(node)
-        kid_vars = [var_of(kid) for kid in kids]
-        parts = [go(kid) for kid in kids]
-        parts.extend(_SIDE_CLAUSES[kind](VVar(g), *map(VVar, kid_vars)))
+        kid_vars = [self.var_of(kid) for kid in kids]
+        parts = [self.go(kid) for kid in kids]
+        parts.extend(_SIDE_CLAUSES[kind](v, *kid_vars))
         out = reduce(CAnd, parts)
-        for name in reversed(dict.fromkeys(kid_vars)):
-            out = CExistsVal(name, out)
+        for kid_var in reversed(dict.fromkeys(kid_vars)):
+            out = CExistsVal(kid_var.name, out)
         return out
-
-    return Translation(go(phi), "g")
 
 
 def holds_sentence(trans: Translation) -> ClassicalFormula:
     """exists g (phi_G(g) and g = inf): the satisfaction form of a translation."""
     g = trans.value_var
-    return CExistsVal(g, CAnd(trans.formula, CEqV(VVar(g), VConst("inf"))))
+    return CExistsVal(g, CAnd(trans.formula, CEqV(VVar(g), _INF)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +551,12 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
     """One closure per distinct node of psi, children first; objects are
     the names the assignment binds to objects.
 
+    One iterative post-order walk reads each inner node's parts once and
+    finds its free variables and its number of parents; the build loop then
+    builds the closures in the walk's order from the parts it recorded, and
+    a value-term leaf's closure when it first meets that leaf object
+    (``translate`` shares one leaf per name, so one closure per name).
+
     A quantifier and a formula node with more than one parent memoize their
     verdicts on the projection of the assignment onto their free variables;
     every other node has one parent, so each memoized evaluation runs each
@@ -548,22 +568,23 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
               for name, table in companion.relations.items()}
 
     # One iterative post-order walk: free variables and parent counts.  A
-    # node is pushed once per parent until it is done, expanded on its first
-    # pop and done on its second.  Value-term leaves are no nodes of the
-    # walk: their parents read them.
-    free, expanded, order = {}, set(), []
+    # node is pushed once per parent until it is done.  Its first pop reads
+    # its parts into parts_of and pushes it again above them; the second,
+    # once every part is done, makes it done.  Value-term leaves are no
+    # nodes of the walk: their parents read them.
+    free, parts_of, order = {}, {}, []
     parents, todo, object_names = {id(psi): 0}, [psi], set(objects)
     while todo:
         node = todo.pop()
         key = id(node)
         if key in free:
             continue
-        declared = _PARTS.get(type(node))
-        if declared is None:
-            raise UsageError(f"not a classical formula: {node!r}")
-        parts = declared[1](node)
-        if key not in expanded:
-            expanded.add(key)
+        parts = parts_of.get(key)
+        if parts is None:
+            declared = _PARTS.get(type(node))
+            if declared is None:
+                raise UsageError(f"not a classical formula: {node!r}")
+            parts = parts_of[key] = declared[1](node)
             todo.append(node)
             for part in parts:
                 if type(part) in _INNER:
@@ -584,9 +605,10 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
                 else:
                     raise UsageError(f"not a classical formula: {part!r}")
             names = names | got if names else got
-        if declared[0] == "var":  # a quantifier
+        shape = _SHAPES[type(node)]
+        if shape.build is _quantifier:
             names = names - {node.var}
-            if _SHAPES[type(node)].param[0] == "objects":
+            if shape.param[0] == "objects":
                 object_names.add(node.var)
         elif type(node) in _LEAVES:  # psi itself
             names = _leaf_names(node)
@@ -604,7 +626,7 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
         shape = _SHAPES[kind]
         kinds, sort = (_TERMS, "value term") if kind in _ON_TERMS else (_FORMULAS, "classical formula")
         kids = []
-        for part in (node.value,) if kind is CRel else _PARTS[kind][1](node):
+        for part in (node.value,) if kind is CRel else parts_of[key]:
             fn = closures.get(id(part))
             kids.append(fn if fn is not None and type(part) in kinds
                         else _closure(part, closures, rt, kinds, sort))
@@ -634,11 +656,11 @@ def eval_classical(
 ) -> bool:
     """Two-valued satisfaction; value quantifiers range over the finite sort.
 
-    psi is compiled once per call into one closure per distinct node (see
-    _compile), and the root's closure runs once.  Quantifiers and formula
-    nodes shared by several parents memoize their verdicts per assignment of
-    their free variables, so a DAG costs one evaluation per node and
-    assignment, not one per path.
+    psi is compiled once per call, in one walk and one build loop, into one
+    closure per distinct node (see _compile), and the root's closure runs
+    once.  Quantifiers and formula nodes shared by several parents memoize
+    their verdicts per assignment of their free variables, so a DAG costs
+    one evaluation per node and assignment, not one per path.
 
     A value quantifier loops over the support of its guard, not the whole
     sort (safe-range evaluation).  Let A be the body of exists-val v, or the

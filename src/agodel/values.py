@@ -198,10 +198,15 @@ class TruthValue:
 
     def __hash__(self) -> int:
         # kept on first use: rank tables and value sorts hash the same few
-        # values over and over, and a Fraction's hash takes a modular inverse
+        # values over and over, and a Fraction's hash takes a modular inverse.
+        # Python hashes rationals modulo 2^61 - 1, so 2^k and 2^(k+61) would
+        # collide; the payload's size, which the value determines, tells them
+        # apart.
         got = self._hash
         if got is None:
-            got = hash((self.kind, self.payload))
+            payload = self.payload
+            got = hash((self.kind, payload) if payload is None
+                       else (self.kind, payload, self.backend.bits(payload)))
             object.__setattr__(self, "_hash", got)
         return got
 
@@ -225,8 +230,15 @@ ZERO = TruthValue(K_ZERO)
 INF = TruthValue(K_INF)
 
 
+_ONES = {}  # backend -> its identity as a truth value
+
+
 def one(backend: GroupBackend = RAT) -> TruthValue:
-    return TruthValue(K_ELEM, backend.identity(), backend)
+    """The group identity of backend, one interned value per backend."""
+    got = _ONES.get(backend)
+    if got is None:
+        got = _ONES.setdefault(backend, TruthValue(K_ELEM, backend.identity(), backend))
+    return got
 
 
 def rat(p, q=1) -> TruthValue:

@@ -1,5 +1,6 @@
 """Shared generators for the seeded randomized suites."""
 
+import gc
 import random
 from fractions import Fraction
 from functools import reduce
@@ -268,6 +269,19 @@ def pytest_configure(config):
 
     settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
     settings.load_profile("tier1")
+
+
+def assert_leaves_no_cycle(call):
+    """Run call() with the cyclic collector off and assert that everything
+    it made, its result included, is freed by reference counting: no
+    unreachable reference cycle waits for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def holds_for(branch, valuation):

@@ -19,7 +19,7 @@ from agodel.modeltheory import (
     FAMILY_CACHE_SIZE, MAX_FAMILY_BUDGET, diagram_signature, separating_sentence,
 )
 from agodel.semantics import ranks_of
-from agodel.syntax import App, Forall, Var
+from agodel.syntax import App, Exists, Forall, Var
 from conftest import (
     formula_depth, make_rng, oracle, random_structure, random_truth_value, reduct,
 )
@@ -520,7 +520,10 @@ class TestTablesAgainstOracle:
     def test_every_cell_is_the_evaluated_value(self, seed, backend, size):
         # the oracle, not eval_formula, which runs the same pass as the tables
         struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
-        members = modeltheory._family(ORACLE_SIG, 3, 600)
+        members = modeltheory._family(ORACLE_SIG, 3, 1000)
+        # at budget 1,000 the family reaches every connective: at 600 it held no Tensor
+        assert {type(m.formula) for m in members} >= {
+            *modeltheory._UNARY_OPS, *modeltheory._BINARY_OPS, Forall, Exists}
         V = ranks_of(struct)
         checked = 0
         for member, table in modeltheory._tables(struct, members):
@@ -531,7 +534,7 @@ class TestTablesAgainstOracle:
                 assert V.decode(cell) == oracle(member.formula, struct, env, set()), \
                     member.formula
             checked += 1
-        assert checked == len(members) == len(formula_family(ORACLE_SIG, 3, 600))
+        assert checked == len(members) == len(formula_family(ORACLE_SIG, 3, 1000))
 
     @settings(max_examples=120)
     @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),

@@ -1,6 +1,5 @@
 """Classical companion: translation clauses, evaluation, the equivalence check."""
 
-import gc
 from functools import reduce
 from itertools import product
 
@@ -8,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, LEX2, RAT, ZERO, And, Atom, Bot, Exists, Forall, Imp,
+    INF, LEX2, RAT, ZERO, And, Atom, Bot, EmbeddingCandidate, Exists, Forall, Imp,
     Inv, One, ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
-    check_translation, eval_classical, expand_derived, holds_sentence, parse,
+    bounded_ediag, bounded_elementary_equiv, check_embedding, check_translation,
+    dump_structure, eval_classical, eval_formula, expand_derived, find_model, ground_sentence,
+    holds_sentence, load_structure, parse, remark_lab, search_embeddings,
     lex2, print_classical, rat, to_classical, translate,
 )
 from agodel.values import order_key, tv_compare, tv_inv, tv_mul
@@ -21,7 +22,8 @@ from agodel.translation import (
     CNot, CRel, VConst, VInv, VMul, VVar,
 )
 from conftest import (
-    RAT_POOL, make_rng, random_core_sentence, random_structure, subformulas,
+    RAT_POOL, assert_leaves_no_cycle, make_rng, random_core_sentence, random_structure,
+    subformulas,
 )
 
 SIG0 = Signature(predicates={"P": 0, "Q": 0})
@@ -283,22 +285,20 @@ class TestEvalClassical:
         with pytest.raises(ResourceLimitError, match="exceeds 13 memo entries"):
             eval_classical(psi, companion)
 
-    @pytest.mark.parametrize("text", [PINNED_FORMULA, "forall x. exists y. Q(x, y)"])
-    def test_leaves_no_reference_cycle(self, text):
-        # every closure of a call, memoized shared nodes included, is freed
-        # by reference counting when it returns
-        struct = Structure(SIGX, RAT, ("m1", "m2"), {}, {
-            "P": {("m1",): rat(2), ("m2",): INF},
-            "Q": {args: rat(3) for args in product(("m1", "m2"), repeat=2)}})
-        psi = holds_sentence(translate(parse(text, SIGX)))
-        companion = to_classical(struct, [rat(1, 2), ZERO])
-        gc.collect()
-        gc.disable()
-        try:
-            eval_classical(psi, companion)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_one_leaf_per_name_and_one_closure_per_node(self):
+        psi = translate(parse(PINNED_FORMULA, SIGX)).formula
+        found, todo = {}, [psi]  # every distinct companion node, by id
+        while todo:
+            node = todo.pop()
+            if id(node) not in found and type(node) in translation._PARTS:
+                found[id(node)] = node
+                todo.extend(translation._PARTS[type(node)][1](node))
+        leaves = [(type(n), n.name if type(n) is VVar else n.which)
+                  for n in found.values() if type(n) in (VVar, VConst)]
+        assert len(leaves) == len(set(leaves)) == 15  # g, g1 ... g11 and 0, 1, inf
+        companion = to_classical(Structure(SIGX, RAT, ("m1",), {}, {
+            "P": {("m1",): rat(2)}, "Q": {("m1", "m1"): rat(3)}}))
+        assert len(translation._compile(psi, companion).closures) == len(found)
 
     def test_no_graph_entry(self):
         # no graph, or no entry of the graph at the arguments, at any arity
@@ -658,3 +658,45 @@ class TestTranslationProperty:
     @given(phi=core_sentences(), struct=small_structures())
     def test_holds_with_the_witness_seeded_sort(self, phi, struct):
         assert check_translation(phi, struct)
+
+
+# Every public entry point frees what it made by reference counting when it
+# returns, memoized shared closures included: nothing waits for the cyclic
+# collector.
+CYCLE_STRUCT = Structure(SIGX, RAT, ("m1", "m2"), {}, {
+    "P": {("m1",): rat(2), ("m2",): INF},
+    "Q": {args: rat(3) for args in product(("m1", "m2"), repeat=2)}})
+CYCLE_SUB = Structure(SIGX, RAT, ("m1",), {}, {"P": {("m1",): rat(2)}, "Q": {("m1", "m1"): rat(3)}})
+CYCLE_TEXT = "forall x. exists y. Q(x, y) -> P(y)"
+CYCLE_PHI = parse(CYCLE_TEXT, SIGX)
+
+
+def classical_run(text):
+    psi = holds_sentence(translate(parse(text, SIGX)))
+    companion = to_classical(CYCLE_STRUCT, [rat(1, 2), ZERO])
+    return lambda: eval_classical(psi, companion)
+
+
+ENTRY_POINTS = {
+    "parse": lambda: parse(CYCLE_TEXT, SIGX),
+    "eval_formula": lambda: eval_formula(CYCLE_PHI, CYCLE_STRUCT),
+    "translate": lambda: translate(CYCLE_PHI),
+    "eval_classical-pinned": classical_run(PINNED_FORMULA),
+    "eval_classical-nested": classical_run("forall x. exists y. Q(x, y)"),
+    "check_translation": lambda: check_translation(CYCLE_PHI, CYCLE_STRUCT),
+    "ground_sentence": lambda: ground_sentence(CYCLE_PHI, CYCLE_STRUCT.universe),
+    "find_model": lambda: find_model(SIGX, [CYCLE_PHI], 2),
+    "remark_lab": lambda: remark_lab(20),
+    "check_embedding": lambda: check_embedding(
+        CYCLE_SUB, CYCLE_STRUCT, EmbeddingCandidate.make({"m1": "m1"}), 2, 200),
+    "search_embeddings": lambda: search_embeddings(CYCLE_STRUCT, CYCLE_STRUCT, 2, 200),
+    "bounded_elementary_equiv": lambda: bounded_elementary_equiv(
+        CYCLE_SUB, CYCLE_STRUCT, 2, 200),
+    "bounded_ediag": lambda: bounded_ediag(CYCLE_STRUCT, 1, 200),
+    "load_dump": lambda: load_structure(dump_structure(CYCLE_STRUCT), SIGX),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_leaves_no_reference_cycle(name):
+    assert_leaves_no_cycle(ENTRY_POINTS[name])

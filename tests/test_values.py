@@ -136,6 +136,20 @@ class TestLex2NonArchimedean:
         assert tv_power(small, 10000) == lex2(1, Fraction(2) ** 10000)
 
 
+class TestHashing:
+    @pytest.mark.parametrize("base", [rat(2), lex2(1, 2)])
+    def test_powers_of_two_spread(self, base):
+        # Python hashes rationals modulo 2^61 - 1, so 2^k by its payload alone
+        # takes 61 hashes, and rank tables of remark_lab's powers probe chains
+        hashes = {hash(tv_power(base, k)) for k in range(1, 2001)}
+        assert len(hashes) > 1000
+
+    def test_equal_values_hash_equal(self):
+        assert hash(tv_mul(rat(2 ** 40), rat(2 ** 40))) == hash(rat(2 ** 80))
+        assert hash(tv_inv(lex2(3, Fraction(1, 2 ** 70)))) == hash(lex2(Fraction(1, 3), 2 ** 70))
+        assert hash(one(RAT)) == hash(rat(1)) and one(RAT) is one(RAT)
+
+
 class TestBackendDiscipline:
     def test_mixing_is_an_error(self):
         with pytest.raises(UsageError):
