@@ -577,7 +577,8 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
     order, so the witness is reproducible.  A NONE result is not a proof
     of unsatisfiability beyond n_max elements.  Raises ResourceLimitError
     when the search reaches a size above MAX_DOMAIN, so a model smaller than
-    that is found whatever n_max is.
+    that is found whatever n_max is, and passes on compile_inf's with the
+    domain size and constant map it stopped at added to its message.
     """
     _check_solver_signature(sig)
     for phi in theory:
@@ -593,7 +594,16 @@ def find_model(sig: Signature, theory: Sequence[Formula], n_max: int) -> FindRes
             maps += 1
             const_map = dict(zip(constants, values))
             grounded = [ground_sentence(phi, elements, const_map) for phi in theory]
-            for system in compile_inf(*grounded):
+            try:
+                systems = compile_inf(*grounded)
+            except ResourceLimitError as exc:
+                # where the search stopped; the bare raise keeps the traceback,
+                # which still ends in compile_inf
+                where = ", ".join(f"{c} -> {e}" for c, e in const_map.items())
+                exc.args = (f"{exc} (domain size {n}, "
+                            f"{'constant map ' + where if where else 'no constants'})",)
+                raise
+            for system in systems:
                 branches += 1
                 result = fm_solve(system.lins)
                 if not result.sat:

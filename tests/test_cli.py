@@ -185,7 +185,7 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert err == ("resource limit: case-branch count exceeds budget 5: "
-                       "DDArrow with 9 operand pairs\n")
+                       "DDArrow with 9 operand pairs (domain size 1, no constants)\n")
 
     def test_combined_branch_budget_exits_3(self, files, capsys, monkeypatch):
         # each sentence fits the budget, their 15 combined branches do not
@@ -197,7 +197,7 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert err == ("resource limit: combined case-branch count exceeds "
-                       "budget 14: 15 branch pairs\n")
+                       "budget 14: 15 branch pairs (domain size 1, no constants)\n")
         monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
         code, _, _ = run(capsys, "solve", "--theory", theory, "--sig", sig,
                          "--max-domain", "1")

@@ -14,17 +14,18 @@ from agodel import (
     formula_family, free_vars, generated_subgroup, is_exhaustive, lex2, one, print_formula,
     rat, satisfies, search_embeddings, sentence_family, tv_power,
 )
-from agodel import modeltheory
+from agodel import modeltheory, solver
 from agodel.modeltheory import (
     FAMILY_CACHE_SIZE, MAX_FAMILY_BUDGET, diagram_signature, separating_sentence,
 )
-from agodel.semantics import ranks_of
-from agodel.syntax import App, Exists, Forall, Var
+from agodel.semantics import ranks_of, value_tables
+from agodel.syntax import App, Exists, Forall, Inv, Tensor, Var
 from conftest import (
     formula_depth, make_rng, oracle, random_structure, random_truth_value, reduct,
 )
 
 SIGP = Signature(predicates={"P": 0})
+SIGPQ1 = Signature(predicates={"P": 1, "Q": 0})  # the family workload's signature
 
 
 def single(value, sig=SIGP, pred="P"):
@@ -223,8 +224,8 @@ class TestSentencePlan:
     def test_sentences_and_their_subformulas_in_family_order(self, sig):
         for budget in (7, 120, 600):
             for depth in range(0, 4):
-                full = modeltheory._family(sig, depth, budget)
-                cut = modeltheory._family(sig, depth, budget, sentences=True)
+                full = modeltheory._family(sig, depth, budget).members
+                cut = modeltheory._family(sig, depth, budget, sentences=True).members
                 # every sentence of the full family, in family order
                 assert [m.formula for m in cut if not m.free] == \
                     [m.formula for m in full if not m.free]
@@ -244,13 +245,32 @@ class TestSentencePlan:
 
     def test_open_members_no_sentence_contains_are_dropped(self):
         sig = Signature(predicates={"P": 1, "Q": 0})
-        assert len(modeltheory._family(sig, 3, 600)) == 600
-        assert len(modeltheory._family(sig, 3, 600, sentences=True)) == 600 - 264
+        assert len(modeltheory._family(sig, 3, 600).members) == 600
+        assert len(modeltheory._family(sig, 3, 600, sentences=True).members) == 600 - 264
+
+    @pytest.mark.parametrize("sig, depth, sentences, members, classes", [
+        (SIGPQ1, 3, True, 336, 129),  # the family workload's equiv plan
+        (SIGPQ1, None, False, 600, 209),
+        (Signature(predicates={"P": 1, "R": 2}), None, False, 600, 332),
+        # the family workload's six diagram plans: one constant per element
+        (SIGPQ1.with_constants(["c_1"]), 1, True, 70, 31),
+        (SIGPQ1.with_constants(["c_1"]), 2, True, 232, 83),
+        (SIGPQ1.with_constants(["c_1", "c_2"]), 1, True, 101, 48),
+        (SIGPQ1.with_constants(["c_1", "c_2"]), 2, True, 261, 111),
+        (SIGPQ1.with_constants(["c_1", "c_2", "c_3"]), 1, True, 138, 69),
+        (SIGPQ1.with_constants(["c_1", "c_2", "c_3"]), 2, True, 330, 151),
+    ], ids=["equiv", "P-Q", "P-R", "ediag-1-1", "ediag-1-2", "ediag-2-1", "ediag-2-2",
+            "ediag-3-1", "ediag-3-2"])
+    def test_class_counts(self, sig, depth, sentences, members, classes):
+        cut = modeltheory._family(sig, depth, 600, sentences)
+        reduced, of = cut.classes
+        assert (len(cut.members), len(reduced)) == (members, classes)
+        assert len(of) == members and set(of) == set(range(classes))
 
     def test_subformulas_of_open_subformulas_are_kept(self):
         # R(x, y) is in no sentence's kids, only in those of forall x. R(x, y)
         sig = Signature(predicates={"R": 2})
-        cut = modeltheory._family(sig, 2, 600, sentences=True)
+        cut = modeltheory._family(sig, 2, 600, sentences=True).members
         inner = Atom("R", (Var("x"), Var("y")))
         assert Forall("y", Forall("x", inner)) in [m.formula for m in cut]
         assert inner in [m.formula for m in cut]
@@ -520,7 +540,7 @@ class TestTablesAgainstOracle:
     def test_every_cell_is_the_evaluated_value(self, seed, backend, size):
         # the oracle, not eval_formula, which runs the same pass as the tables
         struct = random_structure(make_rng(seed), ORACLE_SIG, size=size, backend=backend)
-        members = modeltheory._family(ORACLE_SIG, 3, 1000)
+        members = modeltheory._family(ORACLE_SIG, 3, 1000).members
         # at budget 1,000 the family reaches every connective: at 600 it held no Tensor
         assert {type(m.formula) for m in members} >= {
             *modeltheory._UNARY_OPS, *modeltheory._BINARY_OPS, Forall, Exists}
@@ -568,7 +588,7 @@ class TestTablesAgainstOracle:
 
 def full_family_separating(a, b, depth, budget):
     """separating_sentence read off the tables of the whole family."""
-    members = modeltheory._family(a.signature, depth, budget)
+    members = modeltheory._family(a.signature, depth, budget).members
     top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
     for (member, here), (_, there) in zip(modeltheory._tables(a, members),
                                           modeltheory._tables(b, members)):
@@ -582,7 +602,7 @@ def full_family_ediag(struct, depth, budget):
     struct = expanded(struct)
     top = ranks_of(struct).INF
     return [member.formula for member, table in modeltheory._tables(
-                struct, modeltheory._family(struct.signature, depth, budget))
+                struct, modeltheory._family(struct.signature, depth, budget).members)
             if not member.free and table[0] == top]
 
 
@@ -611,6 +631,121 @@ class TestSentencePlanAgainstFullFamily:
                 phi for phi in formula_family(x.signature, depth, budget)
                 if not free_vars(phi)]
         assert bounded_ediag(a, depth, budget) == full_family_ediag(a, depth, budget)
+
+
+# ---------------------------------------------------------------------------
+# The family up to proved equality
+
+
+def check_representatives(struct, cut):
+    """Every member's table in struct is its class representative's, and
+    the representative is the class's first member, with its free variables."""
+    reduced, classes = cut.classes
+    tables = list(value_tables(struct, cut.members))
+    reduced_tables = list(value_tables(struct, reduced))
+    first = {}
+    for i, (member, c) in enumerate(zip(cut.members, classes)):
+        first.setdefault(c, i)
+        assert member.free == reduced[c].free
+        assert tables[i] == reduced_tables[c], member.formula
+    assert [cut.members[i].formula for i in first.values()] == [s.formula for s in reduced]
+
+
+@pytest.fixture
+def fresh_family_cache():
+    """A test that changes how classes are proved starts and ends with an
+    empty family cache."""
+    modeltheory._enumeration.cache_clear()
+    yield
+    modeltheory._enumeration.cache_clear()
+
+
+def proofs_seen(monkeypatch):
+    """(a, b, verdict) per proof tried from now on, as printed formulas."""
+    seen = []
+    prove = modeltheory._proved_equal
+
+    def recorded(a, b):
+        verdict = prove(a, b)
+        seen.append((print_formula(a), print_formula(b), verdict))
+        return verdict
+
+    monkeypatch.setattr(modeltheory, "_proved_equal", recorded)
+    return seen
+
+
+class TestProvedClasses:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           size=st.integers(1, 4))
+    def test_every_member_has_its_representatives_table(self, seed, backend, size):
+        # over the family workload's equiv plan, its diagram plans (the
+        # expansion's, at depth 1 and 2) and two budget-600 families
+        rng = make_rng(seed)
+        for sig, depth, sentences in ((SIGPQ1, 3, True), (SIGPQ1, None, False),
+                                      (Signature(predicates={"P": 1, "R": 2}), None, False)):
+            struct = random_structure(rng, sig, size=size, backend=backend)
+            check_representatives(struct, modeltheory._family(sig, depth, 600, sentences))
+        struct = expanded(random_structure(rng, SIGPQ1, size=size, backend=backend))
+        for depth in (1, 2):
+            check_representatives(struct, modeltheory._family(struct.signature, depth, 600,
+                                                               sentences=True))
+
+    def test_colliding_fingerprints_are_not_merged(self, monkeypatch, fresh_family_cache):
+        # on crisp probes P(x) and P(x) * P(x) have one fingerprint, but
+        # P(x) = 2 tells them apart, so the solver refuses the merge; the
+        # classes are those of the default probes, found with more proofs
+        cut = modeltheory._family(SIGPQ1, None, 600)
+        expected = cut.classes.of
+        modeltheory._enumeration.cache_clear()
+        monkeypatch.setattr(modeltheory, "_PROBE_VALUES", (ZERO, INF))
+        seen = proofs_seen(monkeypatch)
+        cut = modeltheory._family(SIGPQ1, None, 600)
+        assert cut.classes.of == expected
+        assert ("P(x)", "P(x) * P(x)", False) in seen
+        at = {m.formula: c for m, c in zip(cut.members, expected)}
+        px = Atom("P", (Var("x"),))
+        assert at[px] != at[Tensor(px, px)]
+        assert at[px] == at[Inv(Inv(px))]
+
+    def test_a_proof_over_the_budget_merges_nothing(self, monkeypatch, fresh_family_cache):
+        # every proof joins a <-> b's two operands, so a budget of 0 branches
+        # refuses them all and no member is merged; at 8 some proofs are
+        # refused and others succeed.  The checks give the answers they give
+        # with every merge, and no ResourceLimitError reaches them
+        rng = make_rng(7)
+        pairs = [(random_structure(rng, SIGPQ1, size=rng.randint(1, 3)),
+                  random_structure(rng, SIGPQ1, size=rng.randint(1, 3))) for _ in range(20)]
+        answers = [(separating_sentence(a, b, 3), bounded_ediag(a, 2)) for a, b in pairs]
+        assert sum(sep is not None for sep, _ in answers) >= 10
+        refused = []
+        compile_inf = modeltheory.compile_inf
+
+        def counted(*sentences):
+            try:
+                return compile_inf(*sentences)
+            except ResourceLimitError:
+                refused.append(sentences)
+                raise
+
+        monkeypatch.setattr(modeltheory, "compile_inf", counted)
+        seen = proofs_seen(monkeypatch)
+        for budget in (0, 8):
+            modeltheory._enumeration.cache_clear()
+            monkeypatch.setattr(solver, "MAX_BRANCHES", budget)
+            refused.clear()
+            seen.clear()
+            assert [(separating_sentence(a, b, 3), bounded_ediag(a, 2))
+                    for a, b in pairs] == answers
+            merged = sum(verdict for _, _, verdict in seen)
+            # a refused proof is one that does not merge
+            assert refused and len(refused) + merged <= len(seen)
+            cut = modeltheory._family(SIGPQ1, 3, 600, sentences=True)
+            if budget == 0:
+                assert len(refused) == len(seen) and merged == 0
+                assert len(cut.classes.plan) == len(cut.members) == 336
+            else:
+                assert merged and 129 < len(cut.classes.plan) < 336
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +859,9 @@ def ternary(value):
 
 
 ONE_DEFINITION_SIG = Signature(predicates={"T": 3, "P": 1})
+# the least budget whose family holds every connective and both quantifiers
+# is 573, so the family reaches past the atomic step
+ONE_DEFINITION_BUDGET = 600
 
 
 def one_definition_pair(data, backend):
@@ -786,7 +924,7 @@ class TestOneEmbeddingDefinition:
         # (h, e) is found exactly when the atomic step gives e for h and the
         # check accepts h with e, for every injection h
         source, target = one_definition_pair(data, backend)
-        budget = 200
+        budget = ONE_DEFINITION_BUDGET
         found = {c.mapping: c.exponent for c in search_embeddings(source, target, depth, budget)}
         fixed = None if backend is RAT else Fraction(1)
         for image in permutations(target.universe, len(source.universe)):
@@ -802,6 +940,17 @@ class TestOneEmbeddingDefinition:
 # The paper's AEC axioms as properties of the bounded checks
 
 AEC_SIG = Signature(predicates={"P": 1, "R": 2})
+# the least budget whose family holds every connective and both quantifiers is 297
+AEC_BUDGET = 300
+
+
+@pytest.mark.parametrize("sig, budget", [(AEC_SIG, AEC_BUDGET),
+                                         (ONE_DEFINITION_SIG, ONE_DEFINITION_BUDGET)],
+                         ids=["AEC", "one-definition"])
+def test_property_budgets_reach_every_connective(sig, budget):
+    # at depth 1, the least depth of the properties' tables
+    assert {type(phi) for phi in formula_family(sig, 1, budget)} >= {
+        *modeltheory._UNARY_OPS, *modeltheory._BINARY_OPS, Forall, Exists}
 
 
 def extension(rng, struct, prefix, clones=1, most=4, power=None, redraw=0):
@@ -857,7 +1006,7 @@ class TestAECAxioms:
         m = random_structure(rng, AEC_SIG, size=size)
         n, h0 = extension(rng, m, "n")
         k, g0 = extension(rng, n, "k")
-        budget = 200
+        budget = AEC_BUDGET
         first = [h0] + search_embeddings(m, n, depth, budget)
         second = [g0] + search_embeddings(n, k, depth, budget)
         assert check_embedding(m, n, h0, depth, budget)
@@ -886,7 +1035,7 @@ class TestAECAxioms:
             kept = rng.sample(m1.universe, rng.randint(1, size))
             m0 = substructure(m1, {m: m for m in m1.universe if m in kept})
         m2, g = extension(rng, m1, "k")
-        budget = 200
+        budget = AEC_BUDGET
         inclusion = check_embedding(m0, m1, EmbeddingCandidate.make(
             {m: m for m in m0.universe}), depth, budget)
         for f1 in [g] + search_embeddings(m1, m2, depth, budget):
@@ -910,7 +1059,7 @@ class TestAECAxioms:
         copy, iso = extension(rng, a, "n", clones=0)
         b = extension(rng, a, "k")[0]
         c = random_structure(rng, AEC_SIG, size=other)
-        budget = 200
+        budget = AEC_BUDGET
         back = EmbeddingCandidate.make({t: s for s, t in iso.h.items()}, 1 / iso.exponent)
         assert check_embedding(a, copy, iso, depth, budget)
         assert check_embedding(copy, a, back, depth, budget)
@@ -931,9 +1080,19 @@ class TestAECAxioms:
                 bounded_elementary_equiv(a, d, depth, budget)
         assert bounded_elementary_equiv(a, copy, depth, budget)
         renamed = {f"c_{m}": f"c_{n}" for m, n in iso.h.items()}
-        assert sorted(print_formula(phi) for phi in bounded_ediag(copy, depth, budget)) == \
-            sorted(re.sub(r"\bc_\w+", lambda name: renamed[name.group()], print_formula(phi))
-                   for phi in bounded_ediag(a, depth, budget))
+
+        def moved_text(phi):
+            return re.sub(r"\bc_\w+", lambda name: renamed[name.group()], print_formula(phi))
+
+        # the diagram family lists the element constants in name order and
+        # the budget can cut a layer of it, so renaming the elements can
+        # change which sentences it holds: the diagrams agree on those that
+        # both families hold
+        both = set(map(print_formula, sentence_family(expanded(copy).signature, depth, budget)))
+        both &= set(map(moved_text, sentence_family(expanded(a).signature, depth, budget)))
+        assert sorted(p for p in map(print_formula, bounded_ediag(copy, depth, budget))
+                      if p in both) == \
+            sorted(p for p in map(moved_text, bounded_ediag(a, depth, budget)) if p in both)
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +1107,7 @@ def passes_atomic_step(source, target, candidate):
 
 def full_comparison_pairs(source, target, depth, budget):
     """Both structures' tables of the whole family, built once per pair."""
-    members = modeltheory._family(source.signature, depth, budget)
+    members = modeltheory._family(source.signature, depth, budget).members
     return list(modeltheory._paired_tables(source, target, members))
 
 

@@ -530,7 +530,7 @@ class TestFindModel:
         monkeypatch.setattr(solver, "MAX_BRANCHES", 14)
         with pytest.raises(ResourceLimitError,
                            match=r"^combined case-branch count exceeds budget 14: "
-                                 r"15 branch pairs$"):
+                                 r"15 branch pairs \(domain size 1, no constants\)$"):
             find_model(sig, theory, 1)
         monkeypatch.setattr(solver, "MAX_BRANCHES", 15)
         result = find_model(sig, theory, 1)
@@ -561,7 +561,8 @@ class TestFindModel:
         fe = parse("forall x. exists y. P(x) ==> P(y)", SIG1)
         result = find_model(SIG1, [Bot(), fe], 3)
         assert not result.sat and result.stats.constant_maps_tried == 3
-        with pytest.raises(ResourceLimitError, match=r"And with 151649 operand pairs$"):
+        with pytest.raises(ResourceLimitError, match=r"And with 151649 operand pairs "
+                                                     r"\(domain size 3, no constants\)$"):
             find_model(SIG1, [fe, Bot()], 3)
 
     @pytest.mark.parametrize("sig, text, stops_at, pairs", [
@@ -579,8 +580,25 @@ class TestFindModel:
         find_model(sig, theory, stops_at - 1)
         for n_max in (stops_at, 3):
             with pytest.raises(ResourceLimitError,
-                               match=rf"budget 20000: And with {pairs} operand pairs$"):
+                               match=rf"budget 20000: And with {pairs} operand pairs "
+                                     rf"\(domain size {stops_at}, no constants\)$"):
                 find_model(sig, theory, n_max)
+
+    def test_budget_hit_names_where_the_search_stopped(self, monkeypatch):
+        # at n = 1 both constants name e1 and P(e1) ==> P(e1) has 3 branches;
+        # at n = 2 the map c -> e1, d -> e2 splits 9 pairs into 11 branches
+        sig = Signature(functions={"c": 0, "d": 0}, predicates={"P": 1})
+        monkeypatch.setattr(solver, "MAX_BRANCHES", 10)
+        assert not find_model(sig, [parse("P(c) ==> P(d)", sig)], 1).sat
+        with pytest.raises(ResourceLimitError) as caught:
+            find_model(sig, [parse("P(c) ==> P(d)", sig)], 2)
+        assert str(caught.value) == ("case-branch count exceeds budget 10: DDArrow with at "
+                                     "least 11 branches (domain size 2, constant map "
+                                     "c -> e1, d -> e2)")
+        tb = caught.value.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code is solver.compile_inf.__code__
 
     def test_soundness_random_suite(self):
         rng = make_rng(29)
