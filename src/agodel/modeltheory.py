@@ -6,15 +6,18 @@ deterministically (size-ordered, documented budget) so that
 depth-bounded checks are reproducible and monotone in the depth bound.
 The family is one list of ``syntax.Node`` (each member's kids are family
 indices, its free variables a sorted subset of x and y), planned once
-(``semantics.plan``), and the checks feed the plan to the evaluator's
+(``semantics.plan``), and every check zips its plan with the evaluator's
 bottom-up pass (``semantics.value_tables``): one table per member over
 the assignments of its free variables, built from the tables of its
-immediate subformulas.  The checks that read only sentences
+immediate subformulas, and built lazily, so a check that fails stops
+building them.  The checks that read only sentences
 (``separating_sentence``, ``bounded_ediag``, ``sentence_family``) take a
 second plan of the same family, cut to its sentences and their
-subformulas.  The embedding checks take the whole family and compare every
-member, open ones included, except for a map onto the target, where the
-atomic step decides and no table is built.
+subformulas.  Both embedding checks take one atomic step first
+(``_atomic_step``: the map commutes with the functions, and every atomic
+entry transports, which pins the rat exponent for the search).  A map
+onto the target is decided there and no table is built; any other map
+compares the whole family, open members included.
 
 Most members are copies of earlier ones, so the tables are built per
 class of proved-equal members.  A member joins an earlier class by
@@ -449,19 +452,23 @@ def sentence_family(sig: Signature, depth: int,
 
 
 # ---------------------------------------------------------------------------
-# Value tables: the family evaluated bottom-up, once per structure
-
-
-def _tables(struct: Structure, members: Tuple[Step, ...]):
-    """Yield (member, table) per member, in family order: the table lists
-    the member's values, as ranks of ``ranks_of(struct)``, over the
-    assignments of its free variables in ``product`` order over the
-    universe (cell i * n + j holds x = universe[i], y = universe[j])."""
-    return zip(members, value_tables(struct, members))
-
-
-# ---------------------------------------------------------------------------
 # Value transport and embedding candidates
+
+
+def _transport(tv: TruthValue, exponent: Fraction) -> Optional[TruthValue]:
+    """tv under the group transport g -> g^exponent; None when the image is
+    irrational, or when a lex2 value is scaled by an exponent other than 1."""
+    if tv.kind != K_ELEM or exponent == 1:
+        return tv
+    if tv.backend is not RAT:
+        return None
+    scaled = {p: e * exponent for p, e in factor_positive(tv.payload).items()}
+    if any(e.denominator != 1 for e in scaled.values()):
+        return None
+    value = Fraction(1)
+    for p, e in scaled.items():
+        value *= Fraction(p) ** int(e)
+    return TruthValue(K_ELEM, value, RAT)
 
 
 @dataclass(frozen=True)
@@ -493,19 +500,7 @@ class EmbeddingCandidate:
 
     def transport(self, tv: TruthValue) -> Optional[TruthValue]:
         """Apply the group transport; None when the image is irrational."""
-        if tv.kind != K_ELEM:
-            return tv
-        if self.exponent == 1:
-            return tv
-        if tv.backend is not RAT:
-            return None
-        scaled = {p: e * self.exponent for p, e in factor_positive(tv.payload).items()}
-        if any(e.denominator != 1 for e in scaled.values()):
-            return None
-        value = Fraction(1)
-        for p, e in scaled.items():
-            value *= Fraction(p) ** int(e)
-        return TruthValue(K_ELEM, value, RAT)
+        return _transport(tv, self.exponent)
 
 
 def _require_common(source: Structure, target: Structure) -> None:
@@ -523,9 +518,10 @@ def check_embedding(
     depth: int,
     budget: int = DEFAULT_FAMILY_BUDGET,
 ) -> bool:
-    """Verify function commutation and every atomic value's transport exactly,
-    then value transport over the depth-bounded canonical family (surrogate
-    for all formulas); the injection is checked when the candidate is built.
+    """Verify function commutation and every atomic value's transport exactly
+    (``_atomic_step``), then value transport over the depth-bounded family
+    (surrogate for all formulas); the injection is checked when the
+    candidate is built.
 
     The transport g -> g^k (k > 0) fixes 0, 1 and inf and is an
     order-preserving group automorphism, so it commutes with every family
@@ -542,45 +538,62 @@ def check_embedding(
     h = candidate.h
     if set(h) != set(source.universe) or not set(h.values()) <= set(target.universe):
         return False
-    if not _commutes(source, target, h) or \
-            _candidate_exponent(source, target, h, candidate.exponent) is None:
+    if _atomic_step(source, target, h, candidate.exponent) is None:
         return False
-    return len(h) == len(target.universe) or \
-        _transports(source, target, candidate,
-                    _paired_tables(source, target, cut.classes.plan))
+    if len(h) == len(target.universe):
+        return True
+    plan = cut.classes.plan
+    return _transports(source, target, h, candidate.exponent, plan,
+                       value_tables(source, plan), value_tables(target, plan))
 
 
-def _commutes(source: Structure, target: Structure, h: Dict[str, str]) -> bool:
+def _atomic_step(source: Structure, target: Structure, h: Dict[str, str],
+                 exponent: Optional[Fraction] = None) -> Optional[Fraction]:
+    """The exponent under which h commutes with every function and every
+    atomic table entry transports exactly through h, or None.
+
+    The functions come first, so a map that does not commute factors
+    nothing.  A given exponent is checked as it is.  Without one (rat
+    only), the first pair of group values whose source is not the identity
+    pins it: the ratio of the two values' exponents of the source's least
+    prime; pairs before the pinning one are checked under exponent 1,
+    which any exponent maps alike.
+    """
     for name, table in source.funcs.items():
         for args, out in table.items():
-            image = tuple(h[a] for a in args)
-            if target.funcs[name][image] != h[out]:
-                return False
-    return True
+            if target.funcs[name][tuple([h[a] for a in args])] != h[out]:
+                return None
+    pinned = exponent is not None
+    if not pinned:
+        exponent = Fraction(1)
+    for name, table in source.preds.items():
+        for args, tv in table.items():
+            image = target.preds[name][tuple([h[a] for a in args])]
+            if not pinned and tv.kind == image.kind == K_ELEM and tv.payload != 1:
+                pinned = True
+                vec_s = factor_positive(tv.payload)
+                p = min(vec_s)
+                exponent = Fraction(factor_positive(image.payload).get(p, 0), vec_s[p])
+                if exponent <= 0:
+                    return None
+            if _transport(tv, exponent) != image:
+                return None
+    return exponent
 
 
-def _paired_tables(a: Structure, b: Structure, members: Tuple[Step, ...]):
-    """((member, table in a), (member, table in b)) per member, built lazily."""
-    here = _tables(a, members)
-    if b is a:
-        return ((entry, entry) for entry in here)
-    return zip(here, _tables(b, members))
+def _transports(source: Structure, target: Structure, h: Dict[str, str],
+                exponent: Fraction, plan: Tuple[Step, ...], here, there) -> bool:
+    """True when every source value, transported by g -> g^exponent, equals
+    the target value at the image assignment under h.
 
-
-def _transports(source: Structure, target: Structure, candidate: EmbeddingCandidate,
-                pairs) -> bool:
-    """True when every source value, transported, equals the target value
-    at the image assignment.
-
-    ``pairs`` yields ((member, source table), (member, target table)) in
-    enumeration order, per member or per class representative (a copy's
-    tables are its representative's); within a member the assignments of
-    its free variables run in ``product`` order over the source universe,
-    so the first failing comparison is that of a member-by-member check.
+    ``here`` and ``there`` yield the source's and the target's tables of
+    ``plan``'s steps (a copy's tables are its representative's); within a
+    step the assignments of its free variables run in ``product`` order
+    over the source universe, so the first failing comparison is that of a
+    member-by-member check, and no later table is read.
     """
     n, m = len(source.universe), len(target.universe)
     at = {e: k for k, e in enumerate(target.universe)}
-    h = candidate.h
     image = [at[h[e]] for e in source.universe]
     line = list(enumerate(image))
     cells = {  # free variables -> (source cell, target cell) per assignment
@@ -594,44 +607,15 @@ def _transports(source: Structure, target: Structure, candidate: EmbeddingCandid
     # a source value -> its transport encoded in the target's ranks, so that
     # equal values are equal encodings
     transported: Dict[object, object] = {}
-    for (member, here), (_, there) in pairs:
+    for member, source_table, target_table in zip(plan, here, there):
         for s, t in cells[member.free]:
-            value = here[s]
+            value = source_table[s]
             if value not in transported:
-                moved = candidate.transport(Vs.decode(value))
+                moved = _transport(Vs.decode(value), exponent)
                 transported[value] = None if moved is None else Vt.encode(moved)
-            if transported[value] != there[t]:  # None, an irrational image, is no cell
+            if transported[value] != target_table[t]:  # None, an irrational image, is no cell
                 return False
     return True
-
-
-def _candidate_exponent(source: Structure, target: Structure, h: Dict[str, str],
-                        exponent: Optional[Fraction] = None):
-    """The exponent scaling under which every atomic table entry transports
-    exactly through h, or None when there is none.
-
-    A given exponent is checked as it is.  Without one (rat only), the
-    first pair of group values whose source is not the identity pins it:
-    the ratio of the two values' exponents of the source's least prime;
-    pairs before the pinning one are checked under exponent 1, which any
-    exponent maps alike.
-    """
-    candidate = EmbeddingCandidate.make(h, Fraction(1) if exponent is None else exponent)
-    pinned = exponent is not None
-    for name, table in source.preds.items():
-        for args, tv in table.items():
-            image = target.preds[name][tuple(h[a] for a in args)]
-            if not pinned and tv.kind == image.kind == K_ELEM and tv.payload != 1:
-                pinned = True
-                vec_s = factor_positive(tv.payload)
-                p = min(vec_s)
-                r = Fraction(factor_positive(image.payload).get(p, 0), vec_s[p])
-                if r <= 0:
-                    return None
-                candidate = EmbeddingCandidate(candidate.mapping, r)
-            if candidate.transport(tv) != image:
-                return None
-    return candidate.exponent
 
 
 def search_embeddings(
@@ -643,11 +627,12 @@ def search_embeddings(
     """All (injection, exponent scaling) pairs that pass check_embedding.
 
     Injections are enumerated in lexicographic order, at most
-    MAX_INJECTIONS of them; the exponent for each injection is pinned by
-    the atomic value pairs (1 for lex2).  A source universe larger than
-    the target yields no candidates.  As in check_embedding, the family is
-    compared only when the injections are not onto: the atomic step
-    decides an onto map, by induction on formulas.
+    MAX_INJECTIONS of them; each takes ``_atomic_step`` first, which pins
+    its exponent (1 for lex2).  A source universe larger than the target
+    yields no candidates.  As in check_embedding, the family is compared
+    only when the injections are not onto: the atomic step decides an onto
+    map, by induction on formulas.  Each structure's tables are built once,
+    for the first map past the atomic step.
     """
     _require_common(source, target)
     cut = _family(source.signature, depth, budget)
@@ -658,19 +643,21 @@ def search_embeddings(
         raise ResourceLimitError(f"embedding search over {injections} injections "
                                  f"exceeds {MAX_INJECTIONS}")
     onto = len(source.universe) == len(target.universe)
+    fixed = None if source.backend is RAT else Fraction(1)
     found = []
-    pairs = None  # both structures' tables, built for the first candidate
+    tables = None  # (plan, source tables, target tables), built for the first map
     for image in permutations(sorted(target.universe), len(source.universe)):
         h = dict(zip(sorted(source.universe), image))
-        exponent = _candidate_exponent(source, target, h,
-                                       None if source.backend is RAT else Fraction(1))
-        if exponent is None or not _commutes(source, target, h):
+        exponent = _atomic_step(source, target, h, fixed)
+        if exponent is None:
             continue
-        candidate = EmbeddingCandidate.make(h, exponent)
-        if pairs is None and not onto:
-            pairs = list(_paired_tables(source, target, cut.classes.plan))
-        if onto or _transports(source, target, candidate, pairs):
-            found.append(candidate)
+        if not onto:
+            if tables is None:
+                plan = cut.classes.plan
+                tables = plan, list(value_tables(source, plan)), list(value_tables(target, plan))
+            if not _transports(source, target, h, exponent, *tables):
+                continue
+        found.append(EmbeddingCandidate.make(h, exponent))
     return found
 
 
@@ -704,7 +691,7 @@ def separating_sentence(
         raise UsageError("equivalence needs a common signature")
     reduced = _family(a.signature, depth, budget, sentences=True).classes.plan
     top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
-    for (member, here), (_, there) in _paired_tables(a, b, reduced):
+    for member, here, there in zip(reduced, value_tables(a, reduced), value_tables(b, reduced)):
         if not member.free and (here[0] == top_a) != (there[0] == top_b):
             return member.formula
     return None

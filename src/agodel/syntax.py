@@ -403,14 +403,15 @@ def _balanced_power(body: Formula, n: int) -> Formula:
     the bounds, where * is not associative.  The tree is ceil(log2 n) deep
     and equal exponents are one shared node, so it is built in O(log n) steps.
     """
-    powers = {1: body}
+    return _power(n, {1: body})
 
-    def power(k: int) -> Formula:
-        if k not in powers:
-            powers[k] = Tensor(power(k - k // 2), power(k // 2))
-        return powers[k]
 
-    return power(n)
+def _power(k: int, powers: Dict[int, Formula]) -> Formula:
+    # a module-level function: a nested one that calls itself would leave a
+    # reference cycle on every call
+    if k not in powers:
+        powers[k] = Tensor(_power(k - k // 2, powers), _power(k // 2, powers))
+    return powers[k]
 
 
 # One definitional step per derived connective (see the module docstring).

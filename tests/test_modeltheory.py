@@ -546,7 +546,7 @@ class TestTablesAgainstOracle:
             *modeltheory._UNARY_OPS, *modeltheory._BINARY_OPS, Forall, Exists}
         V = ranks_of(struct)
         checked = 0
-        for member, table in modeltheory._tables(struct, members):
+        for member, table in zip(members, value_tables(struct, members)):
             cells = list(product(struct.universe, repeat=len(member.free)))
             assert len(table) == len(cells)
             for cell, elements in zip(table, cells):
@@ -590,8 +590,8 @@ def full_family_separating(a, b, depth, budget):
     """separating_sentence read off the tables of the whole family."""
     members = modeltheory._family(a.signature, depth, budget).members
     top_a, top_b = ranks_of(a).INF, ranks_of(b).INF
-    for (member, here), (_, there) in zip(modeltheory._tables(a, members),
-                                          modeltheory._tables(b, members)):
+    for member, here, there in zip(members, value_tables(a, members),
+                                   value_tables(b, members)):
         if not member.free and (here[0] == top_a) != (there[0] == top_b):
             return member.formula
     return None
@@ -601,8 +601,8 @@ def full_family_ediag(struct, depth, budget):
     """bounded_ediag read off the tables of the whole family."""
     struct = expanded(struct)
     top = ranks_of(struct).INF
-    return [member.formula for member, table in modeltheory._tables(
-                struct, modeltheory._family(struct.signature, depth, budget).members)
+    members = modeltheory._family(struct.signature, depth, budget).members
+    return [member.formula for member, table in zip(members, value_tables(struct, members))
             if not member.free and table[0] == top]
 
 
@@ -823,7 +823,7 @@ class TestCandidateExponent:
         target = Structure(EXPONENT_SIG, RAT, universe, {}, target_preds)
         for image in permutations(universe):
             h = dict(zip(universe, image))
-            assert modeltheory._candidate_exponent(source, target, h) == \
+            assert modeltheory._atomic_step(source, target, h) == \
                 oracle_candidate_exponent(source, target, h)
 
     def test_only_the_pinning_pair_is_factored(self):
@@ -839,7 +839,7 @@ class TestCandidateExponent:
             target = Structure(SIGPQ, RAT, ("m1",), {}, {"P": {(): p_image}, "Q": {(): q_image}})
             with pytest.raises(ResourceLimitError):
                 oracle_candidate_exponent(source, target, h)
-            assert modeltheory._candidate_exponent(source, target, h) == exponent
+            assert modeltheory._atomic_step(source, target, h) == exponent
             found = search_embeddings(source, target, 1)
             assert [c.exponent for c in found] == ([] if exponent is None else [exponent])
 
@@ -918,6 +918,20 @@ class TestOneEmbeddingDefinition:
         assert given == made and given.mapping == (("a", "c"), ("b", "d"))
         assert len({given, made}) == 1
 
+    def test_a_map_that_does_not_commute_factors_nothing(self):
+        # big's cofactor is past the trial-division bound.  The identity does
+        # not commute with c, so its pair (big, big) is never factored; the
+        # swap commutes, and its first pair, big against 0, refuses it
+        big = rat(1000000000039 * 1000000000061)
+        sig = Signature(functions={"c": 0}, predicates={"P": 1})
+        source = Structure(sig, RAT, ("a", "b"), {"c": {(): "a"}},
+                           {"P": {("a",): big, ("b",): big}})
+        target = Structure(sig, RAT, ("a", "b"), {"c": {(): "b"}},
+                           {"P": {("a",): big, ("b",): ZERO}})
+        for h in ({"a": "a", "b": "b"}, {"a": "b", "b": "a"}):
+            assert not check_embedding(source, target, EmbeddingCandidate.make(h), 1)
+        assert search_embeddings(source, target, 1) == []
+
     @settings(max_examples=150)
     @given(data=st.data(), backend=st.sampled_from([RAT, LEX2]), depth=st.integers(0, 2))
     def test_search_is_the_check_at_the_pinned_exponent(self, data, backend, depth):
@@ -929,7 +943,7 @@ class TestOneEmbeddingDefinition:
         fixed = None if backend is RAT else Fraction(1)
         for image in permutations(target.universe, len(source.universe)):
             h = dict(zip(source.universe, image))
-            exponent = modeltheory._candidate_exponent(source, target, h, fixed)
+            exponent = modeltheory._atomic_step(source, target, h, fixed)
             accepted = exponent is not None and check_embedding(
                 source, target, EmbeddingCandidate.make(h, exponent), depth, budget)
             assert found.get(EmbeddingCandidate.make(h).mapping) == \
@@ -1100,22 +1114,22 @@ class TestAECAxioms:
 
 
 def passes_atomic_step(source, target, candidate):
-    h = candidate.h
-    return modeltheory._commutes(source, target, h) and \
-        modeltheory._candidate_exponent(source, target, h, candidate.exponent) is not None
+    return modeltheory._atomic_step(source, target, candidate.h,
+                                    candidate.exponent) is not None
 
 
 def full_comparison_pairs(source, target, depth, budget):
-    """Both structures' tables of the whole family, built once per pair."""
+    """(members, source tables, target tables) of the whole family, built
+    once per pair."""
     members = modeltheory._family(source.signature, depth, budget).members
-    return list(modeltheory._paired_tables(source, target, members))
+    return members, list(value_tables(source, members)), list(value_tables(target, members))
 
 
 def full_comparison_check(source, target, candidate, pairs):
     """check_embedding with every member of the family compared, onto maps
     included: the atomic step, then _transports over pairs."""
     return passes_atomic_step(source, target, candidate) and \
-        modeltheory._transports(source, target, candidate, pairs)
+        modeltheory._transports(source, target, candidate.h, candidate.exponent, *pairs)
 
 
 def full_comparison_search(source, target, pairs):
@@ -1124,7 +1138,7 @@ def full_comparison_search(source, target, pairs):
     found = []
     for image in permutations(sorted(target.universe), len(source.universe)):
         h = dict(zip(sorted(source.universe), image))
-        exponent = modeltheory._candidate_exponent(source, target, h, fixed)
+        exponent = modeltheory._atomic_step(source, target, h, fixed)
         if exponent is not None:
             candidate = EmbeddingCandidate.make(h, exponent)
             if full_comparison_check(source, target, candidate, pairs):
@@ -1196,6 +1210,68 @@ class TestEmbeddingShortcuts:
         with pytest.raises(ResourceLimitError, match="24 injections exceeds 6"):
             search_embeddings(three, four, 1)
         assert search_embeddings(four, three, 1) == []
+
+
+# ---------------------------------------------------------------------------
+# Table reads: lazy in a check, shared across the maps of a search
+
+
+def pq1(universe, p, q=rat(3)):
+    """A structure over P/1, Q/0 with P(e) = p[k] for the k-th element e."""
+    return Structure(SIGPQ1, RAT, universe, {}, {"P": {(e,): v for e, v in zip(universe, p)},
+                                                  "Q": {(): q}})
+
+
+class TestTableReads:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The tables read per value_tables pass, in the order the passes
+        are made.  The classes of the depth-2 cuts over P/1, Q/0 are built
+        first, so the probes' passes are not counted."""
+        for sentences in (False, True):
+            modeltheory._family(SIGPQ1, 2, 600, sentences).classes
+        counts = []
+        real = modeltheory.value_tables
+
+        def counting(tables, k):
+            for table in tables:
+                counts[k] += 1
+                yield table
+
+        def counted(struct, plan):
+            counts.append(0)
+            return counting(real(struct, plan), len(counts) - 1)
+
+        monkeypatch.setattr(modeltheory, "value_tables", counted)
+        return counts
+
+    def test_a_failing_check_stops_reading(self, reads):
+        # exists x. P(x) reads 2 in {a} and inf in {a, b}
+        plan = modeltheory._family(SIGPQ1, 2, 600).classes.plan
+        identity = EmbeddingCandidate.make({"a": "a"})
+        assert not check_embedding(pq1(("a",), [rat(2)]), pq1(("a", "b"), [rat(2), INF]),
+                                   identity, 2)
+        assert reads == [17, 17] and 2 * len(plan) == 274
+
+    def test_an_onto_map_reads_no_table(self, reads):
+        assert check_embedding(pq1(("a",), [rat(2)]), pq1(("b",), [rat(4)], rat(9)),
+                               EmbeddingCandidate.make({"a": "b"}, 2), 2)
+        assert reads == []
+
+    def test_a_search_reads_each_structure_once(self, reads):
+        # all 6 injections of {a, b} into {a, b, c} embed, and share one pass each
+        plan = modeltheory._family(SIGPQ1, 2, 600).classes.plan
+        found = search_embeddings(pq1(("a", "b"), [rat(2)] * 2),
+                                  pq1(("a", "b", "c"), [rat(2)] * 3), 2)
+        assert len(found) == 6
+        assert reads == [len(plan), len(plan)]
+
+    def test_separating_sentence_stops_at_the_first(self, reads):
+        plan = modeltheory._family(SIGPQ1, 2, 600, sentences=True).classes.plan
+        phi = separating_sentence(pq1(("a",), [rat(2)]), pq1(("a",), [INF]), 2)
+        k = [step.formula for step in plan].index(phi)
+        assert print_formula(phi) == "forall x. P(x)"
+        assert reads == [k + 1, k + 1] and k + 1 < len(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,8 @@ CYCLE_STRUCT = Structure(SIGX, RAT, ("m1", "m2"), {}, {
 CYCLE_SUB = Structure(SIGX, RAT, ("m1",), {}, {"P": {("m1",): rat(2)}, "Q": {("m1", "m1"): rat(3)}})
 CYCLE_TEXT = "forall x. exists y. Q(x, y) -> P(y)"
 CYCLE_PHI = parse(CYCLE_TEXT, SIGX)
+# a power expands to a balanced product of shared nodes
+CYCLE_POWER = parse("exists y. P(y)^5", SIGX)
 
 
 def classical_run(text):
@@ -684,12 +686,16 @@ ENTRY_POINTS = {
     "eval_classical-pinned": classical_run(PINNED_FORMULA),
     "eval_classical-nested": classical_run("forall x. exists y. Q(x, y)"),
     "check_translation": lambda: check_translation(CYCLE_PHI, CYCLE_STRUCT),
+    "check_translation-power": lambda: check_translation(CYCLE_POWER, CYCLE_STRUCT),
+    "expand_derived-power": lambda: expand_derived(parse("P^5", SIG0)),
     "ground_sentence": lambda: ground_sentence(CYCLE_PHI, CYCLE_STRUCT.universe),
     "find_model": lambda: find_model(SIGX, [CYCLE_PHI], 2),
     "remark_lab": lambda: remark_lab(20),
     "check_embedding": lambda: check_embedding(
         CYCLE_SUB, CYCLE_STRUCT, EmbeddingCandidate.make({"m1": "m1"}), 2, 200),
     "search_embeddings": lambda: search_embeddings(CYCLE_STRUCT, CYCLE_STRUCT, 2, 200),
+    # not onto: the map m1 -> m1 passes the atomic step, so the tables are compared
+    "search_embeddings-not-onto": lambda: search_embeddings(CYCLE_SUB, CYCLE_STRUCT, 2, 200),
     "bounded_elementary_equiv": lambda: bounded_elementary_equiv(
         CYCLE_SUB, CYCLE_STRUCT, 2, 200),
     "bounded_ediag": lambda: bounded_ediag(CYCLE_STRUCT, 1, 200),
