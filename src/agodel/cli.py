@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
@@ -37,14 +36,15 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _structure(ns: argparse.Namespace, path: Path) -> Structure:
+def _structure(ns: argparse.Namespace, path: str) -> Structure:
     return load_structure(_read(path), ns.signature)
 
 
@@ -91,7 +91,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         try:
-            ns.out.write_text(text)
+            with open(ns.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {ns.out}: {exc}") from None
     return EXIT_OK
@@ -208,12 +209,12 @@ def _int_at_least(low: int):
 
 
 _POSITIVE = _int_at_least(1)
-_SIG = {"--sig": dict(type=Path)}
-_STRUCTURE = {"--structure": dict(required=True, type=Path)}
+_SIG = {"--sig": {}}
+_STRUCTURE = {"--structure": dict(required=True)}
 _FORMULA = {"--formula": dict(required=True)}
-_THEORY = {"--theory": dict(required=True, type=Path)}
-_FROM_TO = {"--from": dict(required=True, type=Path, dest="structure_from"),
-            "--to": dict(required=True, type=Path, dest="structure_to")}
+_THEORY = {"--theory": dict(required=True)}
+_FROM_TO = {"--from": dict(required=True, dest="structure_from"),
+            "--to": dict(required=True, dest="structure_to")}
 _BUDGET = {"--budget": dict(type=_POSITIVE, default=DEFAULT_FAMILY_BUDGET)}
 
 
@@ -225,15 +226,15 @@ COMMANDS = {
     "eval": (_cmd_eval, {**_FORMULA, **_STRUCTURE, **_SIG}),
     "check-model": (_cmd_check_model, {**_THEORY, **_STRUCTURE, **_SIG}),
     "solve": (_cmd_solve, {
-        **_THEORY, "--sig": dict(required=True, type=Path),
+        **_THEORY, "--sig": dict(required=True),
         "--max-domain": dict(type=_POSITIVE, default=4),
-        "--out": dict(type=Path)}),
+        "--out": {}}),
     "translate": (_cmd_translate, {
-        **_FORMULA, **_SIG, "--structure": dict(type=Path),
+        **_FORMULA, **_SIG, "--structure": {},
         "--check": dict(action="store_true")}),
     "check-translation": (_cmd_check_translation, {**_FORMULA, **_STRUCTURE, **_SIG}),
     "entails": (_cmd_entails, {
-        **_THEORY, **_FORMULA, "--pool": dict(required=True, type=Path, nargs="+"), **_SIG}),
+        **_THEORY, **_FORMULA, "--pool": dict(required=True, nargs="+"), **_SIG}),
     "similarity": (_cmd_similarity, {**_STRUCTURE, **_SIG}),
     "ultrametric": (_cmd_ultrametric, {**_STRUCTURE, **_SIG}),
     "embed": (_cmd_embed, {**_FROM_TO, **_depth(2), **_BUDGET, **_SIG}),

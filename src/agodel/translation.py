@@ -77,16 +77,19 @@ class _Shape(NamedTuple):
     param: object = None         # build's parameter
 
 
-def _declared(kind: type) -> Tuple[Optional[str], Callable]:
-    """(name field or None, node -> its parts) of a companion node type,
-    generated from its declaration; a tuple of terms is spread."""
+def _declared(kind: type) -> Tuple[Optional[str], Callable, Tuple[FrozenSet[type], str]]:
+    """(name field or None, node -> its parts, the sort of its value-term or
+    formula parts: one per node type, none for a leaf) of a companion node
+    type, generated from its declaration; a tuple of terms is spread."""
     types = kind.__annotations__
     label = next((f for f in kind._fields if types[f] == "str"), None)
     parts = "".join(f"*node.{f}, " if types[f].startswith("Tuple") else f"node.{f}, "
                     for f in kind._fields if f != label)
     env: Dict[str, Callable] = {}
     exec(f"def parts(node):\n    return ({parts})\n", env)
-    return label, env["parts"]
+    sort = next((_SORTS[types[f]] for f in kind._fields if types[f] in _SORTS),
+                (frozenset(), ""))
+    return label, env["parts"], sort
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,8 @@ _NO_NAMES: FrozenSet[str] = frozenset()
 
 
 class _Runtime(NamedTuple):
-    """What the closures of one eval_classical call read.
+    """A classical formula compiled over one companion: what its builders
+    and closures read.
 
     Inside one call a value is encoded by ``V``, the companion's value sort
     interned as ``semantics.Ranks``, and orders natively; objects are their
@@ -275,6 +279,9 @@ class _Runtime(NamedTuple):
     # the sort with the same operands, which would recompute them each time
     products: Dict[Tuple[object, object], object]
     inverses: Dict[object, object]
+    free: Dict[int, FrozenSet[str]]  # id of a node -> its free variables
+    closures: Dict[int, Callable]    # id of a node -> its closure, once built
+    supports: Dict[int, Callable]    # id of a guarded value quantifier -> its support
 
 
 def _over(limit: int) -> ResourceLimitError:
@@ -290,18 +297,15 @@ def _projection(names) -> Callable:
     return itemgetter(*names) if names else _no_key
 
 
-def _ill_sorted(node, sort: str) -> Callable:
-    def run(env):
-        raise UsageError(f"not a {sort}: {node!r}")
-    return run
-
-
 # Builders: (node, param, closures of its parts, runtime) -> the node's closure.
 
 
 def _rel(node: CRel, param, kids, rt: _Runtime) -> Callable:
     value, = kids
     pred, terms, companion = node.pred, node.args, rt.companion
+    for t in terms:
+        if type(t) not in _OBJECT_TERMS:
+            raise UsageError(f"not an object term: {t!r}")
     table = rt.graphs.get(pred)
 
     def checked(env):  # every case, and every error
@@ -418,11 +422,19 @@ def _memoized(compute: Callable, project: Callable, rt: _Runtime) -> Callable:
     return run
 
 
-def _quantifier(var: str, body: Callable, want_all: bool, domain, support: Optional[Callable],
-                project: Callable, rt: _Runtime) -> Callable:
-    """A quantifier over domain, or over support(env) when it has a guard;
-    memoized on the projection of the assignment."""
-    memo, tick, limit = {}, rt.tick, rt.limit
+def _quantifier(node, param, kids, rt: _Runtime) -> Callable:
+    """A quantifier over its domain, or over its guard's support when it has
+    a guard; memoized on the projection of the assignment."""
+    sort, want_all = param
+    var, body, domain, support = node.var, kids[0], rt.domains[sort], None
+    found = _guard(node, rt.free) if sort == "values" else None
+    if found is not None:
+        lefts, guard, others = found
+        closures = rt.closures  # every conjunct is a formula below node: built
+        support = rt.supports[id(node)] = _support(
+            var, [closures[id(left)] for left in lefts], closures[id(guard)],
+            _projection(others), rt)
+    project, memo, tick, limit = _projection(rt.free[id(node)]), {}, rt.tick, rt.limit
 
     def run(env):
         key = project(env)
@@ -462,9 +474,7 @@ def _guard(node, free: Dict[int, FrozenSet[str]]):
         if type(conjunct) is CAnd:
             todo += (conjunct.right, conjunct.left)
             continue
-        names = free.get(id(conjunct))
-        if names is None:  # an object term: ill-sorted, so evaluate it first
-            return [], conjunct, ()
+        names = free[id(conjunct)]
         if not bound.isdisjoint(names):
             return None
         if var in names:
@@ -515,53 +525,37 @@ _SHAPES = {
     VMul: _Shape("mul", _mul),
     VInv: _Shape("inv", _inv),
 }
-_PARTS = {kind: _declared(kind) for kind in _SHAPES}  # node type -> (name field, parts)
 _FORMULAS = frozenset(get_args(ClassicalFormula))
 _TERMS = frozenset(get_args(ValueTerm))
-_LEAVES = frozenset((VVar, VConst))
-_INNER = frozenset(_SHAPES) - _LEAVES  # the nodes of the compile walk
-_ON_TERMS = frozenset((CRel, CLe, CEqV, VMul, VInv))  # whose operands are value terms
+_OBJECT_TERMS = frozenset((Var, App))
+# A part's declared sort: the node types it admits, and its name.
+_SORTS = {"ValueTerm": (_TERMS, "value term"),
+          "ClassicalFormula": (_FORMULAS, "classical formula")}
+# node type -> (name field, parts, part sort)
+_PARTS = {kind: _declared(kind) for kind in _SHAPES}
 
 
-def _leaf_names(leaf) -> FrozenSet[str]:
-    return frozenset((leaf.name,)) if type(leaf) is VVar else _NO_NAMES
-
-
-def _closure(part, closures: Dict[int, Callable], rt: _Runtime, kinds=_FORMULAS,
-             sort: str = "classical formula") -> Callable:
-    """The closure of part where a node of kinds is expected: a value-term
-    leaf's is built on first use, and one that raises on a part of another
-    sort."""
-    fn = closures.get(id(part))
-    if fn is None and type(part) in _LEAVES:
-        fn = closures[id(part)] = _SHAPES[type(part)].build(part, None, (), rt)
-    return fn if fn is not None and type(part) in kinds else _ill_sorted(part, sort)
-
-
-class _Program(NamedTuple):
-    """A classical formula compiled over one companion."""
-
-    rt: _Runtime
-    free: Dict[int, FrozenSet[str]]  # id of a node -> its free variables
-    closures: Dict[int, Callable]    # id of a node -> its closure
-    supports: Dict[int, Callable]    # id of a guarded value quantifier -> its support
-
-
-def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) -> _Program:
+def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) -> _Runtime:
     """One closure per distinct node of psi, children first; objects are
     the names the assignment binds to objects.
 
-    One iterative post-order walk reads each inner node's parts once and
-    finds its free variables and its number of parents; the build loop then
-    builds the closures in the walk's order from the parts it recorded, and
-    a value-term leaf's closure when it first meets that leaf object
-    (``translate`` shares one leaf per name, so one closure per name).
+    One iterative post-order walk reads each node's parts once and finds
+    its free variables and its number of parents; a leaf has no parts, so
+    the walk finishes it when it first meets it.  The build loop then, in
+    the walk's order, checks each node's parts against the sort declared
+    for them and builds the node's closure through its row of ``_SHAPES``,
+    every builder taking (node, param, closures of its parts, runtime).
+    So an ill-sorted part anywhere in psi, or a root that is no classical
+    formula, raises UsageError before any closure runs.  ``translate``
+    shares one leaf per name, so there is one leaf closure per name.
 
     A quantifier and a formula node with more than one parent memoize their
     verdicts on the projection of the assignment onto their free variables;
     every other node has one parent, so each memoized evaluation runs each
     node below it at most once per evaluation of that parent.
     """
+    if type(psi) not in _FORMULAS:
+        raise UsageError(f"not a classical formula: {psi!r}")
     V = Ranks(companion.values, companion.backend, {})
     encode = V.encode  # a hand-built companion's graphs may hold values off its sort
     graphs = {name: {args: encode(v) for args, v in table.items()}
@@ -569,9 +563,10 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
 
     # One iterative post-order walk: free variables and parent counts.  A
     # node is pushed once per parent until it is done.  Its first pop reads
-    # its parts into parts_of and pushes it again above them; the second,
-    # once every part is done, makes it done.  Value-term leaves are no
-    # nodes of the walk: their parents read them.
+    # its parts into parts_of and, unless it is a leaf, pushes it again
+    # above them; the second, once every part is done, makes it done.
+    # Object terms, and parts of no companion node type, are no nodes of
+    # the walk: their parents read them.
     free, parts_of, order = {}, {}, []
     parents, todo, object_names = {id(psi): 0}, [psi], set(objects)
     while todo:
@@ -581,72 +576,51 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
             continue
         parts = parts_of.get(key)
         if parts is None:
-            declared = _PARTS.get(type(node))
-            if declared is None:
-                raise UsageError(f"not a classical formula: {node!r}")
-            parts = parts_of[key] = declared[1](node)
-            todo.append(node)
+            parts = parts_of[key] = _PARTS[type(node)][1](node)
+            if parts:
+                todo.append(node)
+                for part in parts:
+                    if type(part) in _PARTS:
+                        part_key = id(part)
+                        parents[part_key] = parents.get(part_key, 0) + 1
+                        if part_key not in free:
+                            todo.append(part)
+                continue
+            names = frozenset((node.name,)) if type(node) is VVar else _NO_NAMES
+        else:
+            names = _NO_NAMES
             for part in parts:
-                if type(part) in _INNER:
-                    part_key = id(part)
-                    parents[part_key] = parents.get(part_key, 0) + 1
-                    if part_key not in free:
-                        todo.append(part)
-            continue
-        names = _NO_NAMES
-        for part in parts:
-            got = free.get(id(part))
-            if got is None:
-                kind = type(part)
-                if kind is VVar or kind is VConst:
-                    got = free[id(part)] = _leaf_names(part)
-                elif isinstance(part, (Var, App)):
-                    got = frozenset(term_vars(part))
-                else:
-                    raise UsageError(f"not a classical formula: {part!r}")
-            names = names | got if names else got
-        shape = _SHAPES[type(node)]
-        if shape.build is _quantifier:
-            names = names - {node.var}
-            if shape.param[0] == "objects":
-                object_names.add(node.var)
-        elif type(node) in _LEAVES:  # psi itself
-            names = _leaf_names(node)
+                got = free.get(id(part))
+                if got is None:  # the build loop refuses it unless an object term
+                    got = frozenset(term_vars(part)) if type(part) in _OBJECT_TERMS else _NO_NAMES
+                names = names | got if names else got
+            shape = _SHAPES[type(node)]
+            if shape.build is _quantifier:
+                names = names - {node.var}
+                if shape.param[0] == "objects":
+                    object_names.add(node.var)
         free[key] = names
         order.append(node)
 
     rt = _Runtime(companion, V, graphs,
                   {"objects": companion.objects, "values": range(len(V.values))},
                   {"0": V.ZERO, "1": V.ONE, "inf": V.INF}, count(), MAX_CLASSICAL_MEMO,
-                  frozenset(object_names), {}, {})
-    closures: Dict[int, Callable] = {}
-    supports: Dict[int, Callable] = {}
+                  frozenset(object_names), {}, {}, free, {}, {})
+    closures = rt.closures
     for node in order:
         kind, key = type(node), id(node)
         shape = _SHAPES[kind]
-        kinds, sort = (_TERMS, "value term") if kind in _ON_TERMS else (_FORMULAS, "classical formula")
+        kinds, sort = _PARTS[kind][2]
         kids = []
         for part in (node.value,) if kind is CRel else parts_of[key]:
-            fn = closures.get(id(part))
-            kids.append(fn if fn is not None and type(part) in kinds
-                        else _closure(part, closures, rt, kinds, sort))
-        if shape.build is not _quantifier:
-            fn = shape.build(node, shape.param, kids, rt)
-            if parents[key] > 1 and kind in _FORMULAS:
-                fn = _memoized(fn, _projection(free[key]), rt)
-        else:
-            domain, want_all = shape.param
-            support = None
-            found = _guard(node, free) if domain == "values" else None
-            if found is not None:
-                lefts, guard, others = found
-                support = supports[key] = _support(
-                    node.var, [_closure(left, closures, rt) for left in lefts],
-                    _closure(guard, closures, rt), _projection(others), rt)
-            fn = _quantifier(node.var, kids[0], want_all, rt.domains[domain], support,
-                             _projection(free[key]), rt)
+            if type(part) not in kinds:
+                raise UsageError(f"not a {sort}: {part!r}")
+            kids.append(closures[id(part)])
+        fn = shape.build(node, shape.param, kids, rt)
+        if parents[key] > 1 and kind in _FORMULAS and shape.build is not _quantifier:
+            fn = _memoized(fn, _projection(free[key]), rt)  # a quantifier memoizes itself
         closures[key] = fn
-    return _Program(rt, free, closures, supports)
+    return rt
 
 
 def eval_classical(
@@ -658,7 +632,9 @@ def eval_classical(
 
     psi is compiled once per call, in one walk and one build loop, into one
     closure per distinct node (see _compile), and the root's closure runs
-    once.  Quantifiers and formula nodes shared by several parents memoize
+    once.  The compile checks the sort of every part of psi, so an
+    ill-sorted part anywhere in psi raises UsageError before any evaluation
+    starts.  Quantifiers and formula nodes shared by several parents memoize
     their verdicts per assignment of their free variables, so a DAG costs
     one evaluation per node and assignment, not one per path.
 
@@ -681,21 +657,19 @@ def eval_classical(
     needs more than MAX_CLASSICAL_MEMO memo and support entries.
     """
     scope = dict(env) if env else {}
-    program = _compile(psi, companion, [name for name, item in scope.items()
-                                        if isinstance(item, str)])
-    names = sorted(program.free[id(psi)])
+    rt = _compile(psi, companion, [name for name, item in scope.items()
+                                   if isinstance(item, str)])
+    names = sorted(rt.free[id(psi)])
     missing = set(names) - set(scope)
     if missing:
         raise UsageError(f"unbound variables {sorted(missing)}")
     for name in names:
         item = scope[name]
         if isinstance(item, TruthValue):
-            scope[name] = program.rt.V.encode(item)
+            scope[name] = rt.V.encode(item)
         elif not isinstance(item, str):
             raise UsageError(f"sort violation: {name!r} holds neither an object nor a truth value")
-    run = program.closures[id(psi)] if type(psi) in _FORMULAS else \
-        _ill_sorted(psi, "classical formula")
-    return run(scope)
+    return rt.closures[id(psi)](scope)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +707,7 @@ def check_translation(phi: Formula, struct: Structure) -> bool:
 
 
 def _print_obj_term(t: Term) -> str:
-    if isinstance(t, Var):
+    if type(t) is Var:
         return t.name
     if not t.args:
         return t.func
@@ -766,10 +740,10 @@ def print_classical(psi: ClassicalFormula) -> str:
 
 def _print(psi) -> str:
     shape = _SHAPES[type(psi)]  # _printed_size has checked every node
-    label, parts = _PARTS[type(psi)]
+    label, parts, _ = _PARTS[type(psi)]
     words = [] if label is None else [getattr(psi, label)]
     for part in parts(psi):
-        words.append(_print_obj_term(part) if isinstance(part, (Var, App)) else _print(part))
+        words.append(_print_obj_term(part) if type(part) in _OBJECT_TERMS else _print(part))
     return f"({shape.keyword} {' '.join(words)})" if shape.keyword else words[0]
 
 
@@ -780,10 +754,10 @@ def _printed_size(psi, sizes: Dict[int, int]) -> int:
         shape = _SHAPES.get(type(psi))
         if shape is None:
             raise UsageError(f"not a classical formula: {psi!r}")
-        label, parts = _PARTS[type(psi)]
+        label, parts, _ = _PARTS[type(psi)]
         lengths = [] if label is None else [len(getattr(psi, label))]
         for part in parts(psi):
-            lengths.append(len(_print_obj_term(part)) if isinstance(part, (Var, App))
+            lengths.append(len(_print_obj_term(part)) if type(part) in _OBJECT_TERMS
                            else _printed_size(part, sizes))
         got = sizes[id(psi)] = (len(shape.keyword) + sum(lengths) + len(lengths) + 2
                                 if shape.keyword else lengths[0])

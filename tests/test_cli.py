@@ -585,6 +585,16 @@ class TestHarness:
         assert runs[0][1]
         assert runs[0] == runs[1]
 
+    def test_import_leaves_pathlib_out(self):
+        # files are read and written with open(); -S skips the site .pth
+        # files, which may import pathlib themselves
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, agodel.cli; print('pathlib' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--formula", "P", "--structure", "m.struct", "--sig", "BAD"],
         ["eval", "--formula", "P", "--structure", "BAD"],

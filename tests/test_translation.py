@@ -179,10 +179,10 @@ class TestToClassical:
 def guard_and_support(psi, companion, env):
     """The guard of a compiled value quantifier, and its support as values."""
     program = translation._compile(psi, companion)
-    V = program.rt.V
+    V = program.V
     scope = {name: V.encode(item) for name, item in env.items()}
     found = translation._guard(psi, program.free)
-    support = program.supports[id(psi)](scope) if found else program.rt.domains["values"]
+    support = program.supports[id(psi)](scope) if found else program.domains["values"]
     return found, [V.values[rank] for rank in support]
 
 
@@ -229,6 +229,26 @@ class TestEvalClassical:
             with pytest.raises(UsageError):
                 eval_classical(CRel("P", (Var("x"),), VVar("g")), companion,
                                {"x": item, "g": INF})
+
+    @pytest.mark.parametrize("psi, env, sort", [
+        # behind a false left side, which evaluation would stop at
+        (CAnd(CLe(VConst("inf"), VConst("0")), G), {"g": INF}, "classical formula"),
+        (CAnd(CLe(VConst("0"), VConst("inf")), G), {"g": INF}, "classical formula"),
+        (CLe(CLe(G, G), VConst("0")), {"g": INF}, "value term"),
+        (CEqV(Var("x"), VConst("0")), {"x": "m1"}, "value term"),
+        (G, {"g": INF}, "classical formula"),
+        (CAnd(CLe(VConst("inf"), VConst("0")), Var("x")), {"x": "m1"}, "classical formula"),
+        (CRel("P", (G,), VConst("0")), {"g": INF}, "object term"),
+        (CLe(2, VConst("0")), {}, "value term"),
+    ], ids=["false-left", "true-left", "formula-as-value", "object-as-value", "value-root",
+            "object-as-conjunct", "value-as-object", "int-as-value"])
+    def test_ill_sorted_part_is_refused_before_evaluation(self, psi, env, sort):
+        # refused wherever the part sits, and before unbound variables are
+        # looked for: the compile checks every part's sort
+        companion = to_classical(nullary(rat(2)))
+        for scope in (env, {}):
+            with pytest.raises(UsageError, match=f"^not an? {sort}: "):
+                eval_classical(psi, companion, scope)
 
     def test_values_outside_the_sort(self):
         # the sort of P = 2, Q = 3 is {0, 1, 2, 3, inf}: 2 * 2 and its inverse are outside
