@@ -15,11 +15,9 @@ subformula over the assignments of its free variables; the solver runs
 the truth functions on symbolic values over the same list.  ``Ranks``,
 the one interned value sort, which the classical companion's evaluator
 (``translation``) runs on too, encodes every value so that it orders
-natively.  So a quantifier is min or max of each run of cells, and the
-connectives that only choose among their operands, 0 and inf (And and Or
-among them) get one comprehension each: their definition read on ranks,
-where the algebra's tests are comparisons.  The rest run their truth
-function per cell.
+natively and memoizes its group operations.  So a quantifier is min or
+max of each run of cells, and every connective runs one comprehension:
+its definition read on ranks, where the algebra's tests are comparisons.
 ``syntax.expand_derived`` gives derived connectives by definition, and
 the test suite checks the two agree.
 """
@@ -200,14 +198,18 @@ class Ranks:
     of the sort is its rank there, an int, so rank order is value order.
     ``ONE`` or a product, inverse or power outside the sort (a group
     element, as 0 and inf are in every sort) is its ``Between``, interned
-    here for the life of the sort.  ``row`` lists a table of ``preds``
-    (whose values must be in the sort) as ranks in ``product`` order over
-    ``universe``, and ``index`` gives each element's position there.  The
-    direct evaluator runs on ``ranks_of(struct)``, built once per
-    structure; the classical evaluator runs on the companion's value sort.
+    here for the life of the sort.  ``mul``, ``inv`` and ``power`` memoize
+    their encoded results for that life too, one dict each, so ``mul(a, 2)``
+    and ``power(a, 2)`` never share an entry.  ``row`` lists a table of
+    ``preds`` (whose values must be in the sort) as ranks in ``product``
+    order over ``universe``, and ``index`` gives each element's position
+    there.  The direct evaluator runs on ``ranks_of(struct)``, built once
+    per structure; the classical evaluator runs on the companion's value
+    sort, built once per compile.
     """
 
-    __slots__ = ("values", "rank", "INF", "ONE", "backend", "preds", "universe", "rows", "index")
+    __slots__ = ("values", "rank", "INF", "ONE", "backend", "preds", "universe", "rows", "index",
+                 "products", "inverses", "powers")
     ZERO = 0
 
     def __init__(self, values: Iterable[TruthValue], backend: GroupBackend,
@@ -224,6 +226,9 @@ class Ranks:
         self.universe = universe
         self.index: Dict[str, int] = dict(zip(universe, range(len(universe))))
         self.rows: Dict[Tuple[str, int], list] = {}  # filled by row on first use
+        self.products: Dict[tuple, object] = {}  # (a, b) -> mul(a, b)
+        self.inverses: Dict[object, object] = {}  # a -> inv(a)
+        self.powers: Dict[tuple, object] = {}  # (a, n) -> power(a, n)
 
     def row(self, name: str, arity: int) -> Optional[list]:
         """The ranks of predicate name's table in ``product`` order over
@@ -262,14 +267,25 @@ class Ranks:
     def is_inf(self, a) -> bool:
         return a == self.INF
 
+    # encode interns every result, so threads racing on one entry store one object
     def mul(self, a, b):
-        return self.encode(tv_mul(self.decode(a), self.decode(b), self.backend))
+        got = self.products.get((a, b))
+        if got is None:
+            got = self.products[a, b] = self.encode(
+                tv_mul(self.decode(a), self.decode(b), self.backend))
+        return got
 
     def inv(self, a):
-        return self.encode(tv_inv(self.decode(a)))
+        got = self.inverses.get(a)
+        if got is None:
+            got = self.inverses[a] = self.encode(tv_inv(self.decode(a)))
+        return got
 
     def power(self, a, n: int):
-        return self.encode(tv_power(self.decode(a), n))
+        got = self.powers.get((a, n))
+        if got is None:
+            got = self.powers[a, n] = self.encode(tv_power(self.decode(a), n))
+        return got
 
 
 def ranks_of(struct: Structure) -> Ranks:
@@ -314,28 +330,6 @@ _ON_RANKS = (
 )
 
 
-def _memoized(truth, kind):
-    def run(P, phi, free, *operands):
-        # only Power reads phi (its exponent keys its memo): one memo per kind serves all
-        V = P.V
-        known = P.memo.setdefault(phi.n if kind is Power else kind, {})
-        values = []
-        for args in zip(*operands):
-            value = known.get(args)
-            if value is None:
-                rel = (args[0] > args[1]) - (args[0] < args[1]) if kind in ORDERED else 0
-                value = known[args] = truth(V, phi, rel, *args)
-            values.append(value)
-        return values
-    return run
-
-
-def _constant(truth):
-    def run(P, phi, free):
-        return [truth(P.V, phi, 0)]
-    return run
-
-
 def _lattice_fold(pick):
     """A quantifier: pick (min or max) of each run of n cells."""
     def run(P, phi, free, body):
@@ -344,11 +338,12 @@ def _lattice_fold(pick):
 
 
 def _kernel(kind):
-    """The kernel of a node of type kind.  A truth function that only
-    chooses among its operands, 0 and inf reads no V once ``_ON_RANKS``
-    is inlined into its text, and is compiled, once, into one list
-    comprehension; one that leaves the sort or reads its node (the
-    exponent of Power) runs per cell."""
+    """The kernel of a node of type kind: its truth text with
+    ``_ON_RANKS`` inlined, compiled once into one list comprehension over
+    its operands' tables (one cell for a constant).  A connective that
+    only chooses among its operands, 0 and inf reads no V there; the
+    group operations are ``Ranks``'s memoized ones, and Power reads its
+    exponent off phi."""
     lattice = QUANTIFIER_CONNECTIVE.get(kind)
     if lattice:
         return _lattice_fold(min if lattice is And else max)  # the chain's inf and sup
@@ -356,14 +351,12 @@ def _kernel(kind):
     expression = _TRUTH_TEXT[kind]
     for pattern, replacement in _ON_RANKS:
         expression = re.sub(pattern, replacement, expression)
-    if re.search(r"\b(V|phi|rel)\b", expression):
-        return _memoized(TRUTH[kind], kind) if operands else _constant(TRUTH[kind])
     tables = "".join(", " + x.upper() for x in operands)
     loop = ("", " for a in A", " for a, b in zip(A, B)")[len(operands)]
     name = f"{kind.__name__}_kernel"
     namespace: Dict[str, object] = {}
-    exec(f"def {name}(P, phi, free{tables}):\n    I = P.I\n    return [{expression}{loop}]\n",
-         namespace)
+    exec(f"def {name}(P, phi, free{tables}):\n    I, V = P.I, P.V\n"
+         f"    return [{expression}{loop}]\n", namespace)
     return namespace[name]
 
 
@@ -430,11 +423,10 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
 
     Each node's step is decided from its type and its kids' steps alone:
     its order (its axes, then a quantifier's variable) and its kernel.  A
-    quantifier is min or max of each run of n cells, a connective whose
-    truth function only chooses runs its comprehension (``_kernel``: And
-    keeps the smaller operand, Or the larger), and an atom over distinct
-    variables reads its predicate's row off ``Ranks.row``.  Every other
-    node runs its truth function per cell.
+    quantifier is min or max of each run of n cells, a connective runs its
+    comprehension (``_kernel``: And keeps the smaller operand, Or the
+    larger), and an atom over distinct variables reads its predicate's row
+    off ``Ranks.row``.
     """
     steps: List[tuple] = []
     for phi, kids, free in nodes:
@@ -459,18 +451,17 @@ def plan(nodes: Sequence[Node]) -> List[tuple]:
 
 
 class _Pass:
-    """What the kernels of one pass share: the structure, its ranks, the
-    rank of inf, the universe size and the memo of the connectives that
-    run their truth function per cell."""
+    """What the kernels of one pass share: the structure, its ranks (whose
+    group operations keep their memo for the structure's life), the rank
+    of inf and the universe size."""
 
-    __slots__ = ("struct", "V", "I", "n", "memo")
+    __slots__ = ("struct", "V", "I", "n")
 
     def __init__(self, struct: Structure):
         self.struct = struct
         self.V = ranks_of(struct)
         self.I = self.V.INF
         self.n = len(struct.universe)
-        self.memo: Dict[object, dict] = {}
 
 
 def value_tables(struct: Structure, plan: Sequence[tuple]):

@@ -34,7 +34,6 @@ from .semantics import Ranks, Structure, eval_term, plan, ranks_of, value_tables
 from .syntax import (
     CORE_NODES, QUANTIFIER_CONNECTIVE, And, App, Atom, Bot, Forall, Formula, Imp, Inv,
     One, Tensor, Term, Var, children, declare, expand_derived, nodes, print_term,
-    term_vars,
 )
 from .values import INF, ZERO, TruthValue, one, order_key
 
@@ -261,8 +260,10 @@ class _Runtime(NamedTuple):
     and closures read.
 
     Inside one call a value is encoded by ``V``, the companion's value sort
-    interned as ``semantics.Ranks``, and orders natively; objects are their
-    names.  ``tick`` numbers the memo and support entries as they are made.
+    interned as ``semantics.Ranks``, and orders natively; ``V`` memoizes
+    products and inverses, which a guard computes again at every value of
+    the sort.  Objects are their names.  ``tick`` numbers the memo and
+    support entries as they are made.
     """
 
     companion: ClassicalStructure
@@ -275,10 +276,6 @@ class _Runtime(NamedTuple):
     # the names that some object quantifier or the assignment binds to an
     # object: only a value variable of such a name checks its sort
     object_names: FrozenSet[str]
-    # each product and inverse computed so far: a guard tries every value of
-    # the sort with the same operands, which would recompute them each time
-    products: Dict[Tuple[object, object], object]
-    inverses: Dict[object, object]
     free: Dict[int, FrozenSet[str]]  # id of a node -> its free variables
     closures: Dict[int, Callable]    # id of a node -> its closure, once built
     supports: Dict[int, Callable]    # id of a guarded value quantifier -> its support
@@ -303,7 +300,7 @@ def _projection(names) -> Callable:
 def _rel(node: CRel, param, kids, rt: _Runtime) -> Callable:
     value, = kids
     pred, terms, companion = node.pred, node.args, rt.companion
-    for t in terms:
+    for t in terms:  # the walk has refused a non-term inside one (_object_vars)
         if type(t) not in _OBJECT_TERMS:
             raise UsageError(f"not an object term: {t!r}")
     table = rt.graphs.get(pred)
@@ -370,40 +367,22 @@ def _var(node: VVar, param, kids, rt: _Runtime) -> Callable:
 
 
 def _const(node: VConst, param, kids, rt: _Runtime) -> Callable:
-    which = node.which
-    value = rt.constants.get(which)
-    if value is not None:
-        return lambda env: value
-
-    def unknown(env):
-        raise UsageError(f"unknown value constant {which!r}")
-    return unknown
+    value = rt.constants.get(node.which)
+    if value is None:
+        raise UsageError(f"unknown value constant {node.which!r}")
+    return lambda env: value
 
 
 def _mul(node, param, kids, rt: _Runtime) -> Callable:
     left, right = kids
-    mul, products = rt.V.mul, rt.products
-
-    def run(env):
-        a, b = left(env), right(env)
-        got = products.get((a, b))
-        if got is None:
-            got = products[a, b] = mul(a, b)
-        return got
-    return run
+    mul = rt.V.mul
+    return lambda env: mul(left(env), right(env))
 
 
 def _inv(node, param, kids, rt: _Runtime) -> Callable:
     arg, = kids
-    inv, inverses = rt.V.inv, rt.inverses
-
-    def run(env):
-        a = arg(env)
-        got = inverses.get(a)
-        if got is None:
-            got = inverses[a] = inv(a)
-        return got
-    return run
+    inv = rt.V.inv
+    return lambda env: inv(arg(env))
 
 
 def _memoized(compute: Callable, project: Callable, rt: _Runtime) -> Callable:
@@ -424,7 +403,7 @@ def _memoized(compute: Callable, project: Callable, rt: _Runtime) -> Callable:
 
 def _quantifier(node, param, kids, rt: _Runtime) -> Callable:
     """A quantifier over its domain, or over its guard's support when it has
-    a guard; memoized on the projection of the assignment."""
+    a guard; the build loop memoizes it."""
     sort, want_all = param
     var, body, domain, support = node.var, kids[0], rt.domains[sort], None
     found = _guard(node, rt.free) if sort == "values" else None
@@ -434,26 +413,19 @@ def _quantifier(node, param, kids, rt: _Runtime) -> Callable:
         support = rt.supports[id(node)] = _support(
             var, [closures[id(left)] for left in lefts], closures[id(guard)],
             _projection(others), rt)
-    project, memo, tick, limit = _projection(rt.free[id(node)]), {}, rt.tick, rt.limit
 
     def run(env):
-        key = project(env)
-        got = memo.get(key)
-        if got is None:
-            saved = env.get(var, _UNSET)
-            got = want_all
-            for item in domain if support is None else support(env):
-                env[var] = item
-                if body(env) is not want_all:
-                    got = not want_all
-                    break
-            if saved is _UNSET:
-                env.pop(var, None)
-            else:
-                env[var] = saved
-            if next(tick) >= limit:
-                raise _over(limit)
-            memo[key] = got
+        saved = env.get(var, _UNSET)
+        got = want_all
+        for item in domain if support is None else support(env):
+            env[var] = item
+            if body(env) is not want_all:
+                got = not want_all
+                break
+        if saved is _UNSET:
+            env.pop(var, None)
+        else:
+            env[var] = saved
         return got
     return run
 
@@ -535,6 +507,15 @@ _SORTS = {"ValueTerm": (_TERMS, "value term"),
 _PARTS = {kind: _declared(kind) for kind in _SHAPES}
 
 
+def _object_vars(t) -> FrozenSet[str]:
+    """The variables of an object term, refused when one inside is none."""
+    if type(t) is Var:
+        return frozenset((t.name,))
+    if type(t) is not App:
+        raise UsageError(f"not an object term: {t!r}")
+    return frozenset().union(*map(_object_vars, t.args))
+
+
 def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) -> _Runtime:
     """One closure per distinct node of psi, children first; objects are
     the names the assignment binds to objects.
@@ -545,9 +526,10 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
     the walk's order, checks each node's parts against the sort declared
     for them and builds the node's closure through its row of ``_SHAPES``,
     every builder taking (node, param, closures of its parts, runtime).
-    So an ill-sorted part anywhere in psi, or a root that is no classical
-    formula, raises UsageError before any closure runs.  ``translate``
-    shares one leaf per name, so there is one leaf closure per name.
+    So an ill-sorted part or an unknown value constant anywhere in psi, or
+    a root that is no classical formula, raises UsageError before any
+    closure runs.  ``translate`` shares one leaf per name, so there is one
+    leaf closure per name.
 
     A quantifier and a formula node with more than one parent memoize their
     verdicts on the projection of the assignment onto their free variables;
@@ -592,7 +574,7 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
             for part in parts:
                 got = free.get(id(part))
                 if got is None:  # the build loop refuses it unless an object term
-                    got = frozenset(term_vars(part)) if type(part) in _OBJECT_TERMS else _NO_NAMES
+                    got = _object_vars(part) if type(part) in _OBJECT_TERMS else _NO_NAMES
                 names = names | got if names else got
             shape = _SHAPES[type(node)]
             if shape.build is _quantifier:
@@ -605,7 +587,7 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
     rt = _Runtime(companion, V, graphs,
                   {"objects": companion.objects, "values": range(len(V.values))},
                   {"0": V.ZERO, "1": V.ONE, "inf": V.INF}, count(), MAX_CLASSICAL_MEMO,
-                  frozenset(object_names), {}, {}, free, {}, {})
+                  frozenset(object_names), free, {}, {})
     closures = rt.closures
     for node in order:
         kind, key = type(node), id(node)
@@ -617,8 +599,8 @@ def _compile(psi, companion: ClassicalStructure, objects: Iterable[str] = ()) ->
                 raise UsageError(f"not a {sort}: {part!r}")
             kids.append(closures[id(part)])
         fn = shape.build(node, shape.param, kids, rt)
-        if parents[key] > 1 and kind in _FORMULAS and shape.build is not _quantifier:
-            fn = _memoized(fn, _projection(free[key]), rt)  # a quantifier memoizes itself
+        if shape.build is _quantifier or parents[key] > 1 and kind in _FORMULAS:
+            fn = _memoized(fn, _projection(free[key]), rt)
         closures[key] = fn
     return rt
 
@@ -709,6 +691,8 @@ def check_translation(phi: Formula, struct: Structure) -> bool:
 def _print_obj_term(t: Term) -> str:
     if type(t) is Var:
         return t.name
+    if type(t) is not App:
+        raise UsageError(f"not an object term: {t!r}")
     if not t.args:
         return t.func
     return f"({t.func} {' '.join(_print_obj_term(a) for a in t.args)})"

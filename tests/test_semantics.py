@@ -1,9 +1,11 @@
 """Evaluation, satisfaction, similarity/ultrametric, structure files."""
 
 import ast
+import dis
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,21 @@ class TestEval:
             satisfies(struct, phi)
 
 
+def names_loaded(code):
+    """The local, closure and global names that code and the code objects
+    inside it (a comprehension's, say) read; not the attributes."""
+    read = set()
+    for instruction in dis.get_instructions(code):
+        if instruction.opname.startswith(("LOAD_FAST", "LOAD_DEREF", "LOAD_CLOSURE",
+                                          "LOAD_GLOBAL", "LOAD_NAME")):
+            argval = instruction.argval
+            read.update(argval if isinstance(argval, tuple) else (argval,))
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            read |= names_loaded(const)
+    return read
+
+
 class TestTruthTable:
     LEX2_POOL = [ZERO, lex2(1, 2), lex2(1, 1), lex2(2, Fraction(1, 3)), INF]
 
@@ -143,13 +160,15 @@ class TestTruthTable:
                     assert decode(got) == reference(a, b), (node, a, b)
 
     def test_choosing_connectives_get_a_comprehension(self):
-        # a rewrite onto ranks that stops matching would leave its
-        # connective on the slower per-cell path, with the same tables
+        # every connective runs its generated comprehension, and one that
+        # only chooses reads no algebra there: a rewrite onto ranks that
+        # stops matching would leave V (a call per cell) in its kernel
         choosing = {Bot, Top, And, Or, Imp, Iff, DArrow, DDArrow, Not, Delta}
         assert set(TRUTH) == choosing | {One, Tensor, Inv, LukImp, Power}
         for kind in TRUTH:
-            comprehension = semantics._KERNELS[kind].__name__ == kind.__name__ + "_kernel"
-            assert comprehension == (kind in choosing), kind
+            kernel = semantics._KERNELS[kind]
+            assert kernel.__name__ == kind.__name__ + "_kernel", kind
+            assert ("V" in names_loaded(kernel.__code__)) == (kind not in choosing), kind
 
     def test_ordered_is_read_off_the_texts(self):
         assert ORDERED == {And, Or, Imp, Iff, DArrow, DDArrow, LukImp}
@@ -304,10 +323,12 @@ class TestAgainstOracle:
             if tv_compare(d[a, b], tv_max(d[a, c], d[b, c])) > 0]
 
 
-# The node types that run one kernel on their operands' encoded values:
-# those whose truth functions only choose (a comprehension each) and those
-# that run theirs per cell, memoized
-KERNEL_KINDS = (Bot, Top, Not, Delta, And, Or, Imp, Iff, DArrow, DDArrow, Inv, LukImp, Tensor)
+# The node types whose kernel is one comprehension over their operands'
+# encoded values, Power (whose node needs an exponent) aside: those whose
+# truth functions only choose, and those that call Ranks's memoized group
+# operations
+KERNEL_KINDS = (Bot, One, Top, Not, Delta, And, Or, Imp, Iff, DArrow, DDArrow, Inv, LukImp,
+                Tensor)
 CELL_SIG = Signature(functions={"c": 0}, predicates={"e": 2, "P": 1, "Q": 0})
 X, Y, C = Var("x"), Var("y"), App("c", ())
 # distinct, swapped and repeated variables, constants and zero arity
@@ -448,6 +469,82 @@ class TestRankKernels:
             struct = random_structure(make_rng(seed), CELL_SIG, size=size, backend=backend)
             for env, value in root_cells(phi, struct):
                 assert value == oracle(phi, struct, env, set())
+
+
+class TestGroupMemos:
+    def test_products_powers_and_inverses_keep_apart(self):
+        # a = P(x) times Q at rank 2, a^2 and a^-1 share the operand a, so a
+        # memo keyed by operands alone would give a^2 the product's entry
+        # (or the product a^2's); each cell is checked against TRUTH on an
+        # algebra of its own, whose memo holds nothing yet
+        sig = Signature(predicates={"P": 1, "Q": 0})
+        pool = [ZERO, rat(1, 2), rat(2), rat(3), INF]
+        universe = tuple(f"m{i}" for i in range(len(pool)))
+        struct = Structure(sig, RAT, universe, {}, {
+            "P": {(m,): v for m, v in zip(universe, pool)}, "Q": {(): rat(2)}})
+        V = ranks_of(struct)
+        assert V.encode(rat(2)) == 2
+        a, square = Atom("P", (X,)), Power(Atom("P", (X,)), 2)
+        phi = Or(And(Tensor(a, Atom("Q")), square), Tensor(Inv(a), square))
+        flat = nodes(phi)
+        tables = list(value_tables(struct, plan(flat)))
+        for (node, kids, _), table in zip(flat, tables):
+            if type(node) is Atom:
+                continue
+            columns = [[V.decode(cell) for cell in tables[k]] for k in kids]
+            for i, cell in enumerate(table):
+                W = semantics.Ranks(struct.atomic_values(), RAT, {})
+                args = [W.encode(column[i % len(column)]) for column in columns]
+                rel = (args[0] > args[1]) - (args[0] < args[1]) if type(node) in ORDERED else 0
+                assert V.decode(cell) == W.decode(TRUTH[type(node)](W, node, rel, *args)), \
+                    (node, universe[i])
+        half = V.encode(rat(1, 2))
+        assert V.decode(V.products[half, 2]) == rat(1)
+        assert V.decode(V.powers[half, 2]) == rat(1, 4)
+
+    def test_a_second_pass_multiplies_nothing(self, monkeypatch):
+        # the memo lives on the structure's ranks, so a second pass over the
+        # same structure finds every product there
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tv_mul(*args)
+        monkeypatch.setattr(semantics, "tv_mul", counted)
+        struct = random_structure(make_rng(3), CELL_SIG, size=3)
+        steps = plan(nodes(parse("forall y. (e(x, y) ->l P(y)) * e(y, x)^2 \\/ Q * one",
+                                 CELL_SIG)))
+        first = list(value_tables(struct, steps))
+        made = len(calls)
+        assert made > 0
+        assert list(value_tables(struct, steps)) == first
+        assert len(calls) == made
+
+
+class TestPowerMap:
+    # g -> g^k fixes 0, 1 and inf, keeps the order and commutes with the
+    # product, so it commutes with every connective and quantifier: raising
+    # every table value to k raises every sentence's value to k
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32), backend=st.sampled_from([RAT, LEX2]),
+           k=st.sampled_from([2, 3]))
+    def test_raising_every_value_to_k_raises_every_sentence(self, seed, backend, k):
+        rng = make_rng(seed)
+        struct = random_structure(rng, ORACLE_SIG, backend=backend)
+        raised = Structure(ORACLE_SIG, backend, struct.universe, struct.funcs, {
+            name: {args: tv_power(v, k) for args, v in table.items()}
+            for name, table in struct.preds.items()})
+        a, b, c = (random_formula(rng, ORACLE_SIG, depth=2, bound=("y", "z"), qdepth=1)
+                   for _ in range(3))
+        body = LukImp(Tensor(a, Inv(b)), Power(c, rng.randint(1, 3)))
+        phi = reduce(lambda inner, v: rng.choice([Forall, Exists])(v, inner),
+                     sorted(free_vars(body)), body)
+        assert eval_formula(phi, raised) == tv_power(eval_formula(phi, struct), k)
+        # the sentence's value is mostly 0 or inf: every subformula's cells too
+        steps = plan(nodes(phi))
+        V, W = ranks_of(struct), ranks_of(raised)
+        for table, image in zip(value_tables(struct, steps), value_tables(raised, steps)):
+            assert [tv_power(V.decode(v), k) for v in table] == list(map(W.decode, image))
 
 
 class TestRelayout:

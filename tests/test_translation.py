@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agodel import (
-    INF, LEX2, RAT, ZERO, And, Atom, Bot, EmbeddingCandidate, Exists, Forall, Imp,
+    INF, LEX2, RAT, ZERO, And, App, Atom, Bot, EmbeddingCandidate, Exists, Forall, Imp,
     Inv, One, ResourceLimitError, Signature, Structure, Tensor, Top, UsageError, Var,
     bounded_ediag, bounded_elementary_equiv, check_embedding, check_translation,
     dump_structure, eval_classical, eval_formula, expand_derived, find_model, ground_sentence,
@@ -249,6 +249,24 @@ class TestEvalClassical:
         for scope in (env, {}):
             with pytest.raises(UsageError, match=f"^not an? {sort}: "):
                 eval_classical(psi, companion, scope)
+
+    def test_unknown_constant_is_refused_before_evaluation(self):
+        # behind a false conjunct, which evaluation would stop at
+        psi = CAnd(CLe(VConst("inf"), VConst("0")), CEqV(G, VConst("2")))
+        with pytest.raises(UsageError, match="^unknown value constant '2'$"):
+            eval_classical(psi, to_classical(nullary(rat(2))), {"g": INF})
+
+    @pytest.mark.parametrize("term", [App("f", (G,)), App("f", (App("c", ()), App("f", (2,))))],
+                             ids=["value-variable", "int-deeper"])
+    def test_value_inside_an_object_term_is_refused(self, term):
+        # the sort of a term's arguments is checked at every depth, by the
+        # evaluator and by the printer alike
+        psi = CRel("P", (term,), G)
+        companion = to_classical(nullary(rat(2)))
+        with pytest.raises(UsageError, match="^not an object term: "):
+            eval_classical(psi, companion, {"g": INF})
+        with pytest.raises(UsageError, match="^not an object term: "):
+            print_classical(psi)
 
     def test_values_outside_the_sort(self):
         # the sort of P = 2, Q = 3 is {0, 1, 2, 3, inf}: 2 * 2 and its inverse are outside
